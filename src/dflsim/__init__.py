@@ -24,8 +24,8 @@ from .attack import (
     solve_optimal_coordinate,
     trimmed_mean_bounds,
 )
-from .core import AttackPlan, RoleConfig, Rng, RoundExchange, as_model_vector
-from .reporting import ExperimentRecord, SweepSpec, compute_metrics, read_records, run_sweep, write_records
+from .core import RoleConfig, Rng, RoundExchange
+from .reporting import ExperimentRecord, SweepSpec, read_records, run_sweep, write_records
 from .simulation import (
     AttackConfig,
     CsvDataConfig,

@@ -339,51 +339,162 @@ def default_lambda(rule_kind: str) -> float:
     return {"fedavg": 0.0, "median": 0.5, "trimmed_mean": 1.0}.get(rule_kind, 0.0)
 
 
+def _solve_optimal(w: np.ndarray, w_benign: np.ndarray, lower: np.ndarray, upper: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`solve_optimal_coordinate` over arrays: receiver coordinates
+    ``w`` of shape (R, d) against per-coordinate aggregates and bounds (d,)."""
+    if abs(lam - 1.0) <= LAMBDA_ONE_TOLERANCE:
+        return np.where(w > w_benign, upper, lower)
+    p = (w - lam * w_benign) / (1.0 - lam)
+    if lam < 1.0:
+        above_lower = np.where(lower > p, lower, p)
+        return np.where(upper < above_lower, upper, above_lower)
+    return np.where(np.abs(p - upper) > np.abs(p - lower), upper, lower)
+
+
+def _targets(receivers, benign_agg, lower, upper, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal targets (R, d) and the per-cell error codes of the scalar path:
+    1 for invalid bounds on the coordinate, 2 for a target outside them."""
+    invalid = ~(np.isfinite(lower) & np.isfinite(upper)) | (lower > upper)
+    target = _solve_optimal(receivers, benign_agg, lower, upper, lam)
+    codes = np.where((lower <= target) & (target <= upper), 0, 2).astype(np.int8)
+    codes[:, invalid] = 1
+    return target, codes
+
+
+# error code of a cell -> what the per-coordinate loop raises there
+_FAILURES = {
+    1: (InvalidBounds, "invalid reachable bounds"),
+    2: (OutOfBounds, "target outside the reachable bounds"),
+    3: (SearchFailure, "no feasible split found"),
+}
+
+
+def _raise_first_failure(codes: np.ndarray) -> None:
+    """Raise the error the per-coordinate loop would meet first (receivers
+    outer, coordinates inner), if any cell failed."""
+    if not codes.any():
+        return
+    r, k = divmod(int(np.flatnonzero(codes)[0]), codes.shape[1])
+    error, text = _FAILURES[int(codes[r, k])]
+    raise error(f"receiver {r}, coordinate {k}: {text}")
+
+
+def _check_offset(b: float) -> None:
+    if b <= 0.0:
+        raise ValueError(f"b must be > 0, got {b}")
+
+
+def _column_sums(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Sums of ``rows[start:stop]`` per column, added in the order of the
+    scalar code's 1-D sums (a reduction along a contiguous last axis; one
+    along axis 0 adds in another order and changes the last bits)."""
+    return np.ascontiguousarray(rows[start:stop].T).sum(axis=1)
+
+
+def _craft_fedavg_all(receivers, benign, m, lam, b) -> np.ndarray:
+    """:func:`craft_fedavg` for every receiver and coordinate at once."""
+    n = benign.shape[0]
+    columns = np.ascontiguousarray(benign.T)
+    lower, upper = columns.min(axis=1), columns.max(axis=1)
+    target, codes = _targets(receivers, agg_fedavg(benign), lower, upper, lam)
+    _raise_first_failure(codes)
+    crafted = np.repeat(target[:, None, :], m, axis=1)
+    crafted[:, 0] = (n + 1) * target - columns.sum(axis=1)
+    return crafted
+
+
+def _craft_median_all(receivers, benign, m, lam, b) -> np.ndarray:
+    """:func:`median_bounds` and :func:`craft_median` for every receiver and
+    coordinate at once."""
+    _check_offset(b)
+    n = benign.shape[0]
+    if n < m + 1:
+        raise IndexOutOfRange(f"median bounds need n >= m + 1, got n={n}, m={m}")
+    q = -np.sort(-benign, axis=0)
+    upper = 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
+    lower = 0.5 * (q[(n + m - 1) // 2] + q[(n + m) // 2])
+    target, codes = _targets(receivers, agg_median(benign), lower, upper, lam)
+    _raise_first_failure(codes)
+    upper_pivot = q[(n - m) // 2]
+    lower_pivot = q[(n + m - 1) // 2]
+    above = target > upper_pivot
+    below = target < lower_pivot
+    crafted = np.empty((receivers.shape[0], m, benign.shape[1]))
+    crafted[:, 0] = np.where(above, 2.0 * target - upper_pivot, np.where(below, 2.0 * target - lower_pivot, target))
+    crafted[:, 1:] = np.where(above, q[0] + b, np.where(below, q[-1] - b, target))[:, None, :]
+    return crafted
+
+
+def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
+    """:func:`trimmed_mean_bounds` and :func:`craft_trimmed_mean` for every
+    receiver and coordinate at once.
+
+    The split search of the scalar code becomes a table of m + 1 thresholds
+    per coordinate and side, computed once per call; each cell takes the
+    first feasible split.  Split j parks m - j crafted values outside the
+    benign range and gives the other j a common filler value.
+    """
+    _check_offset(b)
+    n = benign.shape[0]
+    if n < 2 * m + 1:
+        raise IndexOutOfRange(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
+    q = -np.sort(-benign, axis=0)
+    upper = _column_sums(q, 0, n - m) / (n - m)
+    lower = _column_sums(q, m, n) / (n - m)
+    target, codes = _targets(receivers, agg_trimmed_mean(benign, m), lower, upper, lam)
+    splits = np.arange(m + 1)[:, None]
+    # below the benign trimmed mean: split j keeps q[m:n-j], pivots on q[m-1]
+    low_sums = np.stack([_column_sums(q, m, n - j) for j in range(m + 1)])
+    low_thresholds = (splits * q[m - 1] + low_sums) / (n - m)
+    # above it: split j keeps q[j:n-m], pivots on q[n-m]
+    high_sums = np.stack([_column_sums(q, j, n - m) for j in range(m + 1)])
+    high_thresholds = (splits * q[n - m] + high_sums) / (n - m)
+
+    go_low = target <= _column_sums(q, m, n - m) / (n - 2 * m)
+    feasible = np.where(
+        go_low[:, None, :],
+        target[:, None, :] <= low_thresholds,
+        target[:, None, :] >= high_thresholds,
+    )
+    split = feasible.argmax(axis=1)
+    codes[(codes == 0) & ~feasible.any(axis=1)] = 3
+    _raise_first_failure(codes)
+
+    sums = np.where(go_low, np.take_along_axis(low_sums, split, axis=0), np.take_along_axis(high_sums, split, axis=0))
+    filler = ((n - m) * target - sums) / np.maximum(split, 1)
+    park = np.where(go_low, q[-1] - b, q[0] + b)
+    parked = np.arange(m)[None, :, None] < (m - split)[:, None, :]
+    return np.where(parked, park[:, None, :], filler[:, None, :])
+
+
 def craft_shared_model(
     rule: AggregationRule,
-    receiver_pre_agg: np.ndarray,
+    receivers: np.ndarray,
     benign_shares: Sequence[np.ndarray],
     m: int,
     lam: float,
     b: float = 1.0,
 ) -> np.ndarray:
-    """Craft the m shares the coalition sends to one non-selfish receiver.
+    """Craft the m shares the coalition sends to each non-selfish receiver.
 
-    ``benign_shares`` are the n models the non-selfish clients send (the
-    receiver's own entry included).  Rules without a tailored construction
-    (krum, fltrust) receive the FedAvg-based crafting.  Returns an (m, d)
-    array; row k is the share of selfish sender n + k.
+    ``receivers`` holds the R receivers' own pre-aggregation models, one per
+    row; ``benign_shares`` are the n models the non-selfish clients send.
+    Returns an (R, m, d) array: entry [r, k] is the share selfish sender
+    n + k sends to receiver r.  The bounds, the benign aggregate and the
+    sorted benign values do not depend on the receiver, so every rule but
+    flame crafts all receivers in one array computation that reproduces
+    the per-coordinate functions above bit for bit.  Rules without a
+    tailored construction (krum, fltrust) receive the FedAvg-based crafting.
     """
+    receivers = np.asarray(receivers, dtype=np.float64)
     if rule.kind == "flame":
-        return craft_flame_attack(receiver_pre_agg, benign_shares, m)
+        return np.stack([craft_flame_attack(w, benign_shares, m) for w in receivers])
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if lam < 0.0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    benign = np.asarray(benign_shares, dtype=np.float64)
+    return _CRAFTERS.get(rule.kind, _craft_fedavg_all)(receivers, benign, m, lam, b)
 
-    receiver_pre_agg = np.asarray(receiver_pre_agg, dtype=np.float64)
-    benign = np.stack([np.asarray(s, dtype=np.float64) for s in benign_shares])
-    dim = benign.shape[1]
-    crafted = np.empty((m, dim), dtype=np.float64)
 
-    if rule.kind == "median":
-        benign_agg = agg_median(benign)
-        sorted_desc = -np.sort(-benign, axis=0)
-        for k in range(dim):
-            q = sorted_desc[:, k]
-            bounds = median_bounds(q, m)
-            target = solve_optimal_coordinate(receiver_pre_agg[k], benign_agg[k], bounds, lam)
-            crafted[:, k] = craft_median(q, target, m, b)
-    elif rule.kind == "trimmed_mean":
-        benign_agg = agg_trimmed_mean(benign, m)
-        sorted_desc = -np.sort(-benign, axis=0)
-        for k in range(dim):
-            q = sorted_desc[:, k]
-            bounds = trimmed_mean_bounds(q, m)
-            target = solve_optimal_coordinate(receiver_pre_agg[k], benign_agg[k], bounds, lam)
-            crafted[:, k] = craft_trimmed_mean(q, target, m, b)
-    else:
-        # fedavg and the rules attacked through the fedavg construction
-        benign_agg = agg_fedavg(benign)
-        for k in range(dim):
-            q = benign[:, k]
-            bounds = fedavg_bounds(q)
-            target = solve_optimal_coordinate(receiver_pre_agg[k], benign_agg[k], bounds, lam)
-            crafted[:, k] = craft_fedavg(q, target, m)
-    return crafted
+_CRAFTERS = {"median": _craft_median_all, "trimmed_mean": _craft_trimmed_mean_all}

@@ -1,13 +1,13 @@
 """Core types shared across the simulator.
 
-Everything here is deliberately small: flat float64 model vectors, a role
-table describing who is selfish, the per-round exchange of shared models,
-the attack plan, and a counter-based deterministic RNG.
+Everything here is deliberately small: the error types, a dimension check
+of flat float64 model vectors, a role table describing who is selfish, the
+per-round exchange of shared models, and a counter-based deterministic RNG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -65,6 +65,10 @@ class SearchFailure(RuntimeError):
     """The crafted-share search exhausted its range; indicates a bug."""
 
 
+class NumericalDivergence(RuntimeError):
+    """Local training produced a non-finite loss or model."""
+
+
 class DegenerateDenominator(ValueError):
     """A crafting denominator too close to zero to divide by."""
 
@@ -88,20 +92,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # model vectors
 # ---------------------------------------------------------------------------
-
-def as_model_vector(values: Iterable[float]) -> np.ndarray:
-    """Return a read-only 1-D float64 array, rejecting NaN/Inf entries."""
-    vec = np.asarray(values, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError(f"model vector must be 1-D, got shape {vec.shape}")
-    if vec.size == 0:
-        raise ValueError("model vector must not be empty")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("model vector contains non-finite entries")
-    vec = vec.copy()
-    vec.flags.writeable = False
-    return vec
-
 
 def check_same_dimension(models: Iterable[np.ndarray]) -> int:
     """Return the common length of the given vectors or raise."""
@@ -176,66 +166,9 @@ class RoundExchange:
     shared: Mapping[tuple[int, int], np.ndarray]
     pre_agg: Mapping[int, np.ndarray]
 
-    def validate_complete(self, num_clients: int) -> None:
-        """Check every sender/receiver pair is present and self entries match."""
-        for i in range(num_clients):
-            if i not in self.pre_agg:
-                raise ValueError(f"missing pre-aggregation model for client {i}")
-            for j in range(num_clients):
-                if (j, i) not in self.shared:
-                    raise ValueError(f"missing shared model from {j} to {i}")
-        for i in range(num_clients):
-            if not np.array_equal(self.shared[(i, i)], self.pre_agg[i]):
-                raise ValueError(f"self entry of client {i} differs from its pre-agg model")
-
     def shares_for(self, receiver: int, senders: Iterable[int]) -> list[np.ndarray]:
         """Shared models addressed to ``receiver``, in sender order."""
         return [self.shared[(j, receiver)] for j in senders]
-
-
-# ---------------------------------------------------------------------------
-# attack plan
-# ---------------------------------------------------------------------------
-
-INFO_MODES = ("all", "selfish_only")
-
-
-@dataclass(frozen=True)
-class AttackPlan:
-    """Knobs of the selfish crafting attack.
-
-    Attributes:
-        lam: trade-off weight between staying close to the receiver's own
-            model (small ``lam``) and moving away from the benign-only
-            aggregate (large ``lam``).  Must be >= 0.
-        b: positive offset used to park surplus crafted values strictly
-            outside the benign range.
-        epsilon: plateau-detection threshold in (0, 1).
-        interval: detection window length in rounds, >= 1.
-        info_mode: which shares the selfish clients themselves aggregate —
-            ``"all"`` or ``"selfish_only"``.
-        selfish_rule: aggregation rule the selfish clients run locally;
-            ``None`` means "resolve from the experiment's rule".
-    """
-
-    lam: float = 0.0
-    b: float = 1.0
-    epsilon: float = 0.1
-    interval: int = 50
-    info_mode: str = "all"
-    selfish_rule: object | None = None
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be a finite value >= 0, got {self.lam}")
-        if not (np.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"b must be a finite value > 0, got {self.b}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-        if self.info_mode not in INFO_MODES:
-            raise ValueError(f"info_mode must be one of {INFO_MODES}, got {self.info_mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,6 @@ class ExperimentRecord:
             raise ValueError("gap must equal mtas - mtans")
 
 
-def compute_metrics(models, roles: RoleConfig, test) -> tuple[float, float, float]:
-    """(mtas, mtans, gap) of per-client models on a shared test set."""
-    from .simulation import group_accuracy
-
-    mtas = group_accuracy([models[i] for i in roles.selfish_ids], test)
-    mtans = group_accuracy([models[i] for i in roles.non_selfish_ids], test)
-    return mtas, mtans, mtas - mtans
-
-
 def write_records(records, path: str) -> None:
     """Write records as CSV with six-decimal floats and lowercase booleans."""
     with open(path, "w", newline="") as fh:

@@ -33,6 +33,7 @@ from .core import (
     EmptyDataset,
     EmptyGroup,
     EmptyTestSet,
+    NumericalDivergence,
     RoleConfig,
     Rng,
     RoundExchange,
@@ -335,10 +336,10 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}")
-        if self.lam is not None and self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.b <= 0.0:
-            raise ValueError(f"b must be > 0, got {self.b}")
+        if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lam must be a finite value >= 0, got {self.lam}")
+        if not (np.isfinite(self.b) and self.b > 0.0):
+            raise ValueError(f"b must be a finite value > 0, got {self.b}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.interval < 1:
@@ -361,6 +362,24 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.attack.kind == "selfish" and self.attack.info_mode == "selfish_only":
+            self._check_selfish_only()
+
+    def _check_selfish_only(self) -> None:
+        """The selfish clients aggregate only the m coalition shares; reject
+        a selfish rule that cannot aggregate that few models."""
+        rule = self.resolved_selfish_rule()
+        m = self.roles.m
+        if rule.kind == "trimmed_mean" and m <= 2 * rule.trim:
+            raise ValueError(
+                f"attack.info_mode 'selfish_only' leaves the selfish clients m = {m} shares, "
+                f"but trimmed_mean with trim {rule.trim} needs more than 2 * trim = {2 * rule.trim}"
+            )
+        if rule.kind == "krum" and m < rule.assumed_attackers + 3:
+            raise ValueError(
+                f"attack.info_mode 'selfish_only' leaves the selfish clients m = {m} shares, "
+                f"but krum with f = {rule.assumed_attackers} needs at least f + 3 = {rule.assumed_attackers + 3}"
+            )
 
     def resolved_lambda(self) -> float:
         if self.attack.lam is not None:
@@ -454,6 +473,13 @@ class Engine:
             pre_agg[client.cid] = model
             losses[client.cid] = loss
             client.loss_history.append(loss)
+        models = np.stack([pre_agg[cid] for cid in range(roles.total)])
+        finite = np.isfinite(models).all(axis=1) & np.isfinite([losses[cid] for cid in range(roles.total)])
+        if not finite.all():
+            cid = int(np.argmin(finite))
+            raise NumericalDivergence(
+                f"round {t}: local training of client {cid} diverged (loss {losses[cid]}, non-finite loss or model)"
+            )
         mean_selfish_loss = float(np.mean([losses[i] for i in roles.selfish_ids]))
         if self.detector is not None:
             self.detector = self.detector.update(mean_selfish_loss, t)
@@ -463,16 +489,15 @@ class Engine:
         for receiver in range(roles.total):
             for sender in range(roles.total):
                 shared[(sender, receiver)] = pre_agg[sender]
-        benign = [pre_agg[i] for i in roles.non_selfish_ids]
+        benign = models[: roles.n]
 
         kind = cfg.attack.kind
         if kind == "selfish" and self.detector.started:
-            for receiver in roles.non_selfish_ids:
-                crafted = craft_shared_model(
-                    self.rule, pre_agg[receiver], benign, roles.m, self.lam, cfg.attack.b
-                )
+            # the receivers are the non-selfish clients, whose models are the benign shares
+            crafted = craft_shared_model(self.rule, benign, benign, roles.m, self.lam, cfg.attack.b)
+            for receiver, shares in zip(roles.non_selfish_ids, crafted):
                 for k, sender in enumerate(roles.selfish_ids):
-                    shared[(sender, receiver)] = crafted[k]
+                    shared[(sender, receiver)] = shares[k]
         elif kind == "gaussian":
             for receiver in roles.non_selfish_ids:
                 gen = self.rng.stream(STREAM_ATTACK, t, receiver)

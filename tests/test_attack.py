@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dflsim.aggregation import AggregationRule
+from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median, agg_trimmed_mean
 from dflsim.attack import (
     AttackStartDetector,
     CoordinateBounds,
@@ -415,7 +417,7 @@ def _random_instance(gen, n=7, m=3, dim=4):
 def test_craft_shared_model_median_hits_optimum():
     gen = np.random.default_rng(21)
     receiver, benign = _random_instance(gen)
-    crafted = craft_shared_model(AggregationRule("median"), receiver, benign, m=3, lam=0.5)
+    crafted = craft_shared_model(AggregationRule("median"), receiver[None], benign, m=3, lam=0.5)[0]
     assert crafted.shape == (3, 4)
     combined = np.concatenate([np.stack(benign), crafted])
     post = np.median(combined, axis=0)
@@ -431,7 +433,7 @@ def test_craft_shared_model_median_hits_optimum():
 def test_craft_shared_model_trimmed_lam1_sits_on_bounds():
     gen = np.random.default_rng(22)
     receiver, benign = _random_instance(gen)
-    crafted = craft_shared_model(AggregationRule("trimmed_mean", trim=3), receiver, benign, m=3, lam=1.0)
+    crafted = craft_shared_model(AggregationRule("trimmed_mean", trim=3), receiver[None], benign, m=3, lam=1.0)[0]
     combined = np.sort(np.concatenate([np.stack(benign), crafted]), axis=0)
     post = combined[3:7].mean(axis=0)
     benign_mat = np.stack(benign)
@@ -444,7 +446,7 @@ def test_craft_shared_model_trimmed_lam1_sits_on_bounds():
 def test_craft_shared_model_krum_target_uses_mean_construction():
     gen = np.random.default_rng(23)
     receiver, benign = _random_instance(gen)
-    crafted = craft_shared_model(AggregationRule("krum"), receiver, benign, m=3, lam=0.0)
+    crafted = craft_shared_model(AggregationRule("krum"), receiver[None], benign, m=3, lam=0.0)[0]
     post = np.concatenate([np.stack(benign), crafted]).mean(axis=0)
     benign_mat = np.stack(benign)
     lo, hi = benign_mat.min(axis=0), benign_mat.max(axis=0)
@@ -455,21 +457,117 @@ def test_craft_shared_model_krum_target_uses_mean_construction():
 def test_craft_shared_model_coordinate_independence():
     gen = np.random.default_rng(24)
     receiver, benign = _random_instance(gen, dim=2)
-    full = craft_shared_model(AggregationRule("median"), receiver, benign, m=3, lam=0.5)
+    full = craft_shared_model(AggregationRule("median"), receiver[None], benign, m=3, lam=0.5)[0]
     for k in range(2):
         single = craft_shared_model(
             AggregationRule("median"),
-            receiver[k:k + 1],
+            receiver[None, k:k + 1],
             [b[k:k + 1] for b in benign],
             m=3,
             lam=0.5,
-        )
+        )[0]
         assert np.array_equal(full[:, k:k + 1], single)
 
 
 def test_craft_shared_model_flame_delegates():
     gen = np.random.default_rng(25)
     receiver, benign = _random_instance(gen)
-    crafted = craft_shared_model(AggregationRule("flame"), receiver, benign, m=3, lam=0.0)
+    crafted = craft_shared_model(AggregationRule("flame"), receiver[None], benign, m=3, lam=0.0)[0]
     direct = craft_flame_attack(receiver, benign, m=3)
     assert np.array_equal(crafted, direct)
+
+
+# ---------------------------------------------------------------------------
+# all receivers at once against the per-coordinate reference
+# ---------------------------------------------------------------------------
+
+def scalar_crafting(kind, receiver, benign, m, lam, b=1.0):
+    """The (m, d) shares for one receiver, coordinate by coordinate, from the
+    scalar bounds, solver and crafting functions."""
+    benign = np.stack(benign)
+    desc = -np.sort(-benign, axis=0)
+    columns = []
+    for k in range(benign.shape[1]):
+        if kind == "median":
+            bounds = median_bounds(desc[:, k], m)
+            target = solve_optimal_coordinate(receiver[k], agg_median(benign)[k], bounds, lam)
+            columns.append(craft_median(desc[:, k], target, m, b))
+        elif kind == "trimmed_mean":
+            bounds = trimmed_mean_bounds(desc[:, k], m)
+            target = solve_optimal_coordinate(receiver[k], agg_trimmed_mean(benign, m)[k], bounds, lam)
+            columns.append(craft_trimmed_mean(desc[:, k], target, m, b))
+        else:
+            bounds = fedavg_bounds(benign[:, k])
+            target = solve_optimal_coordinate(receiver[k], agg_fedavg(benign)[k], bounds, lam)
+            columns.append(craft_fedavg(benign[:, k], target, m))
+    return np.stack(columns, axis=1)
+
+
+def outcome(fn):
+    """The value of ``fn()``, or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+LAMBDAS = (0.0, 0.5, 1.0, 2.0, 1.0 + 1e-10, 1.0 - 1e-10)
+
+
+@st.composite
+def crafting_instances(draw):
+    """(rule kind, receivers (R, d), benign (n, d), m, lam) with n >= 2m + 1
+    and values rounded to 0.1, so that ties occur."""
+    kind = draw(st.sampled_from(("median", "trimmed_mean", "fedavg")))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * m + 1, 2 * m + 6))
+    r = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    values = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=(n + r) * d, max_size=(n + r) * d)
+    rows = np.round(np.array(draw(values)), 1).reshape(n + r, d)
+    return kind, rows[n:], rows[:n], m, draw(st.sampled_from(LAMBDAS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(crafting_instances())
+def test_craft_shared_model_matches_scalar_crafting(instance):
+    kind, receivers, benign, m, lam = instance
+    crafted = craft_shared_model(AggregationRule(kind), receivers, list(benign), m, lam)
+    assert crafted.shape == (receivers.shape[0], m, benign.shape[1])
+    for r, receiver in enumerate(receivers):
+        assert np.array_equal(crafted[r], scalar_crafting(kind, receiver, list(benign), m, lam))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(crafting_instances(), st.sampled_from((np.nan, np.inf, -np.inf)), st.data())
+def test_craft_shared_model_non_finite_share_fails_like_scalar_crafting(instance, bad, data):
+    kind, receivers, benign, m, lam = instance
+    benign = benign.copy()
+    benign[data.draw(st.integers(0, benign.shape[0] - 1)), data.draw(st.integers(0, benign.shape[1] - 1))] = bad
+    batched = outcome(lambda: craft_shared_model(AggregationRule(kind), receivers, list(benign), m, lam))
+    scalar = outcome(lambda: np.stack([scalar_crafting(kind, w, list(benign), m, lam) for w in receivers]))
+    if kind != "median":
+        # the mean-based bounds of the coordinate are non-finite
+        assert batched is InvalidBounds
+    if isinstance(scalar, type):
+        assert batched is scalar
+    else:
+        assert np.array_equal(batched, scalar, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", ["median", "trimmed_mean", "fedavg"])
+def test_craft_shared_model_rejects_bad_parameters(kind):
+    gen = np.random.default_rng(26)
+    receivers, benign = gen.normal(size=(2, 3)), list(gen.normal(size=(7, 3)))
+    rule = AggregationRule(kind)
+    with pytest.raises(ValueError):
+        craft_shared_model(rule, receivers, benign, m=0, lam=0.5)
+    with pytest.raises(ValueError):
+        craft_shared_model(rule, receivers, benign, m=2, lam=-0.5)
+    m_too_large = {"median": 7, "trimmed_mean": 4}.get(kind)
+    if m_too_large is not None:
+        with pytest.raises(ValueError):
+            craft_shared_model(rule, receivers, benign, m=2, lam=0.5, b=0.0)
+        with pytest.raises(IndexOutOfRange):
+            craft_shared_model(rule, receivers, benign, m=m_too_large, lam=0.5)

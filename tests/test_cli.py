@@ -135,6 +135,25 @@ def test_run_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_run_rejects_selfish_only_rule_that_cannot_aggregate_coalition(tmp_path, capsys):
+    doc = tiny_doc(
+        roles={"n": 6, "m": 2},
+        rule={"kind": "trimmed_mean"},
+        attack={"kind": "selfish", "info_mode": "selfish_only"},
+    )
+    path = write_doc(tmp_path, doc)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert "attack.info_mode" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_diverging_training_exit_code(tmp_path, capsys):
+    doc = tiny_doc(trainer={"learning_rate": 1e6, "local_epochs": 3, "batch_size": 16}, rounds=60)
+    path = write_doc(tmp_path, doc)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert "diverged" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 import json
 
-import numpy as np
 import pytest
 
 from dflsim.aggregation import AggregationRule
-from dflsim.core import RoleConfig, Rng
+from dflsim.core import RoleConfig
 from dflsim.reporting import (
     ExperimentRecord,
     SweepSpec,
     apply_parameter,
-    compute_metrics,
     read_records,
     run_sweep,
     write_records,
@@ -20,9 +18,6 @@ from dflsim.simulation import (
     PartitionConfig,
     SyntheticDataConfig,
     TrainerConfig,
-    model_dim,
-    generate_synthetic,
-    loss_and_grad,
 )
 
 
@@ -76,21 +71,6 @@ def test_read_records_rejects_foreign_header(tmp_path):
     path.write_text("round,accuracy\n1,0.5\n")
     with pytest.raises(ValueError):
         read_records(str(path))
-
-
-def test_compute_metrics_split():
-    roles = RoleConfig(n=3, m=1)
-    data = generate_synthetic(2, 3, 50, 8.0, Rng(0).stream(0))
-    good = np.zeros(model_dim(2, 3))
-    for _ in range(200):
-        _, grad = loss_and_grad(good, data.features, data.labels, 2)
-        good -= 0.5 * grad
-    bad = -good
-    models = [good, good, good, bad]  # the selfish client holds the bad model
-    mtas, mtans, gap = compute_metrics(models, roles, data)
-    assert mtans > 0.95
-    assert mtas < 0.2
-    assert np.isclose(gap, mtas - mtans)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median
-from dflsim.core import ConfigError, EmptyDataset, EmptyTestSet, RoleConfig, Rng
+from dflsim.core import ConfigError, EmptyDataset, EmptyTestSet, NumericalDivergence, RoleConfig, Rng
 from dflsim.simulation import (
     AttackConfig,
     CsvDataConfig,
@@ -16,6 +16,7 @@ from dflsim.simulation import (
     TrainerConfig,
     accuracy,
     generate_synthetic,
+    group_accuracy,
     load_csv,
     local_update,
     loss_and_grad,
@@ -213,6 +214,21 @@ def test_accuracy_empty_test_set():
         accuracy(np.zeros(model_dim(2, 4)), empty)
 
 
+def test_group_accuracy_split():
+    roles = RoleConfig(n=3, m=1)
+    data = generate_synthetic(2, 3, 50, 8.0, Rng(0).stream(0))
+    good = np.zeros(model_dim(2, 3))
+    for _ in range(200):
+        _, grad = loss_and_grad(good, data.features, data.labels, 2)
+        good -= 0.5 * grad
+    bad = -good
+    models = [good, good, good, bad]  # the selfish client holds the bad model
+    mtas = group_accuracy([models[i] for i in roles.selfish_ids], data)
+    mtans = group_accuracy([models[i] for i in roles.non_selfish_ids], data)
+    assert mtans > 0.95
+    assert mtas < 0.2
+
+
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
@@ -290,6 +306,27 @@ def test_selfish_only_info_mode():
     for cid in roles.selfish_ids:
         expected = agg_fedavg([exchange.pre_agg[j] for j in roles.selfish_ids])
         assert np.allclose(eng.clients[cid].model, expected)
+
+
+@pytest.mark.parametrize("kind", ["trimmed_mean", "krum"])
+def test_selfish_only_rejects_rule_that_cannot_aggregate_coalition(kind):
+    roles = RoleConfig(n=9, m=3)
+    with pytest.raises(ValueError, match=r"attack\.info_mode"):
+        small_config(roles=roles, rule=AggregationRule(kind), attack=AttackConfig(kind="selfish", info_mode="selfish_only"))
+    # a trim or f small enough for the m coalition shares is accepted
+    small_config(
+        roles=roles,
+        attack=AttackConfig(kind="selfish", info_mode="selfish_only", selfish_rule=AggregationRule(kind, 1, 0)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_stops_the_run():
+    trainer = TrainerConfig(learning_rate=1e6, local_epochs=3, batch_size=16)
+    eng = Engine(small_config(trainer=trainer, rounds=60))
+    with pytest.raises(NumericalDivergence, match=r"round \d+: local training of client \d+ diverged"):
+        eng.run()
+    assert len(eng.records) < 60
 
 
 def test_independent_mode_is_solo_training():
@@ -372,6 +409,25 @@ def test_csv_backed_experiment(tmp_path):
     records = run_experiment(cfg)
     assert len(records) == 3
     assert records[-1].mtans > 0.5  # learnable split
+
+
+def test_attack_config_validation():
+    AttackConfig(lam=0.5, b=1.0, epsilon=0.1, interval=50)
+    with pytest.raises(ValueError):
+        AttackConfig(lam=-0.1)
+    with pytest.raises(ValueError):
+        AttackConfig(b=0.0)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            AttackConfig(lam=value)
+        with pytest.raises(ValueError):
+            AttackConfig(b=value)
+    with pytest.raises(ValueError):
+        AttackConfig(epsilon=1.0)
+    with pytest.raises(ValueError):
+        AttackConfig(interval=0)
+    with pytest.raises(ValueError):
+        AttackConfig(info_mode="everyone")
 
 
 def test_config_validation_propagates():
