@@ -5,7 +5,9 @@ rounds, seed 0, a detector window short enough that the selfish attack
 starts) and compares two sha256 digests against the values pinned below:
 the records CSV as ``write_records`` writes it, and the final model bytes of
 every client in id order.  A change that keeps the simulation's numerics
-must reproduce both byte for byte.
+must reproduce both byte for byte.  The matrix also pins the two degenerate
+collaboration modes under every rule, and repeats the rule-by-attack cells
+with 11 honest and 3 selfish clients.
 
 The digests depend on the floating-point behaviour of numpy and its BLAS.
 After a deliberate change of the numerics, or on a platform whose BLAS
@@ -37,12 +39,22 @@ from dflsim.simulation import (
 
 RULES = ("fedavg", "median", "trimmed_mean", "krum", "fltrust", "flame")
 ATTACKS = ("none", "selfish", "gaussian", "trim")
+# crafting attacks: every other kind sends true models only
+CRAFTING_ATTACKS = ("selfish", "gaussian", "trim")
 # the selfish attack with the coalition aggregating only its own shares; the
 # trimmed-mean and krum rules cannot aggregate the 2 coalition shares
 SELFISH_ONLY_RULES = ("fedavg", "median", "fltrust", "flame")
-CELLS = [(rule, attack, "all") for rule in RULES for attack in ATTACKS] + [
-    (rule, "selfish", "selfish_only") for rule in SELFISH_ONLY_RULES
-]
+CELLS = (
+    [(rule, attack, "all") for rule in RULES for attack in ATTACKS]
+    + [(rule, "selfish", "selfish_only") for rule in SELFISH_ONLY_RULES]
+    + [(rule, mode, "all") for mode in ("independent", "two_coalitions") for rule in RULES]
+)
+ROLES = RoleConfig(n=7, m=2)
+# the same experiment with 11 honest and 3 selfish clients: sums over n > 8
+# benign values pass numpy's 8-term pairwise-summation block, so a sum taken
+# in another order changes the last bits of a digest
+WIDE_ROLES = RoleConfig(n=11, m=3)
+WIDE_CELLS = [(rule, attack, "all") for rule in RULES for attack in ATTACKS]
 
 # (rule, attack, info_mode) -> (records CSV sha256, final models sha256)
 PINNED = {
@@ -74,12 +86,52 @@ PINNED = {
     ('median', 'selfish', 'selfish_only'): ('4805b1fe0e4c8e52cdd3951b715c34a6650cd418c93b64dec41602dceec27766', '743a8d00359e60e96d2ffdf7a68420cfb11db3ce8379c2e82c3384d6fad9df52'),
     ('fltrust', 'selfish', 'selfish_only'): ('c127a3207871a464e9ba4168178570483788431502acf34896800d09c2ca6919', 'd3eaaac0676b9f12bb7aa5cfb55d277357aafc1b3f76bd17d603affe4fa9207d'),
     ('flame', 'selfish', 'selfish_only'): ('3aa9e0dc0387a2e812c004b6becc3f0cfa9e3fb6da7814a927b3a41238c140ee', '41af4b7e37cf81cf631cef0d01d566a2dd10d5368cad3409c2502fbc5ed6e33c'),
+    ('fedavg', 'independent', 'all'): ('d553c3436f58d8e7429d6eed952aacd900babed2400154bb78dce6cd175e136f', '9be82d600d155fdbff8f747f0c1f58a6a2bb74c41a7786d0ddd749fbe804d10d'),
+    ('median', 'independent', 'all'): ('d553c3436f58d8e7429d6eed952aacd900babed2400154bb78dce6cd175e136f', '9be82d600d155fdbff8f747f0c1f58a6a2bb74c41a7786d0ddd749fbe804d10d'),
+    ('trimmed_mean', 'independent', 'all'): ('d553c3436f58d8e7429d6eed952aacd900babed2400154bb78dce6cd175e136f', '9be82d600d155fdbff8f747f0c1f58a6a2bb74c41a7786d0ddd749fbe804d10d'),
+    ('krum', 'independent', 'all'): ('d553c3436f58d8e7429d6eed952aacd900babed2400154bb78dce6cd175e136f', '9be82d600d155fdbff8f747f0c1f58a6a2bb74c41a7786d0ddd749fbe804d10d'),
+    ('fltrust', 'independent', 'all'): ('d553c3436f58d8e7429d6eed952aacd900babed2400154bb78dce6cd175e136f', '9be82d600d155fdbff8f747f0c1f58a6a2bb74c41a7786d0ddd749fbe804d10d'),
+    ('flame', 'independent', 'all'): ('d553c3436f58d8e7429d6eed952aacd900babed2400154bb78dce6cd175e136f', '9be82d600d155fdbff8f747f0c1f58a6a2bb74c41a7786d0ddd749fbe804d10d'),
+    ('fedavg', 'two_coalitions', 'all'): ('622cfb343fc71f20623e9f51413c58d0060e43845837912279a1236d32a95905', 'fd90e3c346a6c93a99dfea1e517a39ad75cac5aae048fc87d0464b59d0f2e706'),
+    ('median', 'two_coalitions', 'all'): ('622cfb343fc71f20623e9f51413c58d0060e43845837912279a1236d32a95905', 'fd90e3c346a6c93a99dfea1e517a39ad75cac5aae048fc87d0464b59d0f2e706'),
+    ('trimmed_mean', 'two_coalitions', 'all'): ('622cfb343fc71f20623e9f51413c58d0060e43845837912279a1236d32a95905', 'fd90e3c346a6c93a99dfea1e517a39ad75cac5aae048fc87d0464b59d0f2e706'),
+    ('krum', 'two_coalitions', 'all'): ('622cfb343fc71f20623e9f51413c58d0060e43845837912279a1236d32a95905', 'fd90e3c346a6c93a99dfea1e517a39ad75cac5aae048fc87d0464b59d0f2e706'),
+    ('fltrust', 'two_coalitions', 'all'): ('622cfb343fc71f20623e9f51413c58d0060e43845837912279a1236d32a95905', 'fd90e3c346a6c93a99dfea1e517a39ad75cac5aae048fc87d0464b59d0f2e706'),
+    ('flame', 'two_coalitions', 'all'): ('622cfb343fc71f20623e9f51413c58d0060e43845837912279a1236d32a95905', 'fd90e3c346a6c93a99dfea1e517a39ad75cac5aae048fc87d0464b59d0f2e706'),
+}
+
+# (rule, attack, info_mode) -> digests of the 11+3-client experiment
+PINNED_11_3 = {
+    ('fedavg', 'none', 'all'): ('baf4ce1b12e674df586ab4ea53ece069564eaadb4928886ac058a14e908cdc27', '13811d4ce71e967d7c9cd309407f53fb6265364c936ccebc611db73b045db5df'),
+    ('fedavg', 'selfish', 'all'): ('800cdb209b8eee2181ebf4bbcabcb2bc93cf0b34b87d9c49d6a619d98f37c23c', 'ae4174b3db7ab17c1a9af708ba41aafa6b574e074c2922c7a6e25dfefc2c698a'),
+    ('fedavg', 'gaussian', 'all'): ('ca51fd2e491c8afce463e7bf2495fd0a2a867c742ac8cf561d1c84d2181fdffb', '5fa8fa3cf866f7e08ab3b1ebd2be7bd7445a84c6f5c9f22be4b3539d764ba446'),
+    ('fedavg', 'trim', 'all'): ('6aa5b31d5640958533802fc30c702e4cc2d02ae8596eaf0b0508add2423fe761', '5444970283ef2cb6832d93a032042b7df88d312abbc90d77c551337e0b04d077'),
+    ('median', 'none', 'all'): ('e6b95769455e23d5b1dc612317f0a46bc448635ecb262a37fcb98e9973adea6e', '99de43311d7606250ed0a002f8acdd29ce324685fc561ea39d8b4c9f52d39773'),
+    ('median', 'selfish', 'all'): ('20693aa63289b30414dbbdb081aa2f63f51b7c97c4616d95c3a24aa5c768f4bb', '90c35440d61b18a76272d2b5abed1bef6888c908fa31c6f127d8cf3c6d05638d'),
+    ('median', 'gaussian', 'all'): ('e6ec8127c63ecafd37a65bc7c1191c67234edcc9113157b439beb801a5fa3461', '43d10549036a484fa5d625865a689768e67103a9b59cd203bc54603b5a05d101'),
+    ('median', 'trim', 'all'): ('2c297ab582b41c516bcac3c2858d58d485a107ab4b6f07ff7b6294ac5009456b', 'fd2e8d7b01ca1ca57880886d194b4ce0690d327580561fcbe9bf86cace609819'),
+    ('trimmed_mean', 'none', 'all'): ('01b6d2249625d32abb71470265622d6d762dd88abd2a28e5af918ec78d8c0179', '280b0cf73e45b142c02d33c22da791e4d3d76fadb1afce1bfdae53cc2c80b88b'),
+    ('trimmed_mean', 'selfish', 'all'): ('8322a36eb6e00fe9bb239c86f540b27823d18cf31e9501fb2fe768a3cda65241', '6d5c3506648ef63652efee266c6d9a193a8e199dcd45ab3c18dc03e0ed9a4f89'),
+    ('trimmed_mean', 'gaussian', 'all'): ('54ef85131fcae47f11f46390433050d69997e6b4be11e8619ea9a3073248b5bc', '0e1df653e2544354e3d341b8bc468c3547fc54787c5626275d41ca20c748055f'),
+    ('trimmed_mean', 'trim', 'all'): ('0cb34279571296811d014e0ea06b857467bbbd26e19ee6e4ae0167f0d632ed13', '5aebf2afce10fe70f300fd2802f4045d895c781d8c8d749b01ccbf3dc9dbedfd'),
+    ('krum', 'none', 'all'): ('026985a420c23006606342d392580d805d79d0be7ce0f534c97f4746d96f7e18', '3b7ee5a868052a880119ce9e90c7bea041ae54922ca5bd48fc073a2788b02027'),
+    ('krum', 'selfish', 'all'): ('b5af3f241fc36446f226bbb914864c6f618415163781efcfcc478940cad68386', '3b7ee5a868052a880119ce9e90c7bea041ae54922ca5bd48fc073a2788b02027'),
+    ('krum', 'gaussian', 'all'): ('8f1d4e649b3905a9289722a2627d5a6e49a232d7d983ce4b54ae0b028dc61e99', '0c5d4a6ef5b1a4a35b563af8dc4fdc222bd40c6b518bcf264b9f305fb8ba3232'),
+    ('krum', 'trim', 'all'): ('8f1d4e649b3905a9289722a2627d5a6e49a232d7d983ce4b54ae0b028dc61e99', '0c5d4a6ef5b1a4a35b563af8dc4fdc222bd40c6b518bcf264b9f305fb8ba3232'),
+    ('fltrust', 'none', 'all'): ('00741ce05702ffac307a859116d2a4875476da8781ecf7613e42ebda530ce508', '39618499e661aba5c3952242e837a2b5ee93822948c95dbec9c52bbf8718d406'),
+    ('fltrust', 'selfish', 'all'): ('3b748e16331883bf8333561e73c2353c5fe21fef742267e7e11c0ee7b48b4a34', '4af58842a6c9a4c63a957d8dd15cbf2b0708f8b0e91f0a4bf4b7529716212e2d'),
+    ('fltrust', 'gaussian', 'all'): ('97200b95f6fdb42cc055ecc48a196f3900648da1ccb9e6bc0c44160900c8f6ad', '83dd3d9600d4cb13b9ed65ae7d24bb28eceb5af29b5e017153307f0edf0ae439'),
+    ('fltrust', 'trim', 'all'): ('df2cd372f4539af1f1a12377ebc81a2b8e9192a3113bd85b33908339e2676be5', '4851709fe9c89311ac36a297913912624e21873aeca0ae98ca6caa2a05da522d'),
+    ('flame', 'none', 'all'): ('f55792a704dcae7e1a21d7a3639e108554ce5a487f39281ca708654a0e42a845', 'a366f5d993b87ade0a5ba1e356a0ecdb2f1f558081e48bc0c2e836715766e2c8'),
+    ('flame', 'selfish', 'all'): ('167a115579579f713c10f245929e65d8bd9cc8d7d0a5dc4b22fc4e1929435b32', '9bfe53720c7cfe48bedb7ee76b819adc8ef3ca975d21cdc6adb62fe308394885'),
+    ('flame', 'gaussian', 'all'): ('de2c6df111e699871e226cb00cffc4174bfb7515584ae58529ba8e12b1f76df5', '18cbb08435974c71f52b5acf02041b59fbd6501e35749100022ce5152cab3270'),
+    ('flame', 'trim', 'all'): ('de2c6df111e699871e226cb00cffc4174bfb7515584ae58529ba8e12b1f76df5', '18cbb08435974c71f52b5acf02041b59fbd6501e35749100022ce5152cab3270'),
 }
 
 
-def regression_config(rule: str, attack: str, info_mode: str = "all") -> ExperimentConfig:
+def regression_config(rule: str, attack: str, info_mode: str = "all", roles: RoleConfig = ROLES) -> ExperimentConfig:
     return ExperimentConfig(
-        roles=RoleConfig(n=7, m=2),
+        roles=roles,
         rule=AggregationRule(rule),
         attack=AttackConfig(kind=attack, interval=2, epsilon=0.5, info_mode=info_mode),
         trainer=TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=16),
@@ -90,9 +142,9 @@ def regression_config(rule: str, attack: str, info_mode: str = "all") -> Experim
     )
 
 
-def run_cell(cell: tuple[str, str, str], directory: str) -> tuple[tuple[str, str], bool]:
+def run_cell(cell: tuple[str, str, str], directory: str, roles: RoleConfig = ROLES) -> tuple[tuple[str, str], bool]:
     """Digests of one cell and whether its attack had started by the last round."""
-    engine = Engine(regression_config(*cell))
+    engine = Engine(regression_config(*cell, roles=roles))
     engine.run()
     path = os.path.join(directory, "_".join(cell) + ".csv")
     write_records(engine.records, path)
@@ -105,12 +157,22 @@ def run_cell(cell: tuple[str, str, str], directory: str) -> tuple[tuple[str, str
 @pytest.mark.parametrize("cell", CELLS, ids="-".join)
 def test_regression_matrix(cell, tmp_path):
     digests, started = run_cell(cell, str(tmp_path))
-    assert started == (cell[1] != "none")
+    assert started == (cell[1] in CRAFTING_ATTACKS)
     assert digests == PINNED[cell]
+
+
+@pytest.mark.parametrize("cell", WIDE_CELLS, ids="-".join)
+def test_regression_matrix_11_3(cell, tmp_path):
+    digests, started = run_cell(cell, str(tmp_path), WIDE_ROLES)
+    assert started == (cell[1] in CRAFTING_ATTACKS)
+    assert digests == PINNED_11_3[cell]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
-        for cell in CELLS:
-            digests, _ = run_cell(cell, directory)
-            sys.stdout.write(f"    {cell!r}: {digests!r},\n")
+        for table, cells, roles in (("PINNED", CELLS, ROLES), ("PINNED_11_3", WIDE_CELLS, WIDE_ROLES)):
+            sys.stdout.write(f"{table} = {{\n")
+            for cell in cells:
+                digests, _ = run_cell(cell, directory, roles)
+                sys.stdout.write(f"    {cell!r}: {digests!r},\n")
+            sys.stdout.write("}\n")
