@@ -196,14 +196,13 @@ def _admitted_by_clustering(mat: np.ndarray) -> list[int]:
     return list(range(count))
 
 
-def agg_flame(models, receiver_pre_agg: np.ndarray | None = None, clip: bool = True) -> np.ndarray:
+def agg_flame(models, clip: bool = True) -> np.ndarray:
     """Cluster out directional outliers, clip norms, and average.
 
     Pairwise cosine distances feed a single-linkage clustering cut at the
     smallest threshold producing a majority cluster; admitted models are
     norm-clipped to the median admitted norm and averaged.  The additive
-    noise of the original defense is omitted.  ``receiver_pre_agg`` is
-    accepted for interface uniformity and not used.
+    noise of the original defense is omitted.
     """
     mat = _stack(models)
     admitted = _admitted_by_clustering(mat)
@@ -240,5 +239,5 @@ def aggregate(rule: AggregationRule, models, receiver_pre_agg: np.ndarray | None
             raise ValueError("fltrust needs the receiver's own model as reference")
         return agg_fltrust(models, receiver_pre_agg)
     if rule.kind == "flame":
-        return agg_flame(models, receiver_pre_agg, clip=rule.clip)
+        return agg_flame(models, clip=rule.clip)
     raise ValueError(f"unknown aggregation rule {rule.kind!r}")

@@ -92,7 +92,9 @@ def _check_descending(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("benign coordinates must be a non-empty 1-D sequence")
-    if np.any(np.diff(q) > 0.0):
+    if not np.isfinite(q).all():
+        raise InvalidBounds("benign coordinates must be finite")
+    if (q[1:] > q[:-1]).any():
         raise NotSorted("benign coordinates must be sorted in descending order")
     return q
 
@@ -414,6 +416,8 @@ def _craft_median_all(receivers, benign, m, lam, b) -> np.ndarray:
     upper = 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
     lower = 0.5 * (q[(n + m - 1) // 2] + q[(n + m) // 2])
     target, codes = _targets(receivers, agg_median(benign), lower, upper, lam)
+    # one non-finite benign value can leave the median bounds finite
+    codes[:, ~np.isfinite(q).all(axis=0)] = 1
     _raise_first_failure(codes)
     upper_pivot = q[(n - m) // 2]
     lower_pivot = q[(n + m - 1) // 2]

@@ -1,4 +1,4 @@
-"""Baseline attacks and degenerate collaboration modes used for comparison."""
+"""Baseline attacks used for comparison."""
 
 from __future__ import annotations
 
@@ -6,16 +6,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RoleConfig
-
 # default sampling interval of the directed-deviation attack
 TRIM_ATTACK_DELTA_LO = 0.5
 TRIM_ATTACK_DELTA_HI = 2.0
 
 # default scale of the noise attack
 GAUSSIAN_SIGMA = 200.0
-
-RUN_MODES = ("collaborative", "independent", "two_coalitions")
 
 
 def craft_gaussian(dim: int, m: int, gen: np.random.Generator, sigma: float = GAUSSIAN_SIGMA) -> np.ndarray:
@@ -55,14 +51,3 @@ def craft_directed_deviation(
     above = q_max + u * scale_max
     return np.where(rising, below, above)
 
-
-def visible_senders(mode: str, receiver: int, roles: RoleConfig) -> list[int]:
-    """Sender ids whose shares the receiver reads under the given run mode."""
-    if mode == "collaborative":
-        return list(range(roles.total))
-    if mode == "independent":
-        return [receiver]
-    if mode == "two_coalitions":
-        group = roles.selfish_ids if roles.is_selfish(receiver) else roles.non_selfish_ids
-        return list(group)
-    raise ValueError(f"unknown run mode {mode!r}, expected one of {RUN_MODES}")

@@ -1,14 +1,14 @@
 """Core types shared across the simulator.
 
 Everything here is deliberately small: the error types, a dimension check
-of flat float64 model vectors, a role table describing who is selfish, the
-per-round exchange of shared models, and a counter-based deterministic RNG.
+of flat float64 model vectors, a role table describing who is selfish, and
+a counter-based deterministic RNG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -151,27 +151,6 @@ class RoleConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-round exchange
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RoundExchange:
-    """Shared models of one round.
-
-    ``shared[(j, i)]`` is the model client ``j`` sent to client ``i``; the
-    self entry ``(i, i)`` always equals ``pre_agg[i]``, the model client ``i``
-    produced in the local-training step before aggregation.
-    """
-
-    shared: Mapping[tuple[int, int], np.ndarray]
-    pre_agg: Mapping[int, np.ndarray]
-
-    def shares_for(self, receiver: int, senders: Iterable[int]) -> list[np.ndarray]:
-        """Shared models addressed to ``receiver``, in sender order."""
-        return [self.shared[(j, receiver)] for j in senders]
-
-
-# ---------------------------------------------------------------------------
 # deterministic RNG
 # ---------------------------------------------------------------------------
 
@@ -181,7 +160,6 @@ STREAM_PARTITION = 1
 STREAM_TRAIN = 2
 STREAM_ATTACK = 3
 STREAM_TEST = 4
-STREAM_SWEEP = 5
 
 
 @dataclass(frozen=True)

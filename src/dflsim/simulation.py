@@ -21,7 +21,6 @@ from .baselines import (
     TRIM_ATTACK_DELTA_LO,
     craft_directed_deviation,
     craft_gaussian,
-    visible_senders,
 )
 from .core import (
     STREAM_ATTACK,
@@ -36,11 +35,8 @@ from .core import (
     NumericalDivergence,
     RoleConfig,
     Rng,
-    RoundExchange,
 )
 from .reporting import ExperimentRecord
-
-ATTACK_KINDS = ("none", "selfish", "gaussian", "trim", "independent", "two_coalitions")
 
 
 # ---------------------------------------------------------------------------
@@ -398,39 +394,86 @@ class ExperimentConfig:
 # round engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClientState:
-    cid: int
-    selfish: bool
-    model: np.ndarray
-    data: Dataset
-    loss_history: list[float] = field(default_factory=list)
+def _craft_selfish(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray | None:
+    if not eng.detector.started:
+        return None
+    # the receivers are the non-selfish clients, whose models are the benign shares
+    benign = pre_agg[: eng.roles.n]
+    return craft_shared_model(eng.rule, benign, benign, eng.roles.m, eng.lam, eng.cfg.attack.b)
+
+
+def _craft_gaussian(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
+    attack, roles = eng.cfg.attack, eng.roles
+    return np.stack([
+        craft_gaussian(pre_agg.shape[1], roles.m, eng.rng.stream(STREAM_ATTACK, t, receiver), attack.sigma)
+        for receiver in roles.non_selfish_ids
+    ])
+
+
+def _craft_trim(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
+    # eng.models still holds every receiver's aggregate of the previous round
+    attack, roles = eng.cfg.attack, eng.roles
+    return np.stack([
+        craft_directed_deviation(
+            pre_agg[: roles.n], eng.models[receiver], roles.m,
+            eng.rng.stream(STREAM_ATTACK, t, receiver), attack.delta_lo, attack.delta_hi,
+        )
+        for receiver in roles.non_selfish_ids
+    ])
+
+
+# attack kind -> crafter of the (n, m, d) shares the selfish senders send to
+# each non-selfish receiver in a round (None while nothing is crafted), or
+# None for kinds that exchange true models only
+CRAFTERS = {
+    "none": None,
+    "selfish": _craft_selfish,
+    "gaussian": _craft_gaussian,
+    "trim": _craft_trim,
+    "independent": None,
+    "two_coalitions": None,
+}
+ATTACK_KINDS = tuple(CRAFTERS)
 
 
 class Engine:
-    """Drives one experiment round by round."""
+    """Drives one experiment round by round.
+
+    The state of a round is the (N, d) matrix of client models.  Who reads
+    whom is fixed for the whole run: receiver ``i`` aggregates the models of
+    the senders in ``reads[i]`` with ``rules[i]``, after the shares crafted
+    for it replace the selfish senders' models.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.roles = cfg.roles
+        self.roles = roles = cfg.roles
         self.rng = Rng(cfg.seed)
         self.train_set, self.test_set = self._build_datasets()
-        shards = partition_non_iid(
-            self.train_set, self.roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION)
+        self.shards = partition_non_iid(
+            self.train_set, roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION)
         )
-        dim = model_dim(self.train_set.num_classes, self.train_set.num_features)
-        self.clients = [
-            ClientState(cid, self.roles.is_selfish(cid), np.zeros(dim), shards[cid])
-            for cid in range(self.roles.total)
-        ]
-        self.rule = cfg.rule.resolved(self.roles.m)
+        self.models = np.zeros((roles.total, model_dim(self.train_set.num_classes, self.train_set.num_features)))
+        self.rule = cfg.rule.resolved(roles.m)
         self.selfish_rule = cfg.resolved_selfish_rule()
         self.lam = cfg.resolved_lambda()
+        kind = cfg.attack.kind
+        self.crafter = CRAFTERS[kind]
         self.detector: AttackStartDetector | None = (
-            AttackStartDetector(cfg.attack.epsilon, cfg.attack.interval)
-            if cfg.attack.kind == "selfish"
-            else None
+            AttackStartDetector(cfg.attack.epsilon, cfg.attack.interval) if kind == "selfish" else None
         )
+        selfish = np.arange(roles.total) >= roles.n
+        if kind == "independent":
+            self.reads = np.eye(roles.total, dtype=bool)
+            self.rules = [AggregationRule("fedavg")] * roles.total
+        elif kind == "two_coalitions":
+            self.reads = selfish[:, None] == selfish[None, :]
+            self.rules = [AggregationRule("fedavg")] * roles.total
+        else:
+            self.reads = np.ones((roles.total, roles.total), dtype=bool)
+            if kind == "selfish" and cfg.attack.info_mode == "selfish_only":
+                self.reads[roles.n:] = selfish
+            self.rules = [self.rule] * roles.n + [self.selfish_rule] * roles.m
         self.round = 0
         self.records: list[ExperimentRecord] = []
 
@@ -449,96 +492,46 @@ class Engine:
             raise ConfigError("test_fraction leaves no training data")
         return full.subset(perm[cut:]), full.subset(perm[:cut])
 
-    @property
-    def attack_started(self) -> bool:
-        kind = self.cfg.attack.kind
-        if kind == "selfish":
-            return self.detector.started
-        return kind in ("gaussian", "trim")
+    def run_round(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Advance one round and append its record.
 
-    def run_round(self) -> RoundExchange:
-        """Advance one round and append its record."""
+        Returns the (N, d) models after local training and the (n, m, d)
+        crafted shares, or None when nothing was crafted this round.
+        """
         self.round += 1
         t = self.round
-        cfg = self.cfg
         roles = self.roles
-        prev_models = {c.cid: c.model for c in self.clients}
 
         # --- step I: local training -------------------------------------
-        pre_agg: dict[int, np.ndarray] = {}
-        losses: dict[int, float] = {}
-        for client in self.clients:
-            gen = self.rng.stream(STREAM_TRAIN, t, client.cid)
-            model, loss = local_update(client.model, client.data, cfg.trainer, gen)
-            pre_agg[client.cid] = model
-            losses[client.cid] = loss
-            client.loss_history.append(loss)
-        models = np.stack([pre_agg[cid] for cid in range(roles.total)])
-        finite = np.isfinite(models).all(axis=1) & np.isfinite([losses[cid] for cid in range(roles.total)])
+        trained = [
+            local_update(self.models[cid], self.shards[cid], self.cfg.trainer, self.rng.stream(STREAM_TRAIN, t, cid))
+            for cid in range(roles.total)
+        ]
+        pre_agg = np.stack([model for model, _ in trained])
+        losses = np.array([loss for _, loss in trained])
+        finite = np.isfinite(pre_agg).all(axis=1) & np.isfinite(losses)
         if not finite.all():
             cid = int(np.argmin(finite))
             raise NumericalDivergence(
                 f"round {t}: local training of client {cid} diverged (loss {losses[cid]}, non-finite loss or model)"
             )
-        mean_selfish_loss = float(np.mean([losses[i] for i in roles.selfish_ids]))
+        mean_selfish_loss = float(np.mean(losses[roles.n:]))
         if self.detector is not None:
             self.detector = self.detector.update(mean_selfish_loss, t)
 
-        # --- step II: exchange -------------------------------------------
-        shared: dict[tuple[int, int], np.ndarray] = {}
-        for receiver in range(roles.total):
-            for sender in range(roles.total):
-                shared[(sender, receiver)] = pre_agg[sender]
-        benign = models[: roles.n]
-
-        kind = cfg.attack.kind
-        if kind == "selfish" and self.detector.started:
-            # the receivers are the non-selfish clients, whose models are the benign shares
-            crafted = craft_shared_model(self.rule, benign, benign, roles.m, self.lam, cfg.attack.b)
-            for receiver, shares in zip(roles.non_selfish_ids, crafted):
-                for k, sender in enumerate(roles.selfish_ids):
-                    shared[(sender, receiver)] = shares[k]
-        elif kind == "gaussian":
-            for receiver in roles.non_selfish_ids:
-                gen = self.rng.stream(STREAM_ATTACK, t, receiver)
-                crafted = craft_gaussian(len(pre_agg[receiver]), roles.m, gen, cfg.attack.sigma)
-                for k, sender in enumerate(roles.selfish_ids):
-                    shared[(sender, receiver)] = crafted[k]
-        elif kind == "trim":
-            for receiver in roles.non_selfish_ids:
-                gen = self.rng.stream(STREAM_ATTACK, t, receiver)
-                crafted = craft_directed_deviation(
-                    benign, prev_models[receiver], roles.m, gen, cfg.attack.delta_lo, cfg.attack.delta_hi
-                )
-                for k, sender in enumerate(roles.selfish_ids):
-                    shared[(sender, receiver)] = crafted[k]
-        exchange = RoundExchange(shared=shared, pre_agg=pre_agg)
+        # --- step II: crafting ---------------------------------------------
+        crafted = self.crafter(self, t, pre_agg) if self.crafter is not None else None
 
         # --- step III: aggregation ----------------------------------------
-        mode = kind if kind in ("independent", "two_coalitions") else "collaborative"
-        for client in self.clients:
-            if mode == "independent":
-                client.model = pre_agg[client.cid]
-                continue
-            if mode == "two_coalitions":
-                senders = visible_senders(mode, client.cid, roles)
-                rule = AggregationRule("fedavg")
-            elif client.selfish:
-                senders = (
-                    list(roles.selfish_ids)
-                    if kind == "selfish" and cfg.attack.info_mode == "selfish_only"
-                    else list(range(roles.total))
-                )
-                rule = self.selfish_rule
-            else:
-                senders = list(range(roles.total))
-                rule = self.rule
-            shares = exchange.shares_for(client.cid, senders)
-            client.model = aggregate(rule, shares, receiver_pre_agg=pre_agg[client.cid])
+        for i in range(roles.total):
+            shares = pre_agg[self.reads[i]]  # a boolean index copies the rows
+            if crafted is not None and i < roles.n:
+                shares[roles.n:] = crafted[i]
+            self.models[i] = aggregate(self.rules[i], shares, receiver_pre_agg=pre_agg[i])
 
         # --- metrics --------------------------------------------------------
-        mtas = group_accuracy([self.clients[i].model for i in roles.selfish_ids], self.test_set)
-        mtans = group_accuracy([self.clients[i].model for i in roles.non_selfish_ids], self.test_set)
+        mtas = group_accuracy(self.models[roles.n:], self.test_set)
+        mtans = group_accuracy(self.models[: roles.n], self.test_set)
         self.records.append(
             ExperimentRecord(
                 round=t,
@@ -546,10 +539,10 @@ class Engine:
                 mtans=mtans,
                 gap=mtas - mtans,
                 mean_selfish_loss=mean_selfish_loss,
-                attack_started=self.attack_started,
+                attack_started=crafted is not None,
             )
         )
-        return exchange
+        return pre_agg, crafted
 
     def run(self) -> list[ExperimentRecord]:
         for _ in range(self.cfg.rounds):

@@ -135,8 +135,8 @@ def test_criterion_06_no_attack_consensus():
         eng = Engine(cfg)
         for _ in range(cfg.rounds):
             eng.run_round()
-            reference = eng.clients[0].model.tobytes()
-            ok &= all(c.model.tobytes() == reference for c in eng.clients)
+            reference = eng.models[0].tobytes()
+            ok &= all(model.tobytes() == reference for model in eng.models)
             ok &= eng.records[-1].gap == 0.0
         details.append(f"{kind}: final gap={eng.records[-1].gap}")
     _report(6, "no attack, 20 clients, 50 rounds: post-aggregation models bit-identical, gap exactly 0",

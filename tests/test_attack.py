@@ -127,6 +127,18 @@ def test_median_bounds_requires_descending():
         median_bounds([1.0, 2.0, 3.0, 4.0], m=1)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_median_bounds_and_crafting_reject_non_finite_values(bad):
+    q = [5.0, 4.0, 3.0, 2.0, 1.0]
+    q = [bad] + q if bad > 0 else q + [bad]  # NaN compares false and lands last
+    with pytest.raises(InvalidBounds):
+        median_bounds(q, m=2)
+    with pytest.raises(InvalidBounds):
+        craft_median(q, 3.0, m=2)
+    with pytest.raises(InvalidBounds):
+        craft_trimmed_mean(q, 3.0, m=2)
+
+
 def test_median_bounds_requires_enough_values():
     with pytest.raises(IndexOutOfRange):
         median_bounds([2.0, 1.0], m=2)
@@ -547,13 +559,8 @@ def test_craft_shared_model_non_finite_share_fails_like_scalar_crafting(instance
     benign[data.draw(st.integers(0, benign.shape[0] - 1)), data.draw(st.integers(0, benign.shape[1] - 1))] = bad
     batched = outcome(lambda: craft_shared_model(AggregationRule(kind), receivers, list(benign), m, lam))
     scalar = outcome(lambda: np.stack([scalar_crafting(kind, w, list(benign), m, lam) for w in receivers]))
-    if kind != "median":
-        # the mean-based bounds of the coordinate are non-finite
-        assert batched is InvalidBounds
-    if isinstance(scalar, type):
-        assert batched is scalar
-    else:
-        assert np.array_equal(batched, scalar, equal_nan=True)
+    assert batched is InvalidBounds
+    assert scalar is InvalidBounds
 
 
 @pytest.mark.parametrize("kind", ["median", "trimmed_mean", "fedavg"])

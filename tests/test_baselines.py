@@ -4,9 +4,8 @@ import pytest
 from dflsim.baselines import (
     craft_directed_deviation,
     craft_gaussian,
-    visible_senders,
 )
-from dflsim.core import RoleConfig, Rng
+from dflsim.core import Rng
 
 
 # ---------------------------------------------------------------------------
@@ -69,19 +68,3 @@ def test_directed_deviation_validates_interval():
     with pytest.raises(ValueError):
         craft_directed_deviation(benign, np.array([0.0]), 1, Rng(0).stream(1), delta_lo=2.0, delta_hi=1.0)
 
-
-# ---------------------------------------------------------------------------
-# run modes
-# ---------------------------------------------------------------------------
-
-def test_visible_senders_modes():
-    roles = RoleConfig(n=3, m=1)
-    assert visible_senders("collaborative", 0, roles) == [0, 1, 2, 3]
-    assert visible_senders("independent", 2, roles) == [2]
-    assert visible_senders("two_coalitions", 1, roles) == [0, 1, 2]
-    assert visible_senders("two_coalitions", 3, roles) == [3]
-
-
-def test_visible_senders_unknown_mode():
-    with pytest.raises(ValueError):
-        visible_senders("solo", 0, RoleConfig(n=3, m=1))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -83,9 +84,28 @@ def test_load_config_seed_precedence(tmp_path, monkeypatch):
         load_config(path)
 
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_shipped_config_loads(path, monkeypatch):
+    monkeypatch.delenv("DFL_SEED", raising=False)
+    doc = json.loads(path.read_text())
+    cfg, output = load_config(str(path))
+    assert output == doc.get("output")
+    assert cfg.rounds == doc["rounds"] and cfg.seed == doc["seed"]
+
+
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------
+
+def test_run_quick_smoke_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("DFL_SEED", raising=False)
+    assert main(["run", str(CONFIG_DIR / "quick_smoke.json"), "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "records.csv").read_text().splitlines()) == 1 + 20
+
 
 def test_run_writes_records_and_summary(tmp_path, capsys):
     path = write_doc(tmp_path, tiny_doc())

@@ -5,7 +5,6 @@ from dflsim.core import (
     EmptyGroup,
     RoleConfig,
     Rng,
-    RoundExchange,
     ThreatModelViolation,
     check_same_dimension,
     DimensionMismatch,
@@ -53,21 +52,6 @@ def test_roles_id_range_check():
     roles = RoleConfig(n=3, m=1)
     with pytest.raises(ValueError):
         roles.is_selfish(4)
-
-
-# ---------------------------------------------------------------------------
-# round exchange
-# ---------------------------------------------------------------------------
-
-def _full_exchange(num_clients, dim=2):
-    pre = {i: np.full(dim, float(i)) for i in range(num_clients)}
-    shared = {(j, i): pre[j] for i in range(num_clients) for j in range(num_clients)}
-    return RoundExchange(shared=shared, pre_agg=pre)
-
-
-def test_exchange_complete_roundtrip():
-    ex = _full_exchange(3)
-    assert [v[0] for v in ex.shares_for(1, [0, 1, 2])] == [0.0, 1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def run_cell(cell: tuple[str, str, str], directory: str, roles: RoleConfig = ROL
     write_records(engine.records, path)
     with open(path, "rb") as fh:
         records = hashlib.sha256(fh.read()).hexdigest()
-    models = hashlib.sha256(b"".join(client.model.tobytes() for client in engine.clients)).hexdigest()
+    models = hashlib.sha256(engine.models.tobytes()).hexdigest()
     return (records, models), engine.records[-1].attack_started
 
 

@@ -238,9 +238,9 @@ def test_no_attack_reaches_exact_consensus():
         eng = Engine(small_config(rule=AggregationRule(kind), roles=RoleConfig(n=6, m=2)))
         for _ in range(3):
             eng.run_round()
-            reference = eng.clients[0].model
-            for client in eng.clients[1:]:
-                assert np.array_equal(client.model, reference)
+            reference = eng.models[0]
+            for model in eng.models[1:]:
+                assert np.array_equal(model, reference)
         assert eng.records[-1].gap == 0.0
 
 
@@ -250,16 +250,17 @@ def test_selfish_shares_honest_among_coalition_crafted_to_others():
         attack=AttackConfig(kind="selfish", lam=0.5),
     ))
     eng.detector = dataclasses.replace(eng.detector, started=True)
-    exchange = eng.run_round()
+    pre_agg, crafted = eng.run_round()
     roles = eng.roles
-    for sender in roles.selfish_ids:
-        for receiver in roles.selfish_ids:
-            assert np.array_equal(exchange.shared[(sender, receiver)], exchange.pre_agg[sender])
-        for receiver in roles.non_selfish_ids:
-            assert not np.array_equal(exchange.shared[(sender, receiver)], exchange.pre_agg[sender])
-    for sender in roles.non_selfish_ids:
-        for receiver in range(roles.total):
-            assert np.array_equal(exchange.shared[(sender, receiver)], exchange.pre_agg[sender])
+    assert crafted.shape == (roles.n, roles.m, pre_agg.shape[1])
+    for receiver in roles.non_selfish_ids:
+        for k, sender in enumerate(roles.selfish_ids):
+            assert not np.array_equal(crafted[receiver, k], pre_agg[sender])
+        # true models from the benign senders, crafted shares from the selfish ones
+        shares = np.concatenate([pre_agg[: roles.n], crafted[receiver]])
+        assert np.array_equal(eng.models[receiver], agg_median(shares))
+    for receiver in roles.selfish_ids:  # the coalition reads every true model
+        assert np.array_equal(eng.models[receiver], agg_median(pre_agg))
 
 
 def test_selfish_attack_steers_receiver_to_per_coordinate_optimum():
@@ -268,31 +269,30 @@ def test_selfish_attack_steers_receiver_to_per_coordinate_optimum():
         attack=AttackConfig(kind="selfish", lam=0.5),
     ))
     eng.detector = dataclasses.replace(eng.detector, started=True)
-    exchange = eng.run_round()
+    pre_agg, _ = eng.run_round()
     roles = eng.roles
-    benign = np.stack([exchange.pre_agg[i] for i in roles.non_selfish_ids])
+    benign = pre_agg[: roles.n]
     benign_agg = np.median(benign, axis=0)
     receiver = roles.non_selfish_ids[0]
-    post = eng.clients[receiver].model
+    post = eng.models[receiver]
     from dflsim.attack import median_bounds, solve_optimal_coordinate
 
     for k in range(post.size):
         q = np.sort(benign[:, k])[::-1]
         bounds = median_bounds(q, roles.m)
         target = solve_optimal_coordinate(
-            exchange.pre_agg[receiver][k], benign_agg[k], bounds, 0.5
+            pre_agg[receiver, k], benign_agg[k], bounds, 0.5
         )
         assert np.isclose(post[k], target, rtol=1e-9, atol=1e-12)
 
 
 def test_attack_waits_for_detector():
     eng = Engine(small_config(attack=AttackConfig(kind="selfish", lam=0.5)))
-    exchange = eng.run_round()
-    roles = eng.roles
+    pre_agg, crafted = eng.run_round()
     assert not eng.records[-1].attack_started
-    for sender in roles.selfish_ids:  # nothing crafted before the plateau
-        for receiver in range(roles.total):
-            assert np.array_equal(exchange.shared[(sender, receiver)], exchange.pre_agg[sender])
+    assert crafted is None  # nothing crafted before the plateau
+    for model in eng.models:  # every client read every true model
+        assert np.array_equal(model, agg_median(pre_agg))
 
 
 def test_selfish_only_info_mode():
@@ -301,11 +301,11 @@ def test_selfish_only_info_mode():
         rule=AggregationRule("fedavg"),
         attack=AttackConfig(kind="selfish", lam=0.0, info_mode="selfish_only"),
     ))
-    exchange = eng.run_round()
+    pre_agg, _ = eng.run_round()
     roles = eng.roles
     for cid in roles.selfish_ids:
-        expected = agg_fedavg([exchange.pre_agg[j] for j in roles.selfish_ids])
-        assert np.allclose(eng.clients[cid].model, expected)
+        expected = agg_fedavg(pre_agg[roles.n:])
+        assert np.allclose(eng.models[cid], expected)
 
 
 @pytest.mark.parametrize("kind", ["trimmed_mean", "krum"])
@@ -329,37 +329,61 @@ def test_diverging_training_stops_the_run():
     assert len(eng.records) < 60
 
 
+SELFISH = np.arange(7) >= 5  # 5 honest and 2 selfish clients
+
+
+@pytest.mark.parametrize(
+    "kind, info_mode, reads, rules",
+    [
+        ("selfish", "all", np.ones((7, 7), dtype=bool), ["flame"] * 5 + ["median"] * 2),
+        ("selfish", "selfish_only", np.vstack([np.ones((5, 7), dtype=bool), [SELFISH, SELFISH]]),
+         ["flame"] * 5 + ["median"] * 2),
+        ("independent", "all", np.eye(7, dtype=bool), ["fedavg"] * 7),
+        ("two_coalitions", "all", SELFISH[:, None] == SELFISH[None, :], ["fedavg"] * 7),
+    ],
+    ids=["collaborative", "selfish_only", "independent", "two_coalitions"],
+)
+def test_read_mask_and_rule_per_receiver(kind, info_mode, reads, rules):
+    eng = Engine(small_config(
+        roles=RoleConfig(n=5, m=2),
+        rule=AggregationRule("flame"),  # the selfish clients resolve it to median
+        attack=AttackConfig(kind=kind, info_mode=info_mode),
+    ))
+    assert eng.reads.dtype == bool
+    assert np.array_equal(eng.reads, reads)
+    assert [rule.kind for rule in eng.rules] == rules
+
+
 def test_independent_mode_is_solo_training():
     eng = Engine(small_config(attack=AttackConfig(kind="independent")))
-    exchange = eng.run_round()
-    for client in eng.clients:
-        assert np.array_equal(client.model, exchange.pre_agg[client.cid])
+    pre_agg, crafted = eng.run_round()
+    assert crafted is None
+    assert np.array_equal(eng.models, pre_agg)
 
 
 def test_two_coalitions_mode_averages_within_coalition():
     eng = Engine(small_config(roles=RoleConfig(n=6, m=2), attack=AttackConfig(kind="two_coalitions")))
-    exchange = eng.run_round()
+    pre_agg, _ = eng.run_round()
     roles = eng.roles
-    benign_avg = agg_fedavg([exchange.pre_agg[j] for j in roles.non_selfish_ids])
-    selfish_avg = agg_fedavg([exchange.pre_agg[j] for j in roles.selfish_ids])
+    benign_avg = agg_fedavg(pre_agg[: roles.n])
+    selfish_avg = agg_fedavg(pre_agg[roles.n:])
     for cid in roles.non_selfish_ids:
-        assert np.allclose(eng.clients[cid].model, benign_avg)
+        assert np.allclose(eng.models[cid], benign_avg)
     for cid in roles.selfish_ids:
-        assert np.allclose(eng.clients[cid].model, selfish_avg)
+        assert np.allclose(eng.models[cid], selfish_avg)
 
 
 def test_gaussian_attack_replaces_shares_to_non_selfish():
     eng = Engine(small_config(attack=AttackConfig(kind="gaussian")))
-    exchange = eng.run_round()
+    pre_agg, crafted = eng.run_round()
     roles = eng.roles
     assert eng.records[-1].attack_started
-    sender = roles.selfish_ids[0]
     receiver = roles.non_selfish_ids[0]
-    assert not np.array_equal(exchange.shared[(sender, receiver)], exchange.pre_agg[sender])
+    assert not np.array_equal(crafted[receiver, 0], pre_agg[roles.selfish_ids[0]])
+    shares = np.concatenate([pre_agg[: roles.n], crafted[receiver]])
+    assert np.array_equal(eng.models[receiver], agg_median(shares))
     # coalition still exchanges honestly
-    assert np.array_equal(
-        exchange.shared[(sender, roles.selfish_ids[-1])], exchange.pre_agg[sender]
-    )
+    assert np.array_equal(eng.models[roles.selfish_ids[-1]], agg_median(pre_agg))
 
 
 def test_flame_defense_defaults_selfish_rule_to_median():
