@@ -6,8 +6,9 @@ starts) and compares two sha256 digests against the values pinned below:
 the records CSV as ``write_records`` writes it, and the final model bytes of
 every client in id order.  A change that keeps the simulation's numerics
 must reproduce both byte for byte.  The matrix also pins the two degenerate
-collaboration modes under every rule, and repeats the rule-by-attack cells
-with 11 honest and 3 selfish clients.
+collaboration modes under every rule, repeats the rule-by-attack cells
+with 11 honest and 3 selfish clients, and runs trimmed mean under the selfish
+attack with 13 honest and 3 selfish clients and lambda 0.5.
 
 The digests depend on the floating-point behaviour of numpy and its BLAS.
 After a deliberate change of the numerics, or on a platform whose BLAS
@@ -55,6 +56,13 @@ ROLES = RoleConfig(n=7, m=2)
 # in another order changes the last bits of a digest
 WIDE_ROLES = RoleConfig(n=11, m=3)
 WIDE_CELLS = [(rule, attack, "all") for rule in RULES for attack in ATTACKS]
+# trimmed-mean crafting sums at most n - m benign values per split, so the
+# order of those sums shows only from n - m > 8 on, and only in the filler
+# values of interior targets: at the default lambda 1 every target is a bound
+# and every crafted share is parked
+WIDER_ROLES = RoleConfig(n=13, m=3)
+WIDER_LAMBDA = 0.5
+WIDER_CELLS = [("trimmed_mean", "selfish", "all")]
 
 # (rule, attack, info_mode) -> (records CSV sha256, final models sha256)
 PINNED = {
@@ -128,12 +136,19 @@ PINNED_11_3 = {
     ('flame', 'trim', 'all'): ('de2c6df111e699871e226cb00cffc4174bfb7515584ae58529ba8e12b1f76df5', '18cbb08435974c71f52b5acf02041b59fbd6501e35749100022ce5152cab3270'),
 }
 
+# (rule, attack, info_mode) -> digests of the 13+3-client experiment at lambda 0.5
+PINNED_13_3 = {
+    ('trimmed_mean', 'selfish', 'all'): ('13d92a63370e722e66fa7c2ab0a532eb95749521ee9464897a250876ac91ecf8', 'a96e8edd2903d8e667414e99b07ba90a3499a1c162d429bf03febd87d6e98326'),
+}
 
-def regression_config(rule: str, attack: str, info_mode: str = "all", roles: RoleConfig = ROLES) -> ExperimentConfig:
+
+def regression_config(
+    rule: str, attack: str, info_mode: str = "all", roles: RoleConfig = ROLES, lam: float | None = None
+) -> ExperimentConfig:
     return ExperimentConfig(
         roles=roles,
         rule=AggregationRule(rule),
-        attack=AttackConfig(kind=attack, interval=2, epsilon=0.5, info_mode=info_mode),
+        attack=AttackConfig(kind=attack, lam=lam, interval=2, epsilon=0.5, info_mode=info_mode),
         trainer=TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=16),
         partition=PartitionConfig(rho=0.7),
         data=SyntheticDataConfig(classes=3, features=6, per_class=60, separation=3.0, test_per_class=30),
@@ -142,9 +157,11 @@ def regression_config(rule: str, attack: str, info_mode: str = "all", roles: Rol
     )
 
 
-def run_cell(cell: tuple[str, str, str], directory: str, roles: RoleConfig = ROLES) -> tuple[tuple[str, str], bool]:
+def run_cell(
+    cell: tuple[str, str, str], directory: str, roles: RoleConfig = ROLES, lam: float | None = None
+) -> tuple[tuple[str, str], bool]:
     """Digests of one cell and whether its attack had started by the last round."""
-    engine = Engine(regression_config(*cell, roles=roles))
+    engine = Engine(regression_config(*cell, roles=roles, lam=lam))
     engine.run()
     path = os.path.join(directory, "_".join(cell) + ".csv")
     write_records(engine.records, path)
@@ -168,11 +185,23 @@ def test_regression_matrix_11_3(cell, tmp_path):
     assert digests == PINNED_11_3[cell]
 
 
+@pytest.mark.parametrize("cell", WIDER_CELLS, ids="-".join)
+def test_regression_matrix_13_3(cell, tmp_path):
+    digests, started = run_cell(cell, str(tmp_path), WIDER_ROLES, WIDER_LAMBDA)
+    assert started
+    assert digests == PINNED_13_3[cell]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
-        for table, cells, roles in (("PINNED", CELLS, ROLES), ("PINNED_11_3", WIDE_CELLS, WIDE_ROLES)):
+        tables = (
+            ("PINNED", CELLS, ROLES, None),
+            ("PINNED_11_3", WIDE_CELLS, WIDE_ROLES, None),
+            ("PINNED_13_3", WIDER_CELLS, WIDER_ROLES, WIDER_LAMBDA),
+        )
+        for table, cells, roles, lam in tables:
             sys.stdout.write(f"{table} = {{\n")
             for cell in cells:
-                digests, _ = run_cell(cell, directory, roles)
+                digests, _ = run_cell(cell, directory, roles, lam)
                 sys.stdout.write(f"    {cell!r}: {digests!r},\n")
             sys.stdout.write("}\n")
