@@ -145,26 +145,31 @@ def agg_fltrust(models, reference: np.ndarray) -> np.ndarray:
     return (trusts[:, None] * scaled).sum(axis=0) / total
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each by the BLAS dot of ``np.dot``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _admitted_by_clustering(mat: np.ndarray) -> list[int]:
     """Indices admitted by single-linkage clustering on pairwise cosine distance.
 
-    Merges pairs in increasing distance order and stops at the smallest
-    threshold at which some cluster reaches floor(count/2) + 1 members.
-    Ties between equally large clusters go to the one containing the
-    smallest index.
+    One union-find pass merges pairs in increasing distance order, a whole
+    group of equal distances at a time, up to the first group after which a
+    cluster has floor(count/2) + 1 members: a strict majority, so the only one.
+    The distances equal those of :func:`cosine_similarity` bit for bit.
     """
     count = mat.shape[0]
-    need = count // 2 + 1
     if count < 3:
         return list(range(count))
-
-    edges = []
-    for i in range(count):
-        for j in range(i + 1, count):
-            edges.append((1.0 - cosine_similarity(mat[i], mat[j]), i, j))
-    edges.sort()
-
-    parent = list(range(count))
+    i, j = np.triu_indices(count, 1)
+    norms = np.sqrt(_row_dots(mat, mat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = _row_dots(mat[i], mat[j]) / (norms[i] * norms[j])
+    dist = np.where((norms[i] != 0.0) & (norms[j] != 0.0), 1.0 - cos, 1.0)
+    order = np.argsort(dist)
+    dist = dist[order]
+    group_ends = np.append(dist[1:] != dist[:-1], True)
+    parent, size = list(range(count)), [1] * count
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -172,37 +177,27 @@ def _admitted_by_clustering(mat: np.ndarray) -> list[int]:
             x = parent[x]
         return x
 
-    def components() -> dict[int, list[int]]:
-        comps: dict[int, list[int]] = {}
-        for i in range(count):
-            comps.setdefault(find(i), []).append(i)
-        return comps
-
-    pos = 0
-    while pos < len(edges):
-        threshold = edges[pos][0]
-        while pos < len(edges) and edges[pos][0] == threshold:
-            _, i, j = edges[pos]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-            pos += 1
-        winners = [c for c in components().values() if len(c) >= need]
-        if winners:
-            winners.sort(key=lambda c: (-len(c), min(c)))
-            return sorted(winners[0])
-    # unreachable: once all edges are merged there is a single cluster of
-    # size count >= need; kept as a defensive fallback
-    return list(range(count))
+    winner = None
+    for a, b, group_end in zip(i[order].tolist(), j[order].tolist(), group_ends.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            size[ra] += size[rb]
+            if size[ra] >= count // 2 + 1:
+                winner = ra
+        if winner is not None and group_end:
+            break  # the last pair merges everything, so a winner exists
+    return [x for x in range(count) if find(x) == winner]
 
 
 def agg_flame(models, clip: bool = True) -> np.ndarray:
     """Cluster out directional outliers, clip norms, and average.
 
     Pairwise cosine distances feed a single-linkage clustering cut at the
-    smallest threshold producing a majority cluster; admitted models are
-    norm-clipped to the median admitted norm and averaged.  The additive
-    noise of the original defense is omitted.
+    smallest threshold producing a majority cluster, found in one
+    union-find pass over the k(k-1)/2 sorted pairs of k models; admitted
+    models are norm-clipped to the median admitted norm and averaged.  The
+    additive noise of the original defense is omitted.
     """
     mat = _stack(models)
     admitted = _admitted_by_clustering(mat)

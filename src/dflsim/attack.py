@@ -29,7 +29,6 @@ from .core import (
     NonMonotonicRound,
     NotSorted,
     OutOfBounds,
-    SearchFailure,
 )
 
 # treat lam this close to 1 as exactly 1 (the objective degenerates to linear)
@@ -217,26 +216,28 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
     benign_trimmed = float(q[m:n - m].mean())
     crafted = np.empty(m, dtype=np.float64)
 
+    # on either side, the last split (no value parked) is feasible in exact
+    # arithmetic: take it without a threshold that rounding can put past target
     if target <= benign_trimmed:
         # park values below the benign minimum so low benign entries survive
         # the trim; the largest feasible r keeps the filler value ordered
-        for r in range(n, n - m - 1, -1):
+        for r in range(n, n - m, -1):
             threshold = ((n - r) * q[m - 1] + q[m:r].sum()) / (n - m)
             if target <= threshold:
                 break
         else:
-            raise SearchFailure("no feasible split found below the benign trimmed mean")
+            r = n - m
         crafted[: m - n + r] = q[-1] - b
         if r < n:
             crafted[m - n + r:] = ((n - m) * target - q[m:r].sum()) / (n - r)
     else:
         # symmetric case above the benign trimmed mean
-        for r in range(-1, m):
+        for r in range(-1, m - 1):
             threshold = ((r + 1) * q[n - m] + q[r + 1:n - m].sum()) / (n - m)
             if target >= threshold:
                 break
         else:
-            raise SearchFailure("no feasible split found above the benign trimmed mean")
+            r = m - 1
         crafted[: m - r - 1] = q[0] + b
         if r >= 0:
             crafted[m - r - 1:] = ((n - m) * target - q[r + 1:n - m].sum()) / (r + 1)
@@ -367,7 +368,6 @@ def _targets(receivers, benign_agg, lower, upper, lam) -> tuple[np.ndarray, np.n
 _FAILURES = {
     1: (InvalidBounds, "invalid reachable bounds"),
     2: (OutOfBounds, "target outside the reachable bounds"),
-    3: (SearchFailure, "no feasible split found"),
 }
 
 
@@ -460,8 +460,8 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
         target[:, None, :] <= low_thresholds,
         target[:, None, :] >= high_thresholds,
     )
+    feasible[:, m] = True  # feasible in exact arithmetic, see craft_trimmed_mean
     split = feasible.argmax(axis=1)
-    codes[(codes == 0) & ~feasible.any(axis=1)] = 3
     _raise_first_failure(codes)
 
     sums = np.where(go_low, np.take_along_axis(low_sums, split, axis=0), np.take_along_axis(high_sums, split, axis=0))

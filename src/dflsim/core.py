@@ -61,10 +61,6 @@ class OutOfBounds(ValueError):
     """A crafting target outside the reachable interval."""
 
 
-class SearchFailure(RuntimeError):
-    """The crafted-share search exhausted its range; indicates a bug."""
-
-
 class NumericalDivergence(RuntimeError):
     """Local training produced a non-finite loss or model."""
 

@@ -474,6 +474,10 @@ class Engine:
             if kind == "selfish" and cfg.attack.info_mode == "selfish_only":
                 self.reads[roles.n:] = selfish
             self.rules = [self.rule] * roles.n + [self.selfish_rule] * roles.m
+        # receivers with equal keys and no crafted shares aggregate the same input;
+        # fltrust anchors each aggregate at the receiver's own model, so its key is i
+        keys = [(rule, reads.tobytes()) for rule, reads in zip(self.rules, self.reads)]
+        self.input_keys = [i if self.rules[i].kind == "fltrust" else key for i, key in enumerate(keys)]
         self.round = 0
         self.records: list[ExperimentRecord] = []
 
@@ -523,11 +527,16 @@ class Engine:
         crafted = self.crafter(self, t, pre_agg) if self.crafter is not None else None
 
         # --- step III: aggregation ----------------------------------------
+        shared: dict = {}  # input key -> its aggregate this round
         for i in range(roles.total):
-            shares = pre_agg[self.reads[i]]  # a boolean index copies the rows
-            if crafted is not None and i < roles.n:
-                shares[roles.n:] = crafted[i]
-            self.models[i] = aggregate(self.rules[i], shares, receiver_pre_agg=pre_agg[i])
+            attacked = crafted is not None and i < roles.n
+            key = i if attacked else self.input_keys[i]
+            if key not in shared:
+                shares = pre_agg[self.reads[i]]  # a boolean index copies the rows
+                if attacked:
+                    shares[roles.n:] = crafted[i]
+                shared[key] = aggregate(self.rules[i], shares, receiver_pre_agg=pre_agg[i])
+            self.models[i] = shared[key]
 
         # --- metrics --------------------------------------------------------
         mtas = group_accuracy(self.models[roles.n:], self.test_set)

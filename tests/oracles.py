@@ -50,3 +50,64 @@ def finite_difference_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray
         lo[k] -= h
         grad[k] = (fn(hi) - fn(lo)) / (2.0 * h)
     return grad
+
+
+def cosine_of(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity, 0 when either vector has zero norm."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def admitted_by_clustering(mat: np.ndarray) -> list[int]:
+    """Indices admitted by FLAME's single-linkage clustering, by brute force.
+
+    Sorts every pair by (cosine distance, i, j), merges one group of equal
+    distances at a time and rescans all clusters after each group, stopping
+    at the first group after which some cluster has floor(count/2) + 1
+    members.  Ties between equally large clusters go to the one containing
+    the smallest index.
+    """
+    count = mat.shape[0]
+    need = count // 2 + 1
+    if count < 3:
+        return list(range(count))
+
+    edges = []
+    for i in range(count):
+        for j in range(i + 1, count):
+            edges.append((1.0 - cosine_of(mat[i], mat[j]), i, j))
+    edges.sort()
+
+    parent = list(range(count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def components() -> dict[int, list[int]]:
+        comps: dict[int, list[int]] = {}
+        for i in range(count):
+            comps.setdefault(find(i), []).append(i)
+        return comps
+
+    pos = 0
+    while pos < len(edges):
+        threshold = edges[pos][0]
+        while pos < len(edges) and edges[pos][0] == threshold:
+            _, i, j = edges[pos]
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+            pos += 1
+        winners = [c for c in components().values() if len(c) >= need]
+        if winners:
+            winners.sort(key=lambda c: (-len(c), min(c)))
+            return sorted(winners[0])
+    # unreachable: once all edges are merged there is a single cluster of
+    # size count >= need; kept as a defensive fallback
+    return list(range(count))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflsim.aggregation import (
     AggregationRule,
+    _admitted_by_clustering,
     agg_fedavg,
     agg_flame,
     agg_fltrust,
@@ -14,6 +15,8 @@ from dflsim.aggregation import (
     aggregate,
 )
 from dflsim.core import EmptyAfterTrim, EmptyInput, TooFewModels, ZeroReference
+
+from oracles import admitted_by_clustering
 
 
 def vecs(*rows):
@@ -165,6 +168,31 @@ def test_flame_clip_disabled():
     same_dir = [np.array([100.0, 0.0])] + [np.array([1.0, 0.0])] * 5
     out = agg_flame(same_dir, clip=False)
     assert np.allclose(out, [105.0 / 6.0, 0.0])
+
+
+@st.composite
+def clustering_inputs(draw):
+    """(k, d) models with values rounded to 0.1, so that distances tie, some
+    rows duplicated and some all zero (cosine 0 to every other row)."""
+    k = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 6))
+    values = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=k * d, max_size=k * d)
+    mat = np.round(np.array(draw(values)), 1).reshape(k, d)
+    rows = st.integers(0, k - 1)
+    for target, source in draw(st.lists(st.tuples(rows, rows), max_size=k)):
+        mat[target] = mat[source]
+    for row in draw(st.lists(rows, max_size=3)):
+        mat[row] = 0.0
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustering_inputs())
+# norms taken another way than np.linalg.norm of each row differ in the last
+# bit here, and the admitted set with them
+@example(np.array([[0.4, -0.7], [0.4, 0.7], [-0.6, 0.3], [-1.0, -0.5]]))
+def test_flame_clustering_matches_oracle(mat):
+    assert _admitted_by_clustering(mat) == admitted_by_clustering(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median, agg_trimmed_mean
@@ -302,6 +302,26 @@ def test_craft_trimmed_identity_random():
         assert np.isclose(trimmed_mean_of(np.concatenate([q, crafted]), m), target, rtol=1e-12, atol=1e-12)
 
 
+# the target equals the benign trimmed mean (low side, 1.9 <= 1.9) or lies an
+# ulp above it (high side, 1.94 > 1.9399999999999997); in both cases the
+# threshold of the split that parks no value rounds past the target
+ROUNDING_SPLIT_CASES = [
+    ([0.0, 0.0, 2.0, 1.9, 1.9], 2, 1.9),
+    ([2.9, 2.7, 2.6] + [1.94] * 7 + [-2.1, -2.9], 3, 1.94),
+]
+
+
+@pytest.mark.parametrize("benign, m, target", ROUNDING_SPLIT_CASES)
+def test_craft_trimmed_takes_unparked_split_past_rounded_threshold(benign, m, target):
+    q = -np.sort(-np.array(benign))
+    assert trimmed_mean_bounds(q, m).contains(target)
+    crafted = craft_trimmed_mean(q, target, m)
+    assert np.allclose(crafted, target, rtol=0.0, atol=1e-12)  # no value parked
+    assert np.isclose(trimmed_mean_of(np.concatenate([q, crafted]), m), target, rtol=0.0, atol=1e-12)
+    batched = craft_shared_model(AggregationRule("trimmed_mean"), [[target]], np.array(benign)[:, None], m, 0.0)
+    assert np.array_equal(batched[0, :, 0], crafted)
+
+
 def test_craft_trimmed_needs_enough_benign():
     with pytest.raises(IndexOutOfRange):
         craft_trimmed_mean([4.0, 3.0, 2.0, 1.0], target=2.5, m=2)
@@ -542,6 +562,7 @@ def crafting_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(crafting_instances())
+@example(("trimmed_mean", np.array([[1.9]]), np.array([[0.0], [0.0], [2.0], [1.9], [1.9]]), 2, 0.0))
 def test_craft_shared_model_matches_scalar_crafting(instance):
     kind, receivers, benign, m, lam = instance
     crafted = craft_shared_model(AggregationRule(kind), receivers, list(benign), m, lam)

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+from dflsim import simulation
 from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median
 from dflsim.core import ConfigError, EmptyDataset, EmptyTestSet, NumericalDivergence, RoleConfig, Rng
 from dflsim.simulation import (
@@ -352,6 +354,35 @@ def test_read_mask_and_rule_per_receiver(kind, info_mode, reads, rules):
     assert eng.reads.dtype == bool
     assert np.array_equal(eng.reads, reads)
     assert [rule.kind for rule in eng.rules] == rules
+
+
+@pytest.mark.parametrize(
+    "rule, kind, started, calls",
+    [
+        ("flame", "none", False, {"flame": 1, "median": 1}),
+        ("fltrust", "none", False, {"fltrust": 9}),
+        ("median", "selfish", False, {"median": 1}),
+        ("median", "selfish", True, {"median": 7 + 1}),
+        ("median", "two_coalitions", False, {"fedavg": 2}),
+    ],
+    ids=["flame-none", "fltrust-none", "median-selfish-waiting", "median-selfish-started", "two_coalitions"],
+)
+def test_receivers_reading_the_same_input_aggregate_it_once(monkeypatch, rule, kind, started, calls):
+    eng = Engine(small_config(roles=RoleConfig(n=7, m=2), rule=AggregationRule(rule), attack=AttackConfig(kind=kind)))
+    if started:
+        eng.detector = dataclasses.replace(eng.detector, started=True)
+    seen = []
+    aggregate = simulation.aggregate
+
+    def counting_aggregate(rule, models, receiver_pre_agg=None):
+        seen.append(rule.kind)
+        return aggregate(rule, models, receiver_pre_agg=receiver_pre_agg)
+
+    monkeypatch.setattr(simulation, "aggregate", counting_aggregate)
+    for _ in range(2):
+        seen.clear()
+        eng.run_round()
+        assert collections.Counter(seen) == calls
 
 
 def test_independent_mode_is_solo_training():
