@@ -196,6 +196,9 @@ def cmd_sweep(args) -> int:
     out_dir = args.out or output or "sweep"
     try:
         summary = run_sweep(cfg, spec, out_dir=out_dir, jobs=args.jobs, config_doc=config_to_dict(cfg))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

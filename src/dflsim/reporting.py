@@ -6,12 +6,12 @@ import csv
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RoleConfig
+from .core import ConfigError, RoleConfig
 
 CSV_FIELDS = ("round", "mtas", "mtans", "gap", "mean_selfish_loss", "attack_started")
 
@@ -138,26 +138,40 @@ def run_sweep(
 ) -> dict:
     """Run the sweep and return its summary.
 
-    Per value, ``spec.repeats`` experiments run with seeds
-    ``cfg.seed + 0 .. cfg.seed + repeats - 1``; the summary averages the
-    final-round metrics over repeats.  With ``out_dir`` set, each cell's
-    records land in ``<parameter>_<value>_rep<k>.csv``.  ``config_doc`` is
-    echoed into the summary so results stay reproducible.
+    Every value is applied to ``cfg`` before any cell runs, and one that
+    gives an invalid config raises :class:`ConfigError`.  Per value,
+    ``spec.repeats`` experiments run with seeds ``cfg.seed + 0 .. cfg.seed +
+    repeats - 1``; the summary averages the final-round metrics over
+    repeats.  With ``out_dir`` set, each cell's records land in
+    ``<parameter>_<value>_rep<k>.csv`` as soon as the cell finishes.
+    ``config_doc`` is echoed into the summary so results stay reproducible.
     """
+    for value in spec.values:
+        try:
+            apply_parameter(cfg, spec.parameter, value)
+        except ValueError as exc:
+            raise ConfigError(f"--param {spec.parameter}={value}: {exc}") from None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    finals = {value: [None] * spec.repeats for value in spec.values}  # final record per repeat
+
+    def finish(value, repeat, records) -> None:
+        finals[value][repeat] = records[-1]
+        if out_dir is not None:
+            write_records(records, os.path.join(out_dir, f"{spec.parameter}_{value}_rep{repeat}.csv"))
+
     tasks = [(cfg, spec.parameter, value, repeat) for value in spec.values for repeat in range(spec.repeats)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_cell, tasks))
+            futures = [pool.submit(_sweep_cell, task) for task in tasks]
+            for future in as_completed(futures):
+                if future.exception() is None:
+                    finish(*future.result())
+        for future in futures:
+            future.result()  # a failed cell raises once every finished one is written
     else:
-        outcomes = [_sweep_cell(task) for task in tasks]
-
-    finals: dict = {value: [] for value in spec.values}
-    for value, repeat, records in outcomes:
-        finals[value].append(records[-1])
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            name = f"{spec.parameter}_{value}_rep{repeat}.csv"
-            write_records(records, os.path.join(out_dir, name))
+        for task in tasks:
+            finish(*_sweep_cell(task))
 
     summary = {
         "parameter": spec.parameter,

@@ -9,6 +9,7 @@ with its own rule.  Selfish clients send their true models to each other and
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,47 +213,89 @@ def model_dim(num_classes: int, num_features: int) -> int:
     return num_classes * num_features + num_classes
 
 
-def _unpack(model: np.ndarray, num_classes: int, num_features: int):
-    weights = model[: num_classes * num_features].reshape(num_classes, num_features)
-    bias = model[num_classes * num_features:]
-    return weights, bias
+def _unpack(models: np.ndarray, num_classes: int, num_features: int):
+    """Weights (..., C, F) and biases (..., C) of flat models (..., d)."""
+    weights = models[..., : num_classes * num_features].reshape(*models.shape[:-1], num_classes, num_features)
+    return weights, models[..., num_classes * num_features:]
+
+
+def _batch_loss_and_grad(models, x, y, counts, num_classes):
+    """Mean softmax cross-entropy and its gradient for k models at once.
+
+    ``models`` is (k, d), ``x`` (k, B, F) and ``y`` (k, B); batch i is the
+    first ``counts[i]`` rows, and padding fills the rest.  Full batches run
+    as one stacked product, which makes the same BLAS call per slice as a
+    single batch.  A short batch's products and loss mean are redone in its
+    own (counts[i], F) shape: over padding, BLAS edge kernels, gemv paths
+    and pairwise sums round differently.
+    """
+    k, width, features = x.shape
+    weights, bias = _unpack(models, num_classes, features)
+    logits = x @ weights.transpose(0, 2, 1) + bias[:, None, :]
+    short = np.flatnonzero(counts < width)
+    for i in short:
+        logits[i, : counts[i]] = x[i, : counts[i]] @ weights[i].T + bias[i]
+    logits -= logits.max(axis=2, keepdims=True)
+    log_probs = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
+    labelled = (np.arange(k)[:, None], np.arange(width), y)
+    picked = log_probs[labelled]
+    losses = -(picked.sum(axis=1) / width)  # np.mean's sum and division, without its per-call cost
+    for i in short:
+        losses[i] = -(picked[i, : counts[i]].sum() / counts[i])
+    probs = np.exp(log_probs)
+    probs[labelled] -= 1.0
+    probs /= counts[:, None, None]
+    grad_w, grad_b = probs.transpose(0, 2, 1) @ x, probs.sum(axis=1)
+    for i in short:
+        grad_w[i] = probs[i, : counts[i]].T @ x[i, : counts[i]]
+        grad_b[i] = probs[i, : counts[i]].sum(axis=0)
+    return losses, np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)
 
 
 def loss_and_grad(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int):
     """Mean softmax cross-entropy and its gradient w.r.t. the flat model."""
-    weights, bias = _unpack(model, num_classes, x.shape[1])
-    logits = x @ weights.T + bias                      # (B, C)
-    logits = logits - logits.max(axis=1, keepdims=True)
-    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    batch = x.shape[0]
-    loss = -float(log_probs[np.arange(batch), y].mean())
-    probs = np.exp(log_probs)
-    probs[np.arange(batch), y] -= 1.0
-    probs /= batch
-    grad_w = probs.T @ x
-    grad_b = probs.sum(axis=0)
-    return loss, np.concatenate([grad_w.ravel(), grad_b])
+    losses, grads = _batch_loss_and_grad(model[None], x[None], y[None], np.array([len(x)]), num_classes)
+    return float(losses[0]), grads[0]
 
 
-def local_update(
-    model: np.ndarray,
-    data: Dataset,
-    cfg: TrainerConfig,
-    gen: np.random.Generator,
-):
+def train_clients(models: np.ndarray, pool: Dataset, sizes, cfg: TrainerConfig, gens):
+    """Run the local epochs of all clients in lockstep; return (models, mean batch losses).
+
+    ``pool`` holds the shards in client order, ``sizes[i]`` rows for client
+    i, which trains ``models[i]`` drawing one permutation per epoch from
+    ``gens[i]``.  Step j of an epoch trains every client that has a j-th
+    minibatch in one (k, B, F) pass, and each client ends as it would
+    training alone.
+    """
+    sizes = np.asarray(sizes)
+    batches = -(-sizes // cfg.batch_size)
+    size = min(cfg.batch_size, int(sizes.max()))  # no batch is wider than the largest shard
+    offsets = np.cumsum(sizes) - sizes
+    # pool row of each batch slot; padding slots read row 0, and no result uses them
+    slots = np.zeros((cfg.local_epochs, sizes.size, batches.max() * size), dtype=np.int64)
+    for cid, gen in enumerate(gens):
+        perms = [gen.permutation(sizes[cid]) for _ in range(cfg.local_epochs)]
+        slots[:, cid, : sizes[cid]] = offsets[cid] + np.array(perms)
+    models = np.array(models, dtype=np.float64)
+    losses = np.zeros((sizes.size, cfg.local_epochs, batches.max()))
+    for epoch in range(cfg.local_epochs):
+        for j in range(batches.max()):
+            act = np.flatnonzero(batches > j)
+            batch = slots[epoch, act, j * size:(j + 1) * size]
+            counts = np.minimum(sizes[act] - j * size, size)
+            losses[act, epoch, j], grad = _batch_loss_and_grad(
+                models[act], pool.features[batch], pool.labels[batch], counts, pool.num_classes
+            )
+            models[act] -= cfg.learning_rate * (grad + cfg.weight_decay * models[act])
+    return models, np.array([np.mean(losses[cid, :, :n].ravel()) for cid, n in enumerate(batches)])
+
+
+def local_update(model: np.ndarray, data: Dataset, cfg: TrainerConfig, gen: np.random.Generator):
     """Run the local epochs and return (updated model, mean batch loss)."""
     if data.size == 0:
         raise EmptyDataset("cannot train on an empty shard")
-    model = np.asarray(model, dtype=np.float64).copy()
-    losses = []
-    for _ in range(cfg.local_epochs):
-        order = gen.permutation(data.size)
-        for start in range(0, data.size, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            loss, grad = loss_and_grad(model, data.features[batch], data.labels[batch], data.num_classes)
-            losses.append(loss)
-            model -= cfg.learning_rate * (grad + cfg.weight_decay * model)
-    return model, float(np.mean(losses))
+    models, losses = train_clients(np.asarray(model)[None], data, [data.size], cfg, [gen])
+    return models[0], float(losses[0])
 
 
 def predict(model: np.ndarray, x: np.ndarray, num_classes: int) -> np.ndarray:
@@ -270,16 +313,19 @@ def accuracy(model: np.ndarray, data: Dataset) -> float:
     return correct_count(model, data) / data.size
 
 
-def group_accuracy(models, data: Dataset) -> float:
+def group_accuracy(models, data: Dataset, counts=None) -> float:
     """Mean accuracy of a group on a shared test set.
 
-    Computed as total correct over total predictions, so identical models
-    give identical group means regardless of group size.
+    ``counts[j]`` clients of the group hold ``models[j]`` (one each when
+    omitted), so a model the group shares is evaluated once.  Computed as
+    total correct over total predictions, so identical models give identical
+    group means regardless of group size.
     """
     models = list(models)
     if not models:
         raise EmptyGroup("cannot average accuracy over an empty group")
-    return sum(correct_count(model, data) for model in models) / (len(models) * data.size)
+    counts = [1] * len(models) if counts is None else list(counts)
+    return sum(c * correct_count(model, data) for model, c in zip(models, counts)) / (sum(counts) * data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +406,8 @@ class ExperimentConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.attack.kind == "selfish" and self.attack.info_mode == "selfish_only":
             self._check_selfish_only()
+        if self.trainer.learning_rate == 0.0 and "fltrust" in (self.rule.kind, self.resolved_selfish_rule().kind):
+            raise ValueError("trainer.learning_rate 0 keeps every model at zero, and fltrust needs a nonzero own model")
 
     def _check_selfish_only(self) -> None:
         """The selfish clients aggregate only the m coalition shares; reject
@@ -450,8 +498,14 @@ class Engine:
         self.roles = roles = cfg.roles
         self.rng = Rng(cfg.seed)
         self.train_set, self.test_set = self._build_datasets()
-        self.shards = partition_non_iid(
-            self.train_set, roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION)
+        shards = partition_non_iid(self.train_set, roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION))
+        self.sizes = np.array([shard.size for shard in shards])
+        if not self.sizes.all():
+            raise EmptyDataset(f"client {np.argmin(self.sizes)} has an empty shard: the partition gave it no examples")
+        self.pool = Dataset(  # the shards in client order, in one array
+            np.concatenate([s.features for s in shards]),
+            np.concatenate([s.labels for s in shards]),
+            self.train_set.num_classes,
         )
         self.models = np.zeros((roles.total, model_dim(self.train_set.num_classes, self.train_set.num_features)))
         self.rule = cfg.rule.resolved(roles.m)
@@ -507,12 +561,8 @@ class Engine:
         roles = self.roles
 
         # --- step I: local training -------------------------------------
-        trained = [
-            local_update(self.models[cid], self.shards[cid], self.cfg.trainer, self.rng.stream(STREAM_TRAIN, t, cid))
-            for cid in range(roles.total)
-        ]
-        pre_agg = np.stack([model for model, _ in trained])
-        losses = np.array([loss for _, loss in trained])
+        gens = [self.rng.stream(STREAM_TRAIN, t, cid) for cid in range(roles.total)]
+        pre_agg, losses = train_clients(self.models, self.pool, self.sizes, self.cfg.trainer, gens)
         finite = np.isfinite(pre_agg).all(axis=1) & np.isfinite(losses)
         if not finite.all():
             cid = int(np.argmin(finite))
@@ -528,9 +578,11 @@ class Engine:
 
         # --- step III: aggregation ----------------------------------------
         shared: dict = {}  # input key -> its aggregate this round
+        keys = []
         for i in range(roles.total):
             attacked = crafted is not None and i < roles.n
             key = i if attacked else self.input_keys[i]
+            keys.append(key)
             if key not in shared:
                 shares = pre_agg[self.reads[i]]  # a boolean index copies the rows
                 if attacked:
@@ -538,9 +590,11 @@ class Engine:
                 shared[key] = aggregate(self.rules[i], shares, receiver_pre_agg=pre_agg[i])
             self.models[i] = shared[key]
 
-        # --- metrics --------------------------------------------------------
-        mtas = group_accuracy(self.models[roles.n:], self.test_set)
-        mtans = group_accuracy(self.models[: roles.n], self.test_set)
+        # --- metrics: receivers that share an aggregate share its correct count
+        mtas, mtans = (
+            group_accuracy([shared[key] for key in tally], self.test_set, tally.values())
+            for tally in (Counter(keys[roles.n:]), Counter(keys[: roles.n]))
+        )
         self.records.append(
             ExperimentRecord(
                 round=t,

@@ -111,3 +111,36 @@ def admitted_by_clustering(mat: np.ndarray) -> list[int]:
     # unreachable: once all edges are merged there is a single cluster of
     # size count >= need; kept as a defensive fallback
     return list(range(count))
+
+
+def loss_and_grad_of(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int):
+    """Mean softmax cross-entropy and its gradient for one model and one batch."""
+    weights = model[: num_classes * x.shape[1]].reshape(num_classes, x.shape[1])
+    bias = model[num_classes * x.shape[1]:]
+    logits = x @ weights.T + bias                      # (B, C)
+    logits = logits - logits.max(axis=1, keepdims=True)
+    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    batch = x.shape[0]
+    loss = -float(log_probs[np.arange(batch), y].mean())
+    probs = np.exp(log_probs)
+    probs[np.arange(batch), y] -= 1.0
+    probs /= batch
+    grad_w = probs.T @ x
+    grad_b = probs.sum(axis=0)
+    return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+
+def local_update_of(model: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int, cfg, gen):
+    """One client's local epochs, one minibatch after another: the per-client
+    loop the lockstep trainer must reproduce bit for bit.  Returns (model,
+    mean batch loss)."""
+    model = np.asarray(model, dtype=np.float64).copy()
+    losses = []
+    for _ in range(cfg.local_epochs):
+        order = gen.permutation(len(labels))
+        for start in range(0, len(labels), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            loss, grad = loss_and_grad_of(model, features[batch], labels[batch], num_classes)
+            losses.append(loss)
+            model -= cfg.learning_rate * (grad + cfg.weight_decay * model)
+    return model, float(np.mean(losses))

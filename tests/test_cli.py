@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -174,6 +175,22 @@ def test_run_diverging_training_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_run_empty_shard_exit_code(tmp_path, capsys):
+    doc = tiny_doc(
+        roles={"n": 14, "m": 6},
+        data={"synthetic": {"classes": 2, "features": 3, "per_class": 5, "test_per_class": 5}},
+    )
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 2
+    assert re.search(r"runtime error: client \d+ has an empty shard", capsys.readouterr().err)
+
+
+def test_run_rejects_fltrust_with_zero_learning_rate(tmp_path, capsys):
+    doc = tiny_doc(rule={"kind": "fltrust"}, trainer={"learning_rate": 0.0})
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: top level: trainer.learning_rate 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------
@@ -195,6 +212,16 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
     code = main(["sweep", path, "--param", "lambda", "--values", "0,zebra", "--out", str(tmp_path / "s")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_invalid_cell_before_any_run(tmp_path, capsys):
+    doc = tiny_doc(roles={"n": 14, "m": 6})
+    out = tmp_path / "sweep"
+    code = main(["sweep", write_doc(tmp_path, doc), "--param", "selfish_fraction", "--values", "0.1,0.5",
+                 "--repeats", "1", "--out", str(out)])
+    assert code == 1
+    assert "config error: --param selfish_fraction=0.5: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_unknown_param_rejected_by_parser(tmp_path):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from dflsim import simulation
 from dflsim.aggregation import AggregationRule
-from dflsim.core import RoleConfig
+from dflsim.core import ConfigError, EmptyDataset, RoleConfig
 from dflsim.reporting import (
     ExperimentRecord,
     SweepSpec,
@@ -134,3 +135,21 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     serial = run_sweep(cfg, spec)
     parallel = run_sweep(cfg, spec, jobs=2)
     assert serial == parallel
+
+
+def test_run_sweep_validates_every_cell_before_running(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    cfg = tiny_config(roles=RoleConfig(n=14, m=6))
+    spec = SweepSpec("selfish_fraction", (0.1, 0.5), repeats=1)
+    with pytest.raises(ConfigError, match=r"--param selfish_fraction=0.5: .*violates"):
+        run_sweep(cfg, spec, out_dir=str(tmp_path / "sweep"))
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_sweep_writes_each_cell_as_it_finishes(tmp_path, jobs):
+    # 80 examples leave some of 60 clients without a shard, which fails that cell when it starts
+    spec = SweepSpec("num_clients", (4, 60), repeats=1)
+    with pytest.raises(EmptyDataset, match="has an empty shard"):
+        run_sweep(tiny_config(), spec, out_dir=str(tmp_path), jobs=jobs)
+    assert [p.name for p in tmp_path.iterdir()] == ["num_clients_4_rep0.csv"]

@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dflsim import simulation
 from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median
@@ -17,6 +19,7 @@ from dflsim.simulation import (
     SyntheticDataConfig,
     TrainerConfig,
     accuracy,
+    correct_count,
     generate_synthetic,
     group_accuracy,
     load_csv,
@@ -25,9 +28,10 @@ from dflsim.simulation import (
     model_dim,
     partition_non_iid,
     run_experiment,
+    train_clients,
 )
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, local_update_of
 
 
 def small_config(**overrides):
@@ -210,6 +214,36 @@ def test_local_update_empty_shard():
         local_update(np.zeros(model_dim(2, 4)), empty, TrainerConfig(), Rng(0).stream(0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from([1, 2, 3, 5, 31, 32, 33, 64, 70]) | st.integers(1, 90), min_size=1, max_size=5),
+    batch_size=st.sampled_from([1, 2, 3, 7, 32, 64, 300]) | st.integers(1, 40),
+    epochs=st.integers(1, 3),
+    classes=st.integers(2, 10),
+    features=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[70, 45, 33, 32], batch_size=32, epochs=2, classes=4, features=50, seed=0)  # last batches 6, 13, 1, 32
+@example(sizes=[64, 64, 31], batch_size=7, epochs=1, classes=7, features=1, seed=24)  # gemv backward at F = 1
+def test_lockstep_trainer_matches_per_client_loop(sizes, batch_size, epochs, classes, features, seed):
+    gen = np.random.default_rng(seed)
+    cfg = TrainerConfig(learning_rate=0.3, local_epochs=epochs, batch_size=batch_size, weight_decay=0.01)
+    shards = [
+        Dataset(gen.normal(size=(size, features)), gen.integers(0, classes, size=size), classes) for size in sizes
+    ]
+    models = gen.normal(size=(len(sizes), model_dim(classes, features)))
+    pool = Dataset(np.concatenate([s.features for s in shards]), np.concatenate([s.labels for s in shards]), classes)
+    trained, losses = train_clients(
+        models, pool, sizes, cfg, [np.random.default_rng([seed, cid]) for cid in range(len(sizes))]
+    )
+    for cid, shard in enumerate(shards):
+        model, loss = local_update_of(
+            models[cid], shard.features, shard.labels, classes, cfg, np.random.default_rng([seed, cid])
+        )
+        assert trained[cid].tobytes() == model.tobytes()
+        assert losses[cid].tobytes() == np.float64(loss).tobytes()
+
+
 def test_accuracy_empty_test_set():
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
     with pytest.raises(EmptyTestSet):
@@ -385,6 +419,44 @@ def test_receivers_reading_the_same_input_aggregate_it_once(monkeypatch, rule, k
         assert collections.Counter(seen) == calls
 
 
+@pytest.mark.parametrize("kind, started, evaluations", [("none", False, 1 + 1), ("selfish", True, 7 + 1)])
+def test_receivers_sharing_an_aggregate_share_its_evaluation(monkeypatch, kind, started, evaluations):
+    eng = Engine(small_config(roles=RoleConfig(n=7, m=2), attack=AttackConfig(kind=kind)))
+    if started:
+        eng.detector = dataclasses.replace(eng.detector, started=True)
+    seen = []
+
+    def counting_correct_count(model, data):
+        seen.append(model)
+        return correct_count(model, data)
+
+    monkeypatch.setattr(simulation, "correct_count", counting_correct_count)
+    for _ in range(2):
+        seen.clear()
+        eng.run_round()
+        assert len(seen) == evaluations
+        # one evaluation per client gives the same record
+        assert eng.records[-1].mtas == group_accuracy(eng.models[eng.roles.n:], eng.test_set)
+        assert eng.records[-1].mtans == group_accuracy(eng.models[: eng.roles.n], eng.test_set)
+
+
+def test_empty_shard_is_rejected_when_the_engine_is_built(monkeypatch):
+    shards = []
+
+    def recording_partition(*args):
+        shards.extend(partition_non_iid(*args))
+        return shards
+
+    monkeypatch.setattr(simulation, "partition_non_iid", recording_partition)
+    cfg = small_config(
+        roles=RoleConfig(n=14, m=6), data=SyntheticDataConfig(classes=2, features=4, per_class=5, test_per_class=5)
+    )
+    with pytest.raises(EmptyDataset) as info:
+        Engine(cfg)
+    first_empty = next(cid for cid, shard in enumerate(shards) if shard.size == 0)
+    assert str(info.value) == f"client {first_empty} has an empty shard: the partition gave it no examples"
+
+
 def test_independent_mode_is_solo_training():
     eng = Engine(small_config(attack=AttackConfig(kind="independent")))
     pre_agg, crafted = eng.run_round()
@@ -496,3 +568,11 @@ def test_config_validation_propagates():
         SyntheticDataConfig(test_per_class=0)
     with pytest.raises(ValueError):
         CsvDataConfig(path="x.csv", test_fraction=0.0)
+
+
+@pytest.mark.parametrize("rule, selfish_rule", [("fltrust", None), ("median", "fltrust")])
+def test_fltrust_rejects_zero_learning_rate(rule, selfish_rule):
+    attack = AttackConfig(kind="selfish", selfish_rule=selfish_rule and AggregationRule(selfish_rule))
+    with pytest.raises(ValueError, match="trainer.learning_rate 0 .* fltrust"):
+        small_config(rule=AggregationRule(rule), attack=attack, trainer=TrainerConfig(learning_rate=0.0))
+    small_config(rule=AggregationRule(rule), attack=attack, trainer=TrainerConfig(learning_rate=1e-3))
