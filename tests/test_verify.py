@@ -76,3 +76,68 @@ def test_suite_result_flags_failures():
 def test_bounds_suite_runs_vectorized():
     res = check_bounds_tightness(instances=20, trials_per_instance=500, seed=3)
     assert res.passed and res.trials == 20
+
+
+# The values below were recorded from the suites as they stand and are
+# compared with ==: any change to a drawn instance, a grid point or the
+# counters shows up here, not only a change in pass/fail.
+
+def test_run_all_counts_and_counters_are_pinned():
+    got = [(r.name, r.trials, r.failures, r.counters, r.first_failure) for r in run_all(trials=2_000, seed=0)]
+    assert got == [
+        ("fedavg crafting identity", 2000, 0, {}, None),
+        ("median crafting identity", 2000, 0,
+         {"even_total": 1000, "odd_total": 1000, "reflect_high": 458, "reflect_low": 470}, None),
+        ("trimmed-mean crafting identity", 2000, 0, {"below_benign_mean": 1005, "above_benign_mean": 995}, None),
+        ("solver vs. grid search", 800, 0, {}, None),
+        ("reachable-interval tightness", 40, 0, {}, None),
+    ]
+
+
+def test_broken_solver_counterexample_is_pinned_at_default_grid():
+    def midpoint(w, w_benign, bounds, lam):
+        return 0.5 * (bounds.lower + bounds.upper)
+
+    res = check_solver_against_grid(instances_per_regime=50, seed=0, solver=midpoint)
+    assert res.failures == 200
+    assert res.first_failure == {
+        "w": 2.9197342329462894, "w_benign": -1.9556045509789641, "lam": 0.0,
+        "bounds": [-5.7543451986907534, 11.703115319180672],
+        "solved": 2.974385060244959, "grid_best": 2.919655374224572,
+    }
+
+
+def test_broken_fedavg_counterexample_is_pinned():
+    res = check_fedavg_identity(trials=200, seed=0, craft=lambda q, target, m: np.full(m, target + 0.1))
+    assert res.failures == 200
+    assert res.first_failure == {
+        "q": [1.0853765869354899, 2.1991851091192944, -4.553977416696085, -1.518472255964458,
+              -3.5520478263056465, -0.38044194441038565, -4.344650686069459],
+        "m": 2, "w": 1.5608238134394938, "lam": 1.0,
+        "target": 2.1991851091192944, "aggregated": -0.7185175794614067,
+    }
+
+
+def test_broken_median_counterexample_is_pinned():
+    res = check_median_identity(trials=2_000, seed=0, craft=lambda q, target, m: np.full(m, target))
+    assert res.failures == 928
+    assert res.first_failure == {
+        "q": [11.50090881680991, 8.28417529350623, 6.04718007261879, 2.2880753764486514,
+              1.3631955687255064, 0.698399893916499, 0.3703372669541138],
+        "m": 3, "w": -1.0688787772291433, "lam": 1.0,
+        "target": 1.0307977313210026, "aggregated": 1.1969966500232545,
+    }
+
+
+def test_broken_trimmed_mean_counterexample_is_pinned():
+    res = check_trimmed_mean_identity(trials=2_000, seed=0, craft=lambda q, target, m: np.full(m, target))
+    assert res.failures == 2000
+    assert res.first_failure == {
+        "q": [8.777780399504293, 8.168016789056615, 5.707859320572174, 3.1056528986294984,
+              2.5776440468379764, 2.5681159867507777, 1.603263459337152, 1.5180649826925596,
+              1.4761851232012682, 0.5856103736624254, 0.012368676844310575, -0.8524229491328351,
+              -2.325862675184479, -2.4593743216018584, -2.7473743743211165, -3.4993667469898644,
+              -5.232613986374068, -9.03250623700637, -9.272229254716954, -11.04237232228266],
+        "m": 7, "w": -2.8739240179103205, "lam": 0.0,
+        "target": -2.8739240179103205, "aggregated": -1.4740327117993326,
+    }
