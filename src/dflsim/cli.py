@@ -166,6 +166,9 @@ def cmd_run(args) -> int:
         }
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2)
+    except ConfigError as exc:  # raised while loading a csv data file
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -72,7 +72,7 @@ def _draw_instance(gen: np.random.Generator, need_odd_even: bool = False, parity
     else:
         q = gen.normal(0.0, 5.0, size=n)
     w = float(gen.normal(0.0, 5.0))
-    lam = float(gen.choice(LAMBDA_CHOICES))
+    lam = LAMBDA_CHOICES[int(gen.integers(len(LAMBDA_CHOICES)))]
     return n, m, q, w, lam
 
 
@@ -165,15 +165,43 @@ def check_trimmed_mean_identity(trials: int = 10_000, seed: int = 0, craft=craft
     return result
 
 
+def _fill_grid(grid: np.ndarray, ramp: np.ndarray, lower: float, upper: float) -> None:
+    """Write ``np.linspace(lower, upper, grid.size)`` into ``grid`` in place.
+
+    ``ramp`` is ``np.arange(grid.size, dtype=float)``.  The arithmetic is
+    linspace's own (ramp times step plus lower, then the last point set to
+    ``upper``), so the points are bit-identical.  A step that underflows to
+    zero takes linspace's separate denormal branch, so that case calls it.
+    """
+    step = (upper - lower) / (grid.size - 1)
+    if step == 0:
+        grid[:] = np.linspace(lower, upper, grid.size)
+        return
+    np.multiply(ramp, step, out=grid)
+    grid += lower
+    grid[-1] = upper
+
+
 def check_solver_against_grid(
     instances_per_regime: int = 1_000,
     grid_points: int = 100_000,
     seed: int = 0,
     solver=solve_optimal_coordinate,
 ) -> SuiteResult:
-    """Closed-form optimum must match a dense grid argmin within one step."""
+    """Closed-form optimum must match a dense grid argmin within one step.
+
+    The grid and the objective's two work buffers are allocated once per
+    call and refilled each trial: the grid with ``np.linspace``'s own
+    arithmetic (:func:`_fill_grid`), the objective
+    ``(grid - w)**2 - lam * (grid - w_benign)**2`` in place, so every grid
+    point and objective value is what the allocating expression gives.
+    """
     result = SuiteResult("solver vs. grid search", instances_per_regime * len(LAMBDA_CHOICES))
     gen = Rng(seed).stream(13)
+    ramp = np.arange(grid_points, dtype=float)
+    grid = np.empty(grid_points)
+    objective = np.empty(grid_points)
+    penalty = np.empty(grid_points)
     start = time.perf_counter()
     for lam in LAMBDA_CHOICES:
         for _ in range(instances_per_regime):
@@ -182,8 +210,11 @@ def check_solver_against_grid(
             a, b = np.sort(gen.normal(0.0, 5.0, size=2))
             bounds = CoordinateBounds(float(a), float(b))
             solved = solver(w, w_benign, bounds, lam)
-            grid = np.linspace(bounds.lower, bounds.upper, grid_points)
-            objective = (grid - w) ** 2 - lam * (grid - w_benign) ** 2
+            _fill_grid(grid, ramp, bounds.lower, bounds.upper)
+            np.square(np.subtract(grid, w, out=objective), out=objective)
+            np.square(np.subtract(grid, w_benign, out=penalty), out=penalty)
+            penalty *= lam
+            objective -= penalty
             best = float(grid[int(np.argmin(objective))])
             step = (bounds.upper - bounds.lower) / (grid_points - 1)
             if abs(solved - best) > step + ABS_TOL:
@@ -204,7 +235,12 @@ def check_bounds_tightness(
     seed: int = 0,
 ) -> SuiteResult:
     """Random crafted values never push the aggregate outside the claimed
-    interval, and the explicit extreme constructions reach the endpoints."""
+    interval, and the explicit extreme constructions reach the endpoints.
+
+    Each instance's ``(trials, n + m)`` matrix of benign plus crafted values
+    is sorted once; the medians and the ``[m:n]`` trimmed means are both
+    taken from the sorted rows.
+    """
     result = SuiteResult("reachable-interval tightness", instances)
     gen = Rng(seed).stream(14)
     start = time.perf_counter()
@@ -212,15 +248,19 @@ def check_bounds_tightness(
         n, m, q, _, _ = _draw_instance(gen)
         q = -np.sort(-q)
         crafted = gen.normal(0.0, 50.0, size=(trials_per_instance, m))
-        combined = np.concatenate([np.tile(q, (trials_per_instance, 1)), crafted], axis=1)
+        # filled in place, not by concatenate, which lays some shapes out in
+        # Fortran order and so changes the trimmed means' summation order
+        combined = np.empty((trials_per_instance, n + m))
+        combined[:, :n] = q
+        combined[:, n:] = crafted
+        combined.sort(axis=1)
 
         med_bounds = median_bounds(q, m)
         medians = np.median(combined, axis=1)
         ok = np.all(medians >= med_bounds.lower - ABS_TOL) and np.all(medians <= med_bounds.upper + ABS_TOL)
 
         tm_bounds = trimmed_mean_bounds(q, m)
-        sorted_combined = np.sort(combined, axis=1)
-        tms = sorted_combined[:, m:n].mean(axis=1)
+        tms = combined[:, m:n].mean(axis=1)
         ok &= np.all(tms >= tm_bounds.lower - ABS_TOL) and np.all(tms <= tm_bounds.upper + ABS_TOL)
 
         # explicit extreme placements must achieve the endpoints

@@ -156,6 +156,17 @@ def test_run_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_bad_csv_header_is_a_config_error_for_run_and_sweep(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,target\n0.5,1.0,0\n1.5,2.0,1\n")
+    path = write_doc(tmp_path, tiny_doc(data={"csv": {"path": str(data)}}))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert "config error: " in capsys.readouterr().err
+    code = main(["sweep", path, "--param", "lambda", "--values", "0", "--repeats", "1", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "expected a header ending in 'label'" in capsys.readouterr().err
+
+
 def test_run_rejects_selfish_only_rule_that_cannot_aggregate_coalition(tmp_path, capsys):
     doc = tiny_doc(
         roles={"n": 6, "m": 2},

@@ -2,9 +2,15 @@
 recorded counterexample when handed a deliberately broken variant."""
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dflsim.verify
+from dflsim.attack import CoordinateBounds
 from dflsim.verify import (
     SuiteResult,
+    _fill_grid,
     check_bounds_tightness,
     check_fedavg_identity,
     check_median_identity,
@@ -76,6 +82,40 @@ def test_suite_result_flags_failures():
 def test_bounds_suite_runs_vectorized():
     res = check_bounds_tightness(instances=20, trials_per_instance=500, seed=3)
     assert res.passed and res.trials == 20
+
+
+@pytest.mark.parametrize("name", ["median_bounds", "trimmed_mean_bounds"])
+def test_bounds_suite_catches_a_narrowed_interval(monkeypatch, name):
+    real = getattr(dflsim.verify, name)
+
+    def narrowed(q, m):
+        bounds = real(q, m)
+        cut = 0.05 * (bounds.upper - bounds.lower)
+        return CoordinateBounds(bounds.lower + cut, bounds.upper - cut)
+
+    monkeypatch.setattr(dflsim.verify, name, narrowed)
+    res = check_bounds_tightness(instances=20, trials_per_instance=500, seed=3)
+    assert not res.passed
+    assert res.first_failure.keys() == {"q", "m"}
+
+
+finite = st.floats(min_value=-1e100, max_value=1e100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 2_001, 100_000]), finite, finite | st.integers(0, 4))
+@example(100_000, 0.0, 0)            # lower == upper
+@example(2_001, 0.0, 3)              # a span of denormals: linspace's zero-step branch
+@example(100_000, -3.25, 4)          # a span a few ulps wide
+def test_fill_grid_matches_linspace(points, lower, upper):
+    if isinstance(upper, int):       # upper a few ulps above lower
+        ulps, upper = upper, lower
+        for _ in range(ulps):
+            upper = float(np.nextafter(upper, np.inf))
+    lower, upper = min(lower, upper), max(lower, upper)
+    grid = np.full(points, np.nan)
+    _fill_grid(grid, np.arange(points, dtype=float), lower, upper)
+    assert np.array_equal(grid, np.linspace(lower, upper, points))
 
 
 # The values below were recorded from the suites as they stand and are
