@@ -1,8 +1,9 @@
 """Aggregation rules applied by each client to the shared models it received.
 
-All functions take a sequence of 1-D float64 vectors of equal length and
-return a single vector.  They are insensitive to input order except for
-documented deterministic tie-breaks (lowest sender index wins).
+All functions take the k models as a (k, d) float64 matrix, or as k
+equal-length rows, and return a single vector of length d.  They are
+insensitive to input order except for documented deterministic tie-breaks
+(lowest sender index wins).
 """
 
 from __future__ import annotations
@@ -11,16 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    EmptyAfterTrim,
-    EmptyInput,
-    TooFewModels,
-    ZeroReference,
-    check_same_dimension,
-)
-
-RULE_KINDS = ("fedavg", "median", "trimmed_mean", "krum", "fltrust", "flame")
+from .core import DimensionMismatch, EmptyAfterTrim, EmptyInput, TooFewModels, ZeroReference
 
 
 @dataclass(frozen=True)
@@ -57,11 +49,17 @@ class AggregationRule:
 
 
 def _stack(models) -> np.ndarray:
-    models = list(models)
-    if not models:
+    """The models as one (k, d) float64 matrix, k >= 1, in C order so that
+    sums over axis 0 add row by row."""
+    try:
+        mat = np.ascontiguousarray(models, dtype=np.float64)
+    except ValueError as exc:  # rows of different lengths
+        raise DimensionMismatch(f"mixed model dimensions: {exc}") from None
+    if mat.shape[:1] == (0,):
         raise EmptyInput("cannot aggregate zero models")
-    check_same_dimension(models)
-    return np.stack([np.asarray(m, dtype=np.float64) for m in models])
+    if mat.ndim != 2:
+        raise DimensionMismatch(f"expected k models of one dimension d, got shape {mat.shape}")
+    return mat
 
 
 def agg_fedavg(models) -> np.ndarray:
@@ -111,13 +109,19 @@ def agg_krum(models, assumed_attackers: int) -> np.ndarray:
     return mat[int(np.argmin(scores))].copy()
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, defined as 0 when either vector has zero norm."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, broadcasting the leading ones, each
+    by the BLAS dot of ``np.dot`` (a matrix product rounds differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _cosines(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+    """Cosine similarities from :func:`_row_dots` dots and ``sqrt`` of
+    :func:`_row_dots` norms, 0 where either norm is 0.  Equal bit for bit to
+    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))`` per pair."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = dots / (norms_a * norms_b)
+    return np.where((norms_a != 0.0) & (norms_b != 0.0), cos, 0.0)
 
 
 def agg_fltrust(models, reference: np.ndarray) -> np.ndarray:
@@ -136,18 +140,14 @@ def agg_fltrust(models, reference: np.ndarray) -> np.ndarray:
     ref_norm = float(np.linalg.norm(reference))
     if ref_norm == 0.0:
         raise ZeroReference("reference model has zero norm")
-    trusts = np.array([max(0.0, cosine_similarity(row, reference)) for row in mat])
+    cos = _cosines(_row_dots(mat, reference), np.sqrt(_row_dots(mat, mat)), ref_norm)
+    trusts = np.where(cos > 0.0, cos, 0.0)  # max(0, cos), NaN included
     total = trusts.sum()
     if total == 0.0:
         return reference.copy()
-    norms = np.linalg.norm(mat, axis=1)
+    norms = np.linalg.norm(mat, axis=1)  # not the cosines' norms: these round differently, and records pin them
     scaled = np.where(norms[:, None] > 0.0, mat * (ref_norm / np.where(norms == 0.0, 1.0, norms))[:, None], mat)
     return (trusts[:, None] * scaled).sum(axis=0) / total
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows, each by the BLAS dot of ``np.dot``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _admitted_by_clustering(mat: np.ndarray) -> list[int]:
@@ -156,16 +156,13 @@ def _admitted_by_clustering(mat: np.ndarray) -> list[int]:
     One union-find pass merges pairs in increasing distance order, a whole
     group of equal distances at a time, up to the first group after which a
     cluster has floor(count/2) + 1 members: a strict majority, so the only one.
-    The distances equal those of :func:`cosine_similarity` bit for bit.
     """
     count = mat.shape[0]
     if count < 3:
         return list(range(count))
     i, j = np.triu_indices(count, 1)
     norms = np.sqrt(_row_dots(mat, mat))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = _row_dots(mat[i], mat[j]) / (norms[i] * norms[j])
-    dist = np.where((norms[i] != 0.0) & (norms[j] != 0.0), 1.0 - cos, 1.0)
+    dist = 1.0 - _cosines(_row_dots(mat[i], mat[j]), norms[i], norms[j])
     order = np.argsort(dist)
     dist = dist[order]
     group_ends = np.append(dist[1:] != dist[:-1], True)
@@ -215,24 +212,24 @@ def agg_flame(models, clip: bool = True) -> np.ndarray:
     return kept.mean(axis=0)
 
 
+def _given(value, what: str):
+    if value is None:
+        raise ValueError(f"the rule needs {what}")
+    return value
+
+
+# rule kind -> its aggregation of (models, resolved rule, receiver's own model)
+_RULES = {
+    "fedavg": lambda models, rule, own: agg_fedavg(models),
+    "median": lambda models, rule, own: agg_median(models),
+    "trimmed_mean": lambda models, rule, own: agg_trimmed_mean(models, _given(rule.trim, "its trim; call resolved()")),
+    "krum": lambda models, rule, own: agg_krum(models, _given(rule.assumed_attackers, "its f; call resolved()")),
+    "fltrust": lambda models, rule, own: agg_fltrust(models, _given(own, "the receiver's own model as reference")),
+    "flame": lambda models, rule, own: agg_flame(models, clip=rule.clip),
+}
+RULE_KINDS = tuple(_RULES)
+
+
 def aggregate(rule: AggregationRule, models, receiver_pre_agg: np.ndarray | None = None) -> np.ndarray:
-    """Dispatch to the rule's aggregation function."""
-    if rule.kind == "fedavg":
-        return agg_fedavg(models)
-    if rule.kind == "median":
-        return agg_median(models)
-    if rule.kind == "trimmed_mean":
-        if rule.trim is None:
-            raise ValueError("trimmed_mean rule needs a trim count; call resolved() first")
-        return agg_trimmed_mean(models, rule.trim)
-    if rule.kind == "krum":
-        if rule.assumed_attackers is None:
-            raise ValueError("krum rule needs assumed_attackers; call resolved() first")
-        return agg_krum(models, rule.assumed_attackers)
-    if rule.kind == "fltrust":
-        if receiver_pre_agg is None:
-            raise ValueError("fltrust needs the receiver's own model as reference")
-        return agg_fltrust(models, receiver_pre_agg)
-    if rule.kind == "flame":
-        return agg_flame(models, clip=rule.clip)
-    raise ValueError(f"unknown aggregation rule {rule.kind!r}")
+    """Aggregate the models with ``rule``; fltrust anchors at ``receiver_pre_agg``."""
+    return _RULES[rule.kind](models, rule, receiver_pre_agg)

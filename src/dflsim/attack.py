@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregation import AggregationRule, agg_fedavg, agg_median, agg_trimmed_mean, cosine_similarity
+from .aggregation import AggregationRule, _cosines, _row_dots, agg_fedavg, agg_median, agg_trimmed_mean
 from .core import (
     DegenerateDenominator,
     IndexOutOfRange,
@@ -261,24 +261,10 @@ def craft_flame_attack(
     (ties by sender index) anchor the construction so the crafted shares
     stay inside the majority cluster while biasing the clipped average.
     """
-    receiver_pre_agg = np.asarray(receiver_pre_agg, dtype=np.float64)
-    benign = [np.asarray(s, dtype=np.float64) for s in benign_shares]
-    n = len(benign)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if n <= m:
-        raise ValueError(f"need more benign shares than selfish clients, got n={n}, m={m}")
-    take = (n - m) // 2
-    dists = np.array([1.0 - cosine_similarity(s, receiver_pre_agg) for s in benign])
-    order = np.argsort(dists, kind="stable")
-    selected = order[:take]
-    denom = take + alpha - beta * n
-    if abs(denom) < FLAME_DENOM_EPS:
-        raise DegenerateDenominator(f"crafting denominator {denom} too close to zero")
-    total_selected = np.sum([benign[i] for i in selected], axis=0) if take > 0 else np.zeros_like(receiver_pre_agg)
-    total_benign = np.sum(benign, axis=0)
-    crafted = (total_selected + alpha * receiver_pre_agg - beta * total_benign) / denom
-    return np.tile(crafted, (m, 1))
+    receivers = np.asarray(receiver_pre_agg, dtype=np.float64)[None]
+    return _craft_flame_all(receivers, np.asarray(benign_shares, dtype=np.float64), m, 0.0, 1.0, alpha, beta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +457,24 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     return np.where(parked, park[:, None, :], filler[:, None, :])
 
 
+def _craft_flame_all(receivers, benign, m, lam, b, alpha=FLAME_ALPHA, beta=FLAME_BETA) -> np.ndarray:
+    """:func:`craft_flame_attack` for every receiver at once: one (R, n)
+    array of cosine distances, a stable sort per receiver and one sum over
+    each receiver's gathered (n - m) // 2 closest benign shares."""
+    n = benign.shape[0]
+    if n <= m:
+        raise ValueError(f"need more benign shares than selfish clients, got n={n}, m={m}")
+    take = (n - m) // 2
+    denom = take + alpha - beta * n
+    if abs(denom) < FLAME_DENOM_EPS:
+        raise DegenerateDenominator(f"crafting denominator {denom} too close to zero")
+    norms = np.sqrt(_row_dots(receivers, receivers))[:, None], np.sqrt(_row_dots(benign, benign))
+    dists = 1.0 - _cosines(_row_dots(receivers[:, None, :], benign), *norms)
+    selected = np.argsort(dists, axis=1, kind="stable")[:, :take]
+    crafted = (benign[selected].sum(axis=1) + alpha * receivers - beta * benign.sum(axis=0)) / denom
+    return np.repeat(crafted[:, None, :], m, axis=1)
+
+
 def craft_shared_model(
     rule: AggregationRule,
     receivers: np.ndarray,
@@ -485,20 +489,18 @@ def craft_shared_model(
     row; ``benign_shares`` are the n models the non-selfish clients send.
     Returns an (R, m, d) array: entry [r, k] is the share selfish sender
     n + k sends to receiver r.  The bounds, the benign aggregate and the
-    sorted benign values do not depend on the receiver, so every rule but
-    flame crafts all receivers in one array computation that reproduces
-    the per-coordinate functions above bit for bit.  Rules without a
-    tailored construction (krum, fltrust) receive the FedAvg-based crafting.
+    sorted benign values do not depend on the receiver, so each rule
+    crafts all receivers in one array computation that reproduces the
+    per-coordinate functions above bit for bit.  Rules without a tailored
+    construction (krum, fltrust) receive the FedAvg-based crafting.
     """
-    receivers = np.asarray(receivers, dtype=np.float64)
-    if rule.kind == "flame":
-        return np.stack([craft_flame_attack(w, benign_shares, m) for w in receivers])
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
+    receivers = np.asarray(receivers, dtype=np.float64)
     benign = np.asarray(benign_shares, dtype=np.float64)
     return _CRAFTERS.get(rule.kind, _craft_fedavg_all)(receivers, benign, m, lam, b)
 
 
-_CRAFTERS = {"median": _craft_median_all, "trimmed_mean": _craft_trimmed_mean_all}
+_CRAFTERS = {"median": _craft_median_all, "trimmed_mean": _craft_trimmed_mean_all, "flame": _craft_flame_all}

@@ -1,14 +1,12 @@
 """Core types shared across the simulator.
 
-Everything here is deliberately small: the error types, a dimension check
-of flat float64 model vectors, a role table describing who is selfish, and
-a counter-based deterministic RNG.
+Everything here is deliberately small: the error types, a role table
+describing who is selfish, and a counter-based deterministic RNG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -83,20 +81,6 @@ class EmptyTestSet(ValueError):
 
 class ConfigError(ValueError):
     """A configuration document failed validation."""
-
-
-# ---------------------------------------------------------------------------
-# model vectors
-# ---------------------------------------------------------------------------
-
-def check_same_dimension(models: Iterable[np.ndarray]) -> int:
-    """Return the common length of the given vectors or raise."""
-    dims = {int(m.shape[-1]) for m in models}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed model dimensions: {sorted(dims)}")
-    if not dims:
-        raise EmptyInput("no models given")
-    return dims.pop()
 
 
 # ---------------------------------------------------------------------------

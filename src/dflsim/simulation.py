@@ -404,26 +404,28 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.attack.kind == "selfish" and self.attack.info_mode == "selfish_only":
-            self._check_selfish_only()
+        if self.attack.kind not in ("independent", "two_coalitions"):  # those aggregate with fedavg
+            self._check_rule_inputs()
         if self.trainer.learning_rate == 0.0 and "fltrust" in (self.rule.kind, self.resolved_selfish_rule().kind):
             raise ValueError("trainer.learning_rate 0 keeps every model at zero, and fltrust needs a nonzero own model")
 
-    def _check_selfish_only(self) -> None:
-        """The selfish clients aggregate only the m coalition shares; reject
-        a selfish rule that cannot aggregate that few models."""
-        rule = self.resolved_selfish_rule()
-        m = self.roles.m
-        if rule.kind == "trimmed_mean" and m <= 2 * rule.trim:
-            raise ValueError(
-                f"attack.info_mode 'selfish_only' leaves the selfish clients m = {m} shares, "
-                f"but trimmed_mean with trim {rule.trim} needs more than 2 * trim = {2 * rule.trim}"
-            )
-        if rule.kind == "krum" and m < rule.assumed_attackers + 3:
-            raise ValueError(
-                f"attack.info_mode 'selfish_only' leaves the selfish clients m = {m} shares, "
-                f"but krum with f = {rule.assumed_attackers} needs at least f + 3 = {rule.assumed_attackers + 3}"
-            )
+    def _check_rule_inputs(self) -> None:
+        """Reject a rule that cannot aggregate the N models its receivers
+        read: a trimmed mean needs N > 2 * trim, krum N >= f + 3."""
+        roles, attack = self.roles, self.attack
+        selfish_reads = (roles.total, "each selfish client reads")
+        if attack.kind == "selfish" and attack.info_mode == "selfish_only":
+            selfish_reads = (roles.m, "attack.info_mode 'selfish_only' leaves each selfish client")
+        selfish_path = "rule" if attack.selfish_rule is None else "attack.selfish_rule"
+        for path, rule, (count, reads) in (
+            ("rule", self.rule.resolved(roles.m), (roles.total, "each non-selfish client reads")),
+            (selfish_path, self.resolved_selfish_rule(), selfish_reads),
+        ):
+            fault = f"{reads} N = {count} models, but"
+            if rule.kind == "trimmed_mean" and count <= 2 * rule.trim:
+                raise ValueError(f"{path}.trim = {rule.trim}: {fault} trimmed_mean needs N > 2 * trim")
+            if rule.kind == "krum" and count < rule.assumed_attackers + 3:
+                raise ValueError(f"{path}.assumed_attackers = {rule.assumed_attackers}: {fault} krum needs N >= f + 3")
 
     def resolved_lambda(self) -> float:
         if self.attack.lam is not None:

@@ -229,18 +229,26 @@ def check_solver_against_grid(
     return result
 
 
+def _tightness_aggregates(q: np.ndarray, crafted: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Medians and ``[m:n]`` trimmed means of ``q`` plus each row of
+    ``crafted``, from one ``(trials, n + m)`` matrix sorted once."""
+    n = q.size
+    # filled in place, not by concatenate, which lays some shapes out in
+    # Fortran order and so changes the trimmed means' summation order
+    combined = np.empty((crafted.shape[0], n + m))
+    combined[:, :n] = q
+    combined[:, n:] = crafted
+    combined.sort(axis=1)
+    return np.median(combined, axis=1), combined[:, m:n].mean(axis=1)
+
+
 def check_bounds_tightness(
     instances: int = 200,
     trials_per_instance: int = 10_000,
     seed: int = 0,
 ) -> SuiteResult:
     """Random crafted values never push the aggregate outside the claimed
-    interval, and the explicit extreme constructions reach the endpoints.
-
-    Each instance's ``(trials, n + m)`` matrix of benign plus crafted values
-    is sorted once; the medians and the ``[m:n]`` trimmed means are both
-    taken from the sorted rows.
-    """
+    interval, and the explicit extreme constructions reach the endpoints."""
     result = SuiteResult("reachable-interval tightness", instances)
     gen = Rng(seed).stream(14)
     start = time.perf_counter()
@@ -248,19 +256,12 @@ def check_bounds_tightness(
         n, m, q, _, _ = _draw_instance(gen)
         q = -np.sort(-q)
         crafted = gen.normal(0.0, 50.0, size=(trials_per_instance, m))
-        # filled in place, not by concatenate, which lays some shapes out in
-        # Fortran order and so changes the trimmed means' summation order
-        combined = np.empty((trials_per_instance, n + m))
-        combined[:, :n] = q
-        combined[:, n:] = crafted
-        combined.sort(axis=1)
+        medians, tms = _tightness_aggregates(q, crafted, m)
 
         med_bounds = median_bounds(q, m)
-        medians = np.median(combined, axis=1)
         ok = np.all(medians >= med_bounds.lower - ABS_TOL) and np.all(medians <= med_bounds.upper + ABS_TOL)
 
         tm_bounds = trimmed_mean_bounds(q, m)
-        tms = combined[:, m:n].mean(axis=1)
         ok &= np.all(tms >= tm_bounds.lower - ABS_TOL) and np.all(tms <= tm_bounds.upper + ABS_TOL)
 
         # explicit extreme placements must achieve the endpoints

@@ -33,6 +33,14 @@ def brute_trimmed_interval(q, m: int, probe: float = 1e6) -> tuple[float, float]
     return lo, hi
 
 
+def tightness_aggregates_of(q: np.ndarray, crafted: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``crafted``: the median and the [m:n] trimmed mean of the
+    n values ``q`` plus that row, from a tiled, concatenated and freshly
+    sorted matrix."""
+    combined = np.concatenate([np.tile(q, (crafted.shape[0], 1)), crafted], axis=1)
+    return np.median(combined, axis=1), np.sort(combined, axis=1)[:, m:q.size].mean(axis=1)
+
+
 def grid_argmin(w: float, w_benign: float, lower: float, upper: float, lam: float, points: int = 100_001) -> float:
     """Dense-grid minimizer of (x - w)^2 - lam * (x - w_benign)^2 on [lower, upper]."""
     grid = np.linspace(lower, upper, points)
@@ -59,6 +67,31 @@ def cosine_of(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def fltrust_of(models: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """FLTrust with one cosine call per model: the trust loop that
+    ``agg_fltrust`` must reproduce bit for bit."""
+    ref_norm = float(np.linalg.norm(reference))
+    trusts = np.array([max(0.0, cosine_of(row, reference)) for row in models])
+    total = trusts.sum()
+    if total == 0.0:
+        return reference.copy()
+    norms = np.linalg.norm(models, axis=1)
+    scaled = np.where(norms[:, None] > 0.0, models * (ref_norm / np.where(norms == 0.0, 1.0, norms))[:, None], models)
+    return (trusts[:, None] * scaled).sum(axis=0) / total
+
+
+def craft_flame_of(receiver: np.ndarray, benign: list, m: int, alpha: float, beta: float) -> np.ndarray:
+    """The (m, d) flame-tailored shares for one receiver, one cosine call
+    per benign share."""
+    n = len(benign)
+    take = (n - m) // 2
+    dists = np.array([1.0 - cosine_of(s, receiver) for s in benign])
+    selected = np.argsort(dists, kind="stable")[:take]
+    total_selected = np.sum([benign[i] for i in selected], axis=0) if take > 0 else np.zeros_like(receiver)
+    crafted = (total_selected + alpha * receiver - beta * np.sum(benign, axis=0)) / (take + alpha - beta * n)
+    return np.tile(crafted, (m, 1))
 
 
 def admitted_by_clustering(mat: np.ndarray) -> list[int]:

@@ -14,9 +14,9 @@ from dflsim.aggregation import (
     agg_trimmed_mean,
     aggregate,
 )
-from dflsim.core import EmptyAfterTrim, EmptyInput, TooFewModels, ZeroReference
+from dflsim.core import DimensionMismatch, EmptyAfterTrim, EmptyInput, TooFewModels, ZeroReference
 
-from oracles import admitted_by_clustering
+from oracles import admitted_by_clustering, fltrust_of
 
 
 def vecs(*rows):
@@ -40,6 +40,14 @@ def test_fedavg_single_model_is_identity():
 def test_fedavg_empty_raises():
     with pytest.raises(EmptyInput):
         agg_fedavg([])
+
+
+def test_mixed_dimensions_raise():
+    models = [np.zeros(3), np.ones(4)]
+    with pytest.raises(DimensionMismatch):
+        agg_fedavg(models)
+    with pytest.raises(DimensionMismatch):
+        aggregate(AggregationRule("median"), models)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +144,32 @@ def test_fltrust_weights_by_cosine():
     c = np.cos(np.pi / 4)
     expected = (np.array([1.0, 0.0]) + c * np.array([c, c])) / (1.0 + c)
     assert np.allclose(out, expected)
+
+
+@st.composite
+def fltrust_inputs(draw):
+    """(k, d) models and a nonzero (d,) reference, values rounded to 0.1,
+    with some rows all zero and sometimes every row pointing away from the
+    reference (all trusts zero)."""
+    k = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    values = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=(k + 1) * d, max_size=(k + 1) * d)
+    rows = np.round(np.array(draw(values)), 1).reshape(k + 1, d)
+    mat, reference = rows[:k], rows[k]
+    reference[0] = draw(st.sampled_from((0.5, -0.7, 1.0)))
+    for row in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        mat[row] = 0.0
+    if draw(st.booleans()):
+        mat[:] = -np.abs(mat) * np.sign(reference)  # every cosine <= 0
+    return mat, reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(fltrust_inputs())
+@example((np.array([[-2.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0])))
+def test_fltrust_matches_per_row_trust_loop(instance):
+    mat, reference = instance
+    assert agg_fltrust(mat, reference).tobytes() == fltrust_of(mat, reference).tobytes()
 
 
 # ---------------------------------------------------------------------------

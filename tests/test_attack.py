@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median, agg_trimmed_mean
 from dflsim.attack import (
+    FLAME_ALPHA,
+    FLAME_BETA,
     AttackStartDetector,
     CoordinateBounds,
     craft_fedavg,
@@ -30,6 +32,7 @@ from dflsim.core import (
 from oracles import (
     brute_median_interval,
     brute_trimmed_interval,
+    craft_flame_of,
     grid_argmin,
     median_of,
     trimmed_mean_of,
@@ -584,7 +587,44 @@ def test_craft_shared_model_non_finite_share_fails_like_scalar_crafting(instance
     assert scalar is InvalidBounds
 
 
-@pytest.mark.parametrize("kind", ["median", "trimmed_mean", "fedavg"])
+@st.composite
+def flame_instances(draw):
+    """(receivers (R, d), benign (n, d), m) with n > m, values rounded to
+    0.1 so that distances tie, and some receivers or shares all zero."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m + 1, m + 12))
+    r = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 8))
+    values = st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=(n + r) * d, max_size=(n + r) * d)
+    rows = np.round(np.array(draw(values)), 1).reshape(n + r, d)
+    for row in draw(st.lists(st.integers(0, n + r - 1), max_size=3)):
+        rows[row] = 0.0
+    return rows[n:], rows[:n], m
+
+
+@settings(max_examples=300, deadline=None)
+@given(flame_instances())
+# benign norms, then receiver norms, taken by np.linalg.norm(axis=1) change
+# the selected shares here
+@example((
+    np.array([[-0.1, -0.2, 0.4]]),
+    np.array([[0.8, -0.8, 0.8], [-0.2, -0.6, -0.1], [0.6, 1.0, -0.1], [0.3, -0.3, 0.3],
+              [-0.0, 0.9, -0.6], [1.0, 0.7, -0.7], [0.1, -0.0, 0.2]]),
+    2,
+))
+@example((
+    np.array([[0.5, 0.2]]),
+    np.array([[-0.7, 0.1], [0.2, 0.0], [-0.1, -0.3], [0.5, 0.0], [-0.2, 0.3], [0.8, 0.7], [-0.6, 0.8]]),
+    2,
+))
+def test_craft_shared_model_flame_matches_per_receiver_crafting(instance):
+    receivers, benign, m = instance
+    crafted = craft_shared_model(AggregationRule("flame"), receivers, benign, m, lam=0.0)
+    expected = np.stack([craft_flame_of(w, list(benign), m, FLAME_ALPHA, FLAME_BETA) for w in receivers])
+    assert crafted.shape == expected.shape and crafted.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["median", "trimmed_mean", "fedavg", "flame"])
 def test_craft_shared_model_rejects_bad_parameters(kind):
     gen = np.random.default_rng(26)
     receivers, benign = gen.normal(size=(2, 3)), list(gen.normal(size=(7, 3)))

@@ -178,6 +178,18 @@ def test_run_rejects_selfish_only_rule_that_cannot_aggregate_coalition(tmp_path,
     assert "attack.info_mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule, path", [
+    ({"kind": "trimmed_mean", "trim": 2}, "rule.trim"),
+    ({"kind": "krum", "assumed_attackers": 2}, "rule.assumed_attackers"),
+])
+def test_run_rejects_rule_that_cannot_aggregate_what_its_receivers_read(tmp_path, capsys, rule, path):
+    doc = json.loads((CONFIG_DIR / "quick_smoke.json").read_text())
+    doc["rule"] = rule
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: top level: {path} = 2: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_diverging_training_exit_code(tmp_path, capsys):
     doc = tiny_doc(trainer={"learning_rate": 1e6, "local_epochs": 3, "batch_size": 16}, rounds=60)

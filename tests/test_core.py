@@ -1,24 +1,7 @@
 import numpy as np
 import pytest
 
-from dflsim.core import (
-    EmptyGroup,
-    RoleConfig,
-    Rng,
-    ThreatModelViolation,
-    check_same_dimension,
-    DimensionMismatch,
-)
-
-
-# ---------------------------------------------------------------------------
-# model dimensions
-# ---------------------------------------------------------------------------
-
-def test_check_same_dimension():
-    assert check_same_dimension([np.zeros(3), np.ones(3)]) == 3
-    with pytest.raises(DimensionMismatch):
-        check_same_dimension([np.zeros(3), np.zeros(4)])
+from dflsim.core import EmptyGroup, RoleConfig, Rng, ThreatModelViolation
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,24 @@ def test_selfish_only_rejects_rule_that_cannot_aggregate_coalition(kind):
     )
 
 
+@pytest.mark.parametrize("kind, param", [("trimmed_mean", "trim"), ("krum", "assumed_attackers")])
+@pytest.mark.parametrize("path", ["rule", "attack.selfish_rule"])
+def test_rule_that_cannot_aggregate_what_its_receivers_read_is_rejected(kind, param, path):
+    def config(value, attack_kind="selfish"):
+        rule = AggregationRule(kind, **{param: value})
+        if path == "rule":
+            return small_config(rule=rule, attack=AttackConfig(kind=attack_kind))
+        return small_config(attack=AttackConfig(kind=attack_kind, selfish_rule=rule))
+
+    # 3 + 1 clients: every receiver reads N = 4 models
+    reads = r"each (non-)?selfish client reads N = 4 models"
+    with pytest.raises(ValueError, match=rf"^{path}\.{param} = 2: {reads}"):
+        config(2)
+    config(1)  # 4 > 2 * 1 and 4 >= 1 + 3
+    for attack_kind in ("independent", "two_coalitions"):  # every client aggregates with fedavg
+        config(2, attack_kind)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_stops_the_run():
     trainer = TrainerConfig(learning_rate=1e6, local_epochs=3, batch_size=16)

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 import dflsim.verify
 from dflsim.attack import CoordinateBounds
+from dflsim.core import Rng
 from dflsim.verify import (
     SuiteResult,
+    _draw_instance,
     _fill_grid,
+    _tightness_aggregates,
     check_bounds_tightness,
     check_fedavg_identity,
     check_median_identity,
@@ -18,6 +21,8 @@ from dflsim.verify import (
     check_trimmed_mean_identity,
     run_all,
 )
+
+from oracles import tightness_aggregates_of
 
 
 def test_all_suites_pass_at_reduced_scale():
@@ -97,6 +102,20 @@ def test_bounds_suite_catches_a_narrowed_interval(monkeypatch, name):
     res = check_bounds_tightness(instances=20, trials_per_instance=500, seed=3)
     assert not res.passed
     assert res.first_failure.keys() == {"q", "m"}
+
+
+def test_tightness_aggregates_match_a_fresh_sort_of_the_concatenated_matrix():
+    gen = Rng(0).stream(14)  # the tightness suite's draws at seed 0
+    for instance in range(20):
+        n, m, q, _, _ = _draw_instance(gen)
+        q = -np.sort(-q)
+        crafted = gen.normal(0.0, 50.0, size=(10_000, m))
+        if instance == 1:
+            assert (n, m) == (12, 1)  # a shape np.concatenate lays out in Fortran order
+        medians, tms = _tightness_aggregates(q, crafted, m)
+        expected_medians, expected_tms = tightness_aggregates_of(q, crafted, m)
+        assert medians.tobytes() == expected_medians.tobytes()
+        assert tms.tobytes() == expected_tms.tobytes()
 
 
 finite = st.floats(min_value=-1e100, max_value=1e100)
