@@ -193,7 +193,7 @@ def cmd_sweep(args) -> int:
         cfg, output = load_config(args.config, args.seed)
         values = _parse_values(args.param, args.values)
         spec = SweepSpec(parameter=args.param, values=values, repeats=args.repeats)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a SweepSpec check on --values or --repeats
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = args.out or output or "sweep"
@@ -214,6 +214,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:  # a self-check that checks nothing must not pass
+        print(f"config error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return 1
     try:
         results = run_all(trials=args.trials, seed=args.seed if args.seed is not None else 0)
     except Exception as exc:  # noqa: BLE001 - boundary of the process

@@ -139,10 +139,10 @@ def run_sweep(
     """Run the sweep and return its summary.
 
     Every value is applied to ``cfg`` before any cell runs, and one that
-    gives an invalid config raises :class:`ConfigError`.  Per value,
-    ``spec.repeats`` experiments run with seeds ``cfg.seed + 0 .. cfg.seed +
-    repeats - 1``; the summary averages the final-round metrics over
-    repeats.  With ``out_dir`` set, each cell's records land in
+    gives an invalid config, or is repeated, raises :class:`ConfigError`.
+    Per value, ``spec.repeats`` experiments run with seeds ``cfg.seed + 0
+    .. cfg.seed + repeats - 1``; the summary averages the final-round
+    metrics over repeats.  With ``out_dir`` set, each cell's records land in
     ``<parameter>_<value>_rep<k>.csv`` as soon as the cell finishes.
     ``config_doc`` is echoed into the summary so results stay reproducible.
     """
@@ -151,6 +151,9 @@ def run_sweep(
             apply_parameter(cfg, spec.parameter, value)
         except ValueError as exc:
             raise ConfigError(f"--param {spec.parameter}={value}: {exc}") from None
+    repeated = [value for i, value in enumerate(spec.values) if value in spec.values[:i]]
+    if repeated:  # cells, their files and the summary are keyed by value
+        raise ConfigError(f"--values: {repeated[0]} repeated")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     finals = {value: [None] * spec.repeats for value in spec.values}  # final record per repeat

@@ -224,18 +224,23 @@ def _batch_loss_and_grad(models, x, y, counts, num_classes):
 
     ``models`` is (k, d), ``x`` (k, B, F) and ``y`` (k, B); batch i is the
     first ``counts[i]`` rows, and padding fills the rest.  Full batches run
-    as one stacked product, which makes the same BLAS call per slice as a
-    single batch.  A short batch's products and loss mean are redone in its
-    own (counts[i], F) shape: over padding, BLAS edge kernels, gemv paths
-    and pairwise sums round differently.
+    as one stacked product, the same BLAS call per slice as one batch.  A
+    short batch's two products and loss sum run in its own (counts[i], F)
+    shape: over padding, BLAS edge kernels, gemv paths and pairwise sums
+    round differently.  The bias gradient adds rows in order, so padding
+    set to zero leaves its stacked sum exact.
     """
     k, width, features = x.shape
     weights, bias = _unpack(models, num_classes, features)
-    logits = x @ weights.transpose(0, 2, 1) + bias[:, None, :]
+    logits = x @ weights.transpose(0, 2, 1)
     short = np.flatnonzero(counts < width)
     for i in short:
-        logits[i, : counts[i]] = x[i, : counts[i]] @ weights[i].T + bias[i]
-    logits -= logits.max(axis=2, keepdims=True)
+        np.matmul(x[i, : counts[i]], weights[i].T, out=logits[i, : counts[i]])
+    logits += bias[:, None, :]
+    shift = logits[..., 0].copy()  # the class max by slices: max(axis=2) reduces each C-wide row alone
+    for c in range(1, num_classes):
+        np.maximum(shift, logits[..., c], out=shift)
+    logits -= shift[..., None]
     log_probs = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
     labelled = (np.arange(k)[:, None], np.arange(width), y)
     picked = log_probs[labelled]
@@ -245,10 +250,11 @@ def _batch_loss_and_grad(models, x, y, counts, num_classes):
     probs = np.exp(log_probs)
     probs[labelled] -= 1.0
     probs /= counts[:, None, None]
+    # assigned, not multiplied by a mask: padding reads pool row 0, whose logits may not be finite
+    probs[np.arange(width) >= counts[:, None]] = 0.0
     grad_w, grad_b = probs.transpose(0, 2, 1) @ x, probs.sum(axis=1)
     for i in short:
-        grad_w[i] = probs[i, : counts[i]].T @ x[i, : counts[i]]
-        grad_b[i] = probs[i, : counts[i]].sum(axis=0)
+        np.matmul(probs[i, : counts[i]].T, x[i, : counts[i]], out=grad_w[i])
     return losses, np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)
 
 
@@ -287,7 +293,10 @@ def train_clients(models: np.ndarray, pool: Dataset, sizes, cfg: TrainerConfig, 
                 models[act], pool.features[batch], pool.labels[batch], counts, pool.num_classes
             )
             models[act] -= cfg.learning_rate * (grad + cfg.weight_decay * models[act])
-    return models, np.array([np.mean(losses[cid, :, :n].ravel()) for cid, n in enumerate(batches)])
+    means = np.empty(sizes.size)  # a client's row is contiguous: np.mean's pairwise sum and division
+    for n in set(batches.tolist()):  # np.unique's first call would add ~1 MB of peak RSS
+        means[batches == n] = losses[batches == n, :, :n].reshape(-1, cfg.local_epochs * n).mean(axis=1)
+    return models, means
 
 
 def local_update(model: np.ndarray, data: Dataset, cfg: TrainerConfig, gen: np.random.Generator):

@@ -247,6 +247,19 @@ def test_sweep_rejects_an_invalid_cell_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--values", "0.5", "--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["--values", ","], "sweep needs at least one value"),
+    (["--values", "0.5,0.50"], "--values: 0.5 repeated"),
+])
+def test_sweep_rejects_bad_values_or_repeats_before_any_run(tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep"
+    code = main(["sweep", write_doc(tmp_path, tiny_doc()), "--param", "lambda", *flags, "--out", str(out)])
+    assert code == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_unknown_param_rejected_by_parser(tmp_path):
     path = write_doc(tmp_path, tiny_doc())
     with pytest.raises(SystemExit):
@@ -263,6 +276,17 @@ def test_verify_prints_one_line_per_suite(capsys):
     lines = [line for line in out.splitlines() if line.startswith("pass") or line.startswith("FAIL")]
     assert len(lines) == 5
     assert all(line.startswith("pass") for line in lines)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(monkeypatch, capsys, trials):
+    import dflsim.cli as cli
+
+    monkeypatch.setattr(cli, "run_all", lambda trials, seed: pytest.fail("a suite ran"))
+    assert main(["verify", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: --trials must be >= 1, got {trials}" in captured.err
+    assert "pass" not in captured.out
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

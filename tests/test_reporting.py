@@ -146,6 +146,14 @@ def test_run_sweep_validates_every_cell_before_running(tmp_path, monkeypatch):
     assert not (tmp_path / "sweep").exists()
 
 
+def test_run_sweep_rejects_a_repeated_value_before_running(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    spec = SweepSpec("lambda", (0.0, 0.5, 0.5), repeats=1)
+    with pytest.raises(ConfigError, match=r"^--values: 0.5 repeated$"):
+        run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"))
+    assert not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_sweep_writes_each_cell_as_it_finishes(tmp_path, jobs):
     # 80 examples leave some of 60 clients without a shard, which fails that cell when it starts

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from dflsim.simulation import (
     train_clients,
 )
 
-from oracles import finite_difference_gradient, local_update_of
+from oracles import finite_difference_gradient, local_update_of, loss_and_grad_of
 
 
 def small_config(**overrides):
@@ -225,6 +226,8 @@ def test_local_update_empty_shard():
 )
 @example(sizes=[70, 45, 33, 32], batch_size=32, epochs=2, classes=4, features=50, seed=0)  # last batches 6, 13, 1, 32
 @example(sizes=[64, 64, 31], batch_size=7, epochs=1, classes=7, features=1, seed=24)  # gemv backward at F = 1
+@example(sizes=[99, 101], batch_size=32, epochs=1, classes=4, features=5, seed=3)  # step 4: every client short (3, 5)
+@example(sizes=[33, 64], batch_size=32, epochs=2, classes=4, features=6, seed=5)  # 1-row short batch: gemv forward
 def test_lockstep_trainer_matches_per_client_loop(sizes, batch_size, epochs, classes, features, seed):
     gen = np.random.default_rng(seed)
     cfg = TrainerConfig(learning_rate=0.3, local_epochs=epochs, batch_size=batch_size, weight_decay=0.01)
@@ -242,6 +245,38 @@ def test_lockstep_trainer_matches_per_client_loop(sizes, batch_size, epochs, cla
         )
         assert trained[cid].tobytes() == model.tobytes()
         assert losses[cid].tobytes() == np.float64(loss).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_padding_never_reaches_a_result():
+    # padding slots read pool row 0, client 0's first row, whose logits overflow
+    gen = np.random.default_rng(11)
+    sizes, classes, features = [40, 37], 4, 5
+    x = gen.normal(size=(sum(sizes), features))
+    x[0] = 1.7e308
+    y = gen.integers(0, classes, size=sum(sizes))
+    cfg = TrainerConfig(learning_rate=0.3, local_epochs=1, batch_size=32, weight_decay=0.01)
+    models = np.abs(gen.normal(size=(2, model_dim(classes, features))))  # positive weights: every padding logit is inf
+    trained, losses = train_clients(
+        models, Dataset(x, y, classes), sizes, cfg, [np.random.default_rng([11, cid]) for cid in range(2)]
+    )
+    model, loss = local_update_of(models[1], x[40:], y[40:], classes, cfg, np.random.default_rng([11, 1]))
+    assert np.isfinite(model).all()
+    assert trained[1].tobytes() == model.tobytes()
+    assert losses[1].tobytes() == np.float64(loss).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_class_slice_max_matches_a_row_max_on_special_values():
+    # with x = 1 and a zero bias each 4-tuple is one row of logits (the product turns -0.0 into +0.0)
+    specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324]
+    x, y = np.ones((1, 1)), np.array([2])
+    for weights in itertools.product(specials, repeat=4):
+        model = np.array([*weights, 0.0, 0.0, 0.0, 0.0])
+        loss, grad = loss_and_grad(model, x, y, 4)
+        want_loss, want_grad = loss_and_grad_of(model, x, y, 4)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), weights
+        assert grad.tobytes() == want_grad.tobytes(), weights
 
 
 def test_accuracy_empty_test_set():
