@@ -1,9 +1,12 @@
 """Aggregation rules applied by each client to the shared models it received.
 
 All functions take the k models as a (k, d) float64 matrix, or as k
-equal-length rows, and return a single vector of length d.  They are
-insensitive to input order except for documented deterministic tie-breaks
-(lowest sender index wins).
+equal-length rows, and return a single vector of length d.  The
+coordinate-wise rules (fedavg, median, trimmed mean) also take a (R, k, d)
+stack, the inputs of R receivers, and return their (R, d) aggregates;
+:func:`aggregate` runs the other rules on such a stack one (k, d) slice at
+a time.  They are insensitive to input order except for documented
+deterministic tie-breaks (lowest sender index wins).
 """
 
 from __future__ import annotations
@@ -48,40 +51,45 @@ class AggregationRule:
         return AggregationRule(self.kind, trim, attackers, self.clip)
 
 
-def _stack(models) -> np.ndarray:
-    """The models as one (k, d) float64 matrix, k >= 1, in C order so that
-    sums over axis 0 add row by row."""
+def _stack(models, ndims=(2,)) -> np.ndarray:
+    """The models as one (k, d) float64 matrix, or a (R, k, d) stack when 3
+    is in ``ndims``, with R, k >= 1, in C order so that sums over axis -2
+    add row by row."""
     try:
         mat = np.ascontiguousarray(models, dtype=np.float64)
     except ValueError as exc:  # rows of different lengths
         raise DimensionMismatch(f"mixed model dimensions: {exc}") from None
-    if mat.shape[:1] == (0,):
+    if 0 in mat.shape[: max(1, mat.ndim - 1)]:  # no receiver or no model
         raise EmptyInput("cannot aggregate zero models")
-    if mat.ndim != 2:
+    if mat.ndim not in ndims:
         raise DimensionMismatch(f"expected k models of one dimension d, got shape {mat.shape}")
     return mat
 
 
 def agg_fedavg(models) -> np.ndarray:
     """Coordinate-wise arithmetic mean."""
-    return _stack(models).mean(axis=0)
+    return _stack(models, (2, 3)).mean(axis=-2)
 
 
 def agg_median(models) -> np.ndarray:
     """Coordinate-wise median (mean of the two middle values for even counts)."""
-    return np.median(_stack(models), axis=0)
+    # np.median's own slice, mean and NaN rule, bit for bit; (a + b) / 2 keeps a -0.0 pair's sign
+    mat = np.sort(_stack(models, (2, 3)), axis=-2)
+    count = mat.shape[-2]
+    middle = mat[..., (count - 1) // 2: count // 2 + 1, :].mean(axis=-2)
+    return np.where(np.isnan(mat[..., -1, :]), mat[..., -1, :], middle)
 
 
 def agg_trimmed_mean(models, trim: int) -> np.ndarray:
     """Coordinate-wise mean after dropping the ``trim`` largest and smallest values."""
-    mat = _stack(models)
-    count = mat.shape[0]
+    mat = _stack(models, (2, 3))
+    count = mat.shape[-2]
     if trim < 0:
         raise ValueError(f"trim must be >= 0, got {trim}")
     if count <= 2 * trim:
         raise EmptyAfterTrim(f"trimming {trim} per side leaves nothing of {count} models")
-    mat = np.sort(mat, axis=0)
-    return mat[trim:count - trim].mean(axis=0)
+    mat = np.sort(mat, axis=-2)
+    return mat[..., trim:count - trim, :].mean(axis=-2)
 
 
 def pairwise_sq_distances(mat: np.ndarray) -> np.ndarray:
@@ -231,5 +239,10 @@ RULE_KINDS = tuple(_RULES)
 
 
 def aggregate(rule: AggregationRule, models, receiver_pre_agg: np.ndarray | None = None) -> np.ndarray:
-    """Aggregate the models with ``rule``; fltrust anchors at ``receiver_pre_agg``."""
-    return _RULES[rule.kind](models, rule, receiver_pre_agg)
+    """Aggregate (k, d) models into one (d,) model, or a (R, k, d) array into
+    R receivers' (R, d) models; fltrust anchors at ``receiver_pre_agg``, (d,) or (R, d)."""
+    run = _RULES[rule.kind]
+    if rule.kind in ("fedavg", "median", "trimmed_mean") or getattr(models, "ndim", 2) != 3 or not len(models):
+        return run(models, rule, receiver_pre_agg)
+    owns = [None] * len(models) if receiver_pre_agg is None else receiver_pre_agg
+    return np.array([run(mat, rule, own) for mat, own in zip(models, owns, strict=True)])

@@ -9,7 +9,6 @@ with its own rule.  Selfish clients send their true models to each other and
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,8 +249,8 @@ def _batch_loss_and_grad(models, x, y, counts, num_classes):
     probs = np.exp(log_probs)
     probs[labelled] -= 1.0
     probs /= counts[:, None, None]
-    # assigned, not multiplied by a mask: padding reads pool row 0, whose logits may not be finite
-    probs[np.arange(width) >= counts[:, None]] = 0.0
+    if short.size:  # assigned, not multiplied by a mask: padding reads pool row 0, whose logits may not be finite
+        probs[np.arange(width) >= counts[:, None]] = 0.0
     grad_w, grad_b = probs.transpose(0, 2, 1) @ x, probs.sum(axis=1)
     for i in short:
         np.matmul(probs[i, : counts[i]].T, x[i, : counts[i]], out=grad_w[i])
@@ -413,10 +412,22 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        self._check_rho()
         if self.attack.kind not in ("independent", "two_coalitions"):  # those aggregate with fedavg
             self._check_rule_inputs()
         if self.trainer.learning_rate == 0.0 and "fltrust" in (self.rule.kind, self.resolved_selfish_rule().kind):
             raise ValueError("trainer.learning_rate 0 keeps every model at zero, and fltrust needs a nonzero own model")
+
+    def _check_rho(self) -> None:
+        """Reject a partition.rho outside [1/groups, 1], or outside (0, 1]
+        while the group count waits on the classes of a csv file."""
+        groups = self.partition.groups
+        if groups is None and isinstance(self.data, SyntheticDataConfig):
+            groups = self.data.classes
+        rho = self.partition.rho
+        if not ((1.0 / groups <= rho if groups else 0.0 < rho) and rho <= 1.0):  # NaN fails both
+            span = f"[1/groups, 1] = [{1.0 / groups:.4f}, 1]" if groups else "(0, 1]"
+            raise ValueError(f"partition.rho = {rho}: must lie in {span}")
 
     def _check_rule_inputs(self) -> None:
         """Reject a rule that cannot aggregate the N models its receivers
@@ -501,7 +512,8 @@ class Engine:
     The state of a round is the (N, d) matrix of client models.  Who reads
     whom is fixed for the whole run: receiver ``i`` aggregates the models of
     the senders in ``reads[i]`` with ``rules[i]``, after the shares crafted
-    for it replace the selfish senders' models.
+    for it replace the selfish senders' models.  Each of ``groups`` (one
+    rule, read mask and role) aggregates in one call a round.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -539,10 +551,10 @@ class Engine:
             if kind == "selfish" and cfg.attack.info_mode == "selfish_only":
                 self.reads[roles.n:] = selfish
             self.rules = [self.rule] * roles.n + [self.selfish_rule] * roles.m
-        # receivers with equal keys and no crafted shares aggregate the same input;
-        # fltrust anchors each aggregate at the receiver's own model, so its key is i
-        keys = [(rule, reads.tobytes()) for rule, reads in zip(self.rules, self.reads)]
-        self.input_keys = [i if self.rules[i].kind == "fltrust" else key for i, key in enumerate(keys)]
+        # receivers of one rule and read mask aggregate in one call; shares are
+        # crafted for non-selfish receivers only, so no group holds both roles
+        keys = [(rule, reads.tobytes(), i < roles.n) for i, (rule, reads) in enumerate(zip(self.rules, self.reads))]
+        self.groups = [[i for i, key in enumerate(keys) if key == group] for group in dict.fromkeys(keys)]
         self.round = 0
         self.records: list[ExperimentRecord] = []
 
@@ -587,25 +599,25 @@ class Engine:
         # --- step II: crafting ---------------------------------------------
         crafted = self.crafter(self, t, pre_agg) if self.crafter is not None else None
 
-        # --- step III: aggregation ----------------------------------------
-        shared: dict = {}  # input key -> its aggregate this round
-        keys = []
-        for i in range(roles.total):
-            attacked = crafted is not None and i < roles.n
-            key = i if attacked else self.input_keys[i]
-            keys.append(key)
-            if key not in shared:
-                shares = pre_agg[self.reads[i]]  # a boolean index copies the rows
-                if attacked:
-                    shares[roles.n:] = crafted[i]
-                shared[key] = aggregate(self.rules[i], shares, receiver_pre_agg=pre_agg[i])
-            self.models[i] = shared[key]
+        # --- step III: aggregation, one call per group --------------------
+        held = ([], []), ([], [])  # non-selfish, selfish: (distinct aggregates, receivers holding each)
+        for members in self.groups:
+            i, rule, rows = members[0], self.rules[members[0]], len(members)
+            shares = pre_agg[self.reads[i]]
+            if crafted is not None and i < roles.n:  # assigned: np.stack of broadcasts can lay out in Fortran order
+                stack = np.empty((rows, *shares.shape))
+                stack[:] = shares
+                stack[:, roles.n:] = crafted[members]
+                shares = stack
+            elif rule.kind == "fltrust":  # each member anchors at its own model
+                shares = np.broadcast_to(shares, (rows, *shares.shape))
+            self.models[members] = out = aggregate(rule, shares, receiver_pre_agg=pre_agg[members])
+            aggregates, counts = held[i >= roles.n]
+            aggregates.extend(out if out.ndim == 2 else [out])  # one per member, or one they share
+            counts.extend([1] * rows if out.ndim == 2 else [rows])
 
         # --- metrics: receivers that share an aggregate share its correct count
-        mtas, mtans = (
-            group_accuracy([shared[key] for key in tally], self.test_set, tally.values())
-            for tally in (Counter(keys[roles.n:]), Counter(keys[: roles.n]))
-        )
+        mtans, mtas = (group_accuracy(aggregates, self.test_set, counts) for aggregates, counts in held)
         self.records.append(
             ExperimentRecord(
                 round=t,

@@ -282,6 +282,8 @@ def check_bounds_tightness(
 
 def run_all(trials: int = 10_000, seed: int = 0) -> list[SuiteResult]:
     """Run every suite; ``trials`` scales the identity checks."""
+    if trials < 1:  # the identity suites would pass on 0 trials
+        raise ValueError(f"trials must be >= 1, got {trials}")
     per_regime = max(10, trials // 10)
     instances = max(10, trials // 50)
     return [

@@ -11,6 +11,17 @@ def median_of(values) -> float:
     return float(np.median(np.asarray(values, dtype=np.float64)))
 
 
+def median_rows_of(models) -> np.ndarray:
+    """Coordinate-wise median of one receiver's (k, d) models by ``np.median``."""
+    return np.median(np.asarray(models, dtype=np.float64), axis=0)
+
+
+def trimmed_mean_rows_of(models, trim: int) -> np.ndarray:
+    """Coordinate-wise trimmed mean of one receiver's (k, d) models."""
+    mat = np.sort(np.asarray(models, dtype=np.float64), axis=0)
+    return mat[trim:mat.shape[0] - trim].mean(axis=0)
+
+
 def trimmed_mean_of(values, trim: int) -> float:
     values = np.sort(np.asarray(values, dtype=np.float64))
     return float(values[trim:values.size - trim].mean())

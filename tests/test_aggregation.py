@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflsim.aggregation import (
+    RULE_KINDS,
     AggregationRule,
     _admitted_by_clustering,
     agg_fedavg,
@@ -16,7 +17,7 @@ from dflsim.aggregation import (
 )
 from dflsim.core import DimensionMismatch, EmptyAfterTrim, EmptyInput, TooFewModels, ZeroReference
 
-from oracles import admitted_by_clustering, fltrust_of
+from oracles import admitted_by_clustering, fltrust_of, median_rows_of, trimmed_mean_rows_of
 
 
 def vecs(*rows):
@@ -267,6 +268,80 @@ def test_dispatcher_requires_resolved_params():
         aggregate(AggregationRule("trimmed_mean"), models)
     with pytest.raises(ValueError):
         aggregate(AggregationRule("fltrust"), models)
+
+
+# ---------------------------------------------------------------------------
+# many receivers: a (R, k, d) stack in one call
+# ---------------------------------------------------------------------------
+
+COORDINATE_WISE = ("fedavg", "median", "trimmed_mean")
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 0.1, 0.2, 0.5)
+
+
+def one_receiver_of(rule: AggregationRule, mat: np.ndarray, own) -> np.ndarray:
+    """One receiver's aggregate of its (k, d) models, by the per-receiver oracle."""
+    return {
+        "fedavg": lambda: mat.mean(axis=0),
+        "median": lambda: median_rows_of(mat),
+        "trimmed_mean": lambda: trimmed_mean_rows_of(mat, rule.trim),
+        "krum": lambda: agg_krum(mat, rule.assumed_attackers),
+        "fltrust": lambda: fltrust_of(mat, own),
+        "flame": lambda: agg_flame(mat, clip=rule.clip),
+    }[rule.kind]()
+
+
+@st.composite
+def receiver_stacks(draw):
+    """A resolved rule, a (R, k, d) stack of R receivers' models and their
+    (R, d) own models (fltrust only).  The coordinate-wise rules draw
+    signed zeros, infinities and NaN among their values; the others draw
+    finite values rounded to 0.1 and nonzero own models."""
+    kind = draw(st.sampled_from(RULE_KINDS))
+    trim = draw(st.integers(0, 4)) if kind == "trimmed_mean" else None
+    attackers = draw(st.integers(0, 3)) if kind == "krum" else None
+    rule = AggregationRule(kind, trim, attackers, clip=draw(st.booleans()))
+    receivers, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    fewest = 2 * trim + 1 if kind == "trimmed_mean" else attackers + 3 if kind == "krum" else 1
+    k = draw(st.integers(fewest, 20))
+    if kind in COORDINATE_WISE:
+        values = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(-1e3, 1e3))
+    else:
+        values = st.floats(-1.0, 1.0).map(lambda x: round(x, 1))
+    size = receivers * (k + 1) * d
+    rows = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(receivers, k + 1, d)
+    stack, owns = np.ascontiguousarray(rows[:, :k]), np.ascontiguousarray(rows[:, k])
+    if kind != "fltrust":
+        return rule, stack, None
+    owns[:, 0] = draw(st.sampled_from((0.5, -0.7, 1.0)))
+    return rule, stack, owns
+
+
+def _ramp(receivers: int, k: int) -> np.ndarray:
+    """A (receivers, k, 1) stack of distinct values whose sums round by order."""
+    return (0.1 * np.arange(1, receivers * k + 1) + 1e-3 / 3).reshape(receivers, k, 1)
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS)
+def test_receiver_stack_of_no_receivers_raises(kind):
+    rule = AggregationRule(kind).resolved(num_selfish=0)
+    with pytest.raises(EmptyInput):
+        aggregate(rule, np.zeros((0, 5, 3)), receiver_pre_agg=np.zeros((0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(receiver_stacks())
+# d = 1 with >= 9 kept rows: numpy sums such a lane pairwise, not row by row
+@example((AggregationRule("fedavg"), _ramp(3, 11), None))
+@example((AggregationRule("trimmed_mean", trim=2), _ramp(2, 13), None))
+@example((AggregationRule("median"), _ramp(4, 10), None))
+def test_receiver_stack_matches_each_receiver_alone(instance):
+    rule, stack, owns = instance
+    with np.errstate(all="ignore"):  # inf - inf and the like
+        out = aggregate(rule, stack, receiver_pre_agg=owns)
+        assert out.shape == (stack.shape[0], stack.shape[2])
+        for r, mat in enumerate(stack):
+            expected = one_receiver_of(rule, mat, None if owns is None else owns[r])
+            assert out[r].tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

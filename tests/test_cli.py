@@ -190,6 +190,28 @@ def test_run_rejects_rule_that_cannot_aggregate_what_its_receivers_read(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("partition, span", [
+    ({"rho": 1.5, "groups": 2}, "[1/groups, 1] = [0.5000, 1]"),
+    ({"rho": 0.4, "groups": 2}, "[1/groups, 1] = [0.5000, 1]"),
+    ({"rho": -0.2}, "[1/groups, 1] = [0.5000, 1]"),  # one group per class, and the data has 2
+    ({"rho": float("nan"), "groups": 2}, "[1/groups, 1] = [0.5000, 1]"),
+    ({"rho": float("inf"), "groups": 2}, "[1/groups, 1] = [0.5000, 1]"),
+])
+def test_run_rejects_rho_outside_its_range(tmp_path, capsys, partition, span):
+    path = write_doc(tmp_path, tiny_doc(partition=partition))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: top level: partition.rho = {partition['rho']}: must lie in {span}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rho_bounds_wait_on_a_csv_file_for_its_group_count(tmp_path):
+    doc = tiny_doc(partition={"rho": 0.3, "groups": None}, data={"csv": {"path": str(tmp_path / "data.csv")}})
+    assert config_from_dict(doc).partition.rho == 0.3  # checked against the classes once the data is read
+    doc["partition"]["rho"] = 0.0
+    with pytest.raises(ConfigError, match=r"partition\.rho = 0\.0: must lie in \(0, 1\]"):
+        config_from_dict(doc)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_diverging_training_exit_code(tmp_path, capsys):
     doc = tiny_doc(trainer={"learning_rate": 1e6, "local_epochs": 3, "batch_size": 16}, rounds=60)
@@ -244,6 +266,15 @@ def test_sweep_rejects_an_invalid_cell_before_any_run(tmp_path, capsys):
                  "--repeats", "1", "--out", str(out)])
     assert code == 1
     assert "config error: --param selfish_fraction=0.5: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_rho_outside_its_range_before_any_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", write_doc(tmp_path, tiny_doc()), "--param", "rho", "--values", "0.7,1.5",
+                 "--repeats", "1", "--out", str(out)])
+    assert code == 1
+    assert "config error: --param rho=1.5: partition.rho = 1.5: must lie in" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -146,6 +146,15 @@ def test_run_sweep_validates_every_cell_before_running(tmp_path, monkeypatch):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("rho", [1.5, 0.25, float("nan")])
+def test_run_sweep_rejects_rho_outside_its_range_before_running(tmp_path, monkeypatch, rho):
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    spec = SweepSpec("rho", (0.5, rho), repeats=1)
+    with pytest.raises(ConfigError, match=rf"^--param rho={rho}: partition\.rho = {rho}: must lie in \[1/groups, 1\]"):
+        run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"))
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_run_sweep_rejects_a_repeated_value_before_running(tmp_path, monkeypatch):
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
     spec = SweepSpec("lambda", (0.0, 0.5, 0.5), repeats=1)

@@ -34,6 +34,12 @@ def test_all_suites_pass_at_reduced_scale():
         assert result.first_failure is None
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_all_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match=rf"^trials must be >= 1, got {trials}$"):
+        run_all(trials=trials)
+
+
 def test_describe_mentions_counters():
     res = check_median_identity(trials=200, seed=0)
     text = res.describe()
