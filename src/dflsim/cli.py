@@ -95,24 +95,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Serialize a config (resolved defaults included) back to JSON form."""
-    def rule_doc(rule: AggregationRule | None):
-        return None if rule is None else dataclasses.asdict(rule)
-
-    attack = dataclasses.asdict(cfg.attack)
-    attack["lambda"] = attack.pop("lam")
-    attack["selfish_rule"] = rule_doc(cfg.attack.selfish_rule)
-    data_key = "synthetic" if isinstance(cfg.data, SyntheticDataConfig) else "csv"
-    return {
-        "roles": dataclasses.asdict(cfg.roles),
-        "rule": rule_doc(cfg.rule),
-        "attack": attack,
-        "trainer": dataclasses.asdict(cfg.trainer),
-        "partition": dataclasses.asdict(cfg.partition),
-        "data": {data_key: dataclasses.asdict(cfg.data)},
-        "rounds": cfg.rounds,
-        "seed": cfg.seed,
-    }
+    """Serialize a config back to JSON form, each field as given (null where it defaults)."""
+    doc = dataclasses.asdict(cfg)
+    doc["attack"]["lambda"] = doc["attack"].pop("lam")
+    doc["data"] = {"synthetic" if isinstance(cfg.data, SyntheticDataConfig) else "csv": doc["data"]}
+    return doc
 
 
 def load_config(path: str, seed_flag: int | None = None) -> tuple[ExperimentConfig, str | None]:
@@ -181,9 +168,8 @@ def cmd_run(args) -> int:
 
 
 def _parse_values(parameter: str, text: str) -> tuple:
-    caster = int if parameter in ("interval", "num_clients") else float
     try:
-        return tuple(caster(part) for part in text.split(",") if part.strip() != "")
+        return tuple(SWEEP_PARAMETERS[parameter](part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from None
 

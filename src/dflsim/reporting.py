@@ -15,7 +15,10 @@ from .core import ConfigError, RoleConfig
 
 CSV_FIELDS = ("round", "mtas", "mtans", "gap", "mean_selfish_loss", "attack_started")
 
-SWEEP_PARAMETERS = ("lambda", "rho", "selfish_fraction", "epsilon", "interval", "num_clients")
+# sweep parameter -> the type of its values
+SWEEP_PARAMETERS = {
+    "lambda": float, "rho": float, "selfish_fraction": float, "epsilon": float, "interval": int, "num_clients": int,
+}
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}, expected one of {SWEEP_PARAMETERS}"
+                f"unknown sweep parameter {self.parameter!r}, expected one of {tuple(SWEEP_PARAMETERS)}"
             )
         if not self.values:
             raise ValueError("sweep needs at least one value")
@@ -100,24 +103,19 @@ class SweepSpec:
 
 def apply_parameter(cfg, parameter: str, value):
     """Return a copy of ``cfg`` with one swept parameter applied."""
-    if parameter == "lambda":
-        return dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, lam=float(value)))
+    if parameter not in SWEEP_PARAMETERS:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    value = SWEEP_PARAMETERS[parameter](value)
+    if parameter in ("lambda", "epsilon", "interval"):
+        field = "lam" if parameter == "lambda" else parameter
+        return dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, **{field: value}))
     if parameter == "rho":
-        return dataclasses.replace(cfg, partition=dataclasses.replace(cfg.partition, rho=float(value)))
-    if parameter == "epsilon":
-        return dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, epsilon=float(value)))
-    if parameter == "interval":
-        return dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, interval=int(value)))
-    if parameter == "selfish_fraction":
-        total = cfg.roles.total
-        m = max(1, int(round(float(value) * total)))
-        return dataclasses.replace(cfg, roles=RoleConfig(n=total - m, m=m))
-    if parameter == "num_clients":
-        total = int(value)
-        fraction = cfg.roles.m / cfg.roles.total
-        m = max(1, int(round(fraction * total)))
-        return dataclasses.replace(cfg, roles=RoleConfig(n=total - m, m=m))
-    raise ValueError(f"unknown sweep parameter {parameter!r}")
+        return dataclasses.replace(cfg, partition=dataclasses.replace(cfg.partition, rho=value))
+    # selfish_fraction keeps the client count, num_clients the selfish fraction
+    total = value if parameter == "num_clients" else cfg.roles.total
+    fraction = value if parameter == "selfish_fraction" else cfg.roles.m / cfg.roles.total
+    m = max(1, int(round(fraction * total)))
+    return dataclasses.replace(cfg, roles=RoleConfig(n=total - m, m=m))
 
 
 def _sweep_cell(args):

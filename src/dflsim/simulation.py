@@ -396,6 +396,8 @@ class AttackConfig:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
         if self.info_mode not in ("all", "selfish_only"):
             raise ValueError(f"info_mode must be 'all' or 'selfish_only', got {self.info_mode!r}")
+        if self.info_mode == "selfish_only" and self.kind != "selfish":
+            raise ValueError(f"attack.info_mode 'selfish_only' needs attack.kind 'selfish', got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -412,40 +414,22 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        self._check_rho()
-        if self.attack.kind not in ("independent", "two_coalitions"):  # those aggregate with fedavg
-            self._check_rule_inputs()
-        if self.trainer.learning_rate == 0.0 and "fltrust" in (self.rule.kind, self.resolved_selfish_rule().kind):
-            raise ValueError("trainer.learning_rate 0 keeps every model at zero, and fltrust needs a nonzero own model")
+        self._check_partition()
+        read_plan(self)
 
-    def _check_rho(self) -> None:
-        """Reject a partition.rho outside [1/groups, 1], or outside (0, 1]
-        while the group count waits on the classes of a csv file."""
-        groups = self.partition.groups
+    def _check_partition(self) -> None:
+        """Reject more partition groups than clients, and a partition.rho
+        outside [1/groups, 1], or outside (0, 1] while the group count waits
+        on the classes of a csv file."""
+        groups, path, what = self.partition.groups, "partition.groups", "groups"
         if groups is None and isinstance(self.data, SyntheticDataConfig):
-            groups = self.data.classes
+            groups, path, what = self.data.classes, "data.synthetic.classes", "groups (one per class, partition.groups null)"
+        if groups and groups > self.roles.total:
+            raise ValueError(f"{path} = {groups}: cannot spread {groups} {what} over {self.roles.total} clients")
         rho = self.partition.rho
         if not ((1.0 / groups <= rho if groups else 0.0 < rho) and rho <= 1.0):  # NaN fails both
             span = f"[1/groups, 1] = [{1.0 / groups:.4f}, 1]" if groups else "(0, 1]"
             raise ValueError(f"partition.rho = {rho}: must lie in {span}")
-
-    def _check_rule_inputs(self) -> None:
-        """Reject a rule that cannot aggregate the N models its receivers
-        read: a trimmed mean needs N > 2 * trim, krum N >= f + 3."""
-        roles, attack = self.roles, self.attack
-        selfish_reads = (roles.total, "each selfish client reads")
-        if attack.kind == "selfish" and attack.info_mode == "selfish_only":
-            selfish_reads = (roles.m, "attack.info_mode 'selfish_only' leaves each selfish client")
-        selfish_path = "rule" if attack.selfish_rule is None else "attack.selfish_rule"
-        for path, rule, (count, reads) in (
-            ("rule", self.rule.resolved(roles.m), (roles.total, "each non-selfish client reads")),
-            (selfish_path, self.resolved_selfish_rule(), selfish_reads),
-        ):
-            fault = f"{reads} N = {count} models, but"
-            if rule.kind == "trimmed_mean" and count <= 2 * rule.trim:
-                raise ValueError(f"{path}.trim = {rule.trim}: {fault} trimmed_mean needs N > 2 * trim")
-            if rule.kind == "krum" and count < rule.assumed_attackers + 3:
-                raise ValueError(f"{path}.assumed_attackers = {rule.assumed_attackers}: {fault} krum needs N >= f + 3")
 
     def resolved_lambda(self) -> float:
         if self.attack.lam is not None:
@@ -469,7 +453,7 @@ def _craft_selfish(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray | N
         return None
     # the receivers are the non-selfish clients, whose models are the benign shares
     benign = pre_agg[: eng.roles.n]
-    return craft_shared_model(eng.rule, benign, benign, eng.roles.m, eng.lam, eng.cfg.attack.b)
+    return craft_shared_model(eng.rules[0], benign, benign, eng.roles.m, eng.lam, eng.cfg.attack.b)
 
 
 def _craft_gaussian(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
@@ -492,27 +476,62 @@ def _craft_trim(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
     ])
 
 
-# attack kind -> crafter of the (n, m, d) shares the selfish senders send to
-# each non-selfish receiver in a round (None while nothing is crafted), or
-# None for kinds that exchange true models only
-CRAFTERS = {
-    "none": None,
-    "selfish": _craft_selfish,
-    "gaussian": _craft_gaussian,
-    "trim": _craft_trim,
-    "independent": None,
-    "two_coalitions": None,
+# attack kind -> (crafter of the (n, m, d) shares the selfish senders send to
+# each non-selfish receiver in a round (None while nothing is crafted), or None
+# for kinds that exchange true models only; read mask, from the (N,) selfish
+# flags, of a baseline whose clients all aggregate with fedavg, or None when
+# everyone reads everyone)
+ATTACKS = {
+    "none": (None, None),
+    "selfish": (_craft_selfish, None),
+    "gaussian": (_craft_gaussian, None),
+    "trim": (_craft_trim, None),
+    "independent": (None, lambda selfish: np.eye(selfish.size, dtype=bool)),
+    "two_coalitions": (None, lambda selfish: selfish[:, None] == selfish),
 }
-ATTACK_KINDS = tuple(CRAFTERS)
+ATTACK_KINDS = tuple(ATTACKS)
+
+
+def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule]]:
+    """The (N, N) mask ``reads`` (receiver ``i`` aggregates the senders in
+    ``reads[i]`` every round) and each receiver's resolved rule.  Raises
+    ValueError, naming the config path, when a rule cannot aggregate the
+    models its receivers read; every receiver of one role reads as many.
+    """
+    roles, attack = cfg.roles, cfg.attack
+    selfish = np.arange(roles.total) >= roles.n
+    mask = ATTACKS[attack.kind][1]
+    selfish_reads = "each selfish client reads"
+    if mask is not None:
+        reads, rules = mask(selfish), [AggregationRule("fedavg")] * roles.total
+    else:
+        reads = np.ones((roles.total, roles.total), dtype=bool)
+        if attack.info_mode == "selfish_only":
+            reads[selfish] = selfish
+            selfish_reads = "attack.info_mode 'selfish_only' leaves each selfish client"
+        rules = [cfg.rule.resolved(roles.m)] * roles.n + [cfg.resolved_selfish_rule()] * roles.m
+    for receiver, path, reader in (
+        (0, "rule", "each non-selfish client reads"),
+        (-1, "rule" if attack.selfish_rule is None else "attack.selfish_rule", selfish_reads),
+    ):
+        rule, count = rules[receiver], int(reads[receiver].sum())
+        fault = f"{reader} N = {count} models, but"
+        if rule.kind == "trimmed_mean" and count <= 2 * rule.trim:
+            raise ValueError(f"{path}.trim = {rule.trim}: {fault} trimmed_mean needs N > 2 * trim")
+        if rule.kind == "krum" and count < rule.assumed_attackers + 3:
+            raise ValueError(f"{path}.assumed_attackers = {rule.assumed_attackers}: {fault} krum needs N >= f + 3")
+        if rule.kind == "fltrust" and cfg.trainer.learning_rate == 0.0:
+            raise ValueError("trainer.learning_rate 0 keeps every model at zero, and fltrust needs a nonzero own model")
+    return reads, rules
 
 
 class Engine:
     """Drives one experiment round by round.
 
     The state of a round is the (N, d) matrix of client models.  Who reads
-    whom is fixed for the whole run: receiver ``i`` aggregates the models of
-    the senders in ``reads[i]`` with ``rules[i]``, after the shares crafted
-    for it replace the selfish senders' models.  Each of ``groups`` (one
+    whom is fixed for the whole run by ``read_plan``: receiver ``i``
+    aggregates the models of the senders in ``reads[i]`` with ``rules[i]``,
+    after the shares crafted for it replace the selfish senders' models.  Each of ``groups`` (one
     rule, read mask and role) aggregates in one call a round.
     """
 
@@ -531,26 +550,12 @@ class Engine:
             self.train_set.num_classes,
         )
         self.models = np.zeros((roles.total, model_dim(self.train_set.num_classes, self.train_set.num_features)))
-        self.rule = cfg.rule.resolved(roles.m)
-        self.selfish_rule = cfg.resolved_selfish_rule()
         self.lam = cfg.resolved_lambda()
-        kind = cfg.attack.kind
-        self.crafter = CRAFTERS[kind]
+        self.crafter = ATTACKS[cfg.attack.kind][0]
         self.detector: AttackStartDetector | None = (
-            AttackStartDetector(cfg.attack.epsilon, cfg.attack.interval) if kind == "selfish" else None
+            AttackStartDetector(cfg.attack.epsilon, cfg.attack.interval) if cfg.attack.kind == "selfish" else None
         )
-        selfish = np.arange(roles.total) >= roles.n
-        if kind == "independent":
-            self.reads = np.eye(roles.total, dtype=bool)
-            self.rules = [AggregationRule("fedavg")] * roles.total
-        elif kind == "two_coalitions":
-            self.reads = selfish[:, None] == selfish[None, :]
-            self.rules = [AggregationRule("fedavg")] * roles.total
-        else:
-            self.reads = np.ones((roles.total, roles.total), dtype=bool)
-            if kind == "selfish" and cfg.attack.info_mode == "selfish_only":
-                self.reads[roles.n:] = selfish
-            self.rules = [self.rule] * roles.n + [self.selfish_rule] * roles.m
+        self.reads, self.rules = read_plan(cfg)
         # receivers of one rule and read mask aggregate in one call; shares are
         # crafted for non-selfish receivers only, so no group holds both roles
         keys = [(rule, reads.tobytes(), i < roles.n) for i, (rule, reads) in enumerate(zip(self.rules, self.reads))]

@@ -40,6 +40,25 @@ def test_config_round_trip():
     assert cfg.roles.total == 4
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
+    for doc in (
+        tiny_doc(attack={"kind": "selfish", "selfish_rule": {"kind": "trimmed_mean", "trim": 1}}),
+        tiny_doc(data={"csv": {"path": "data.csv", "test_fraction": 0.3}}),
+    ):
+        cfg = config_from_dict(doc)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_config_to_dict_writes_each_field_as_given_in_a_fixed_key_order():
+    cfg, _ = load_config(str(CONFIG_DIR / "median_selfish.json"))
+    assert json.dumps(config_to_dict(dataclasses.replace(cfg, seed=0))) == (
+        '{"roles": {"n": 14, "m": 6}, "rule": {"kind": "median", "trim": null, "assumed_attackers": null, '
+        '"clip": true}, "attack": {"kind": "selfish", "b": 1.0, "epsilon": 0.1, "interval": 50, '
+        '"info_mode": "all", "selfish_rule": null, "sigma": 200.0, "delta_lo": 0.5, "delta_hi": 2.0, '
+        '"lambda": 0.5}, "trainer": {"learning_rate": 0.1, "local_epochs": 3, "batch_size": 32, '
+        '"weight_decay": 0.0005}, "partition": {"rho": 0.7, "groups": null}, "data": {"synthetic": '
+        '{"classes": 4, "features": 20, "per_class": 400, "separation": 3.0, "test_per_class": 250}}, '
+        '"rounds": 300, "seed": 0}'
+    )
 
 
 def test_config_defaults_fill_missing_sections():
@@ -210,6 +229,40 @@ def test_rho_bounds_wait_on_a_csv_file_for_its_group_count(tmp_path):
     doc["partition"]["rho"] = 0.0
     with pytest.raises(ConfigError, match=r"partition\.rho = 0\.0: must lie in \(0, 1\]"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("partition, data, message", [
+    ({"rho": 0.5, "groups": 5}, None, "partition.groups = 5: cannot spread 5 groups over 4 clients"),
+    ({"rho": 0.5}, {"synthetic": {"classes": 5, "features": 3, "per_class": 40}},
+     "data.synthetic.classes = 5: cannot spread 5 groups (one per class, partition.groups null) over 4 clients"),
+], ids=["groups", "classes"])
+def test_run_rejects_more_partition_groups_than_clients(tmp_path, capsys, partition, data, message):
+    doc = tiny_doc(partition=partition, **({"data": data} if data else {}))
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: top level: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_fewer_clients_than_partition_groups_before_any_run(tmp_path, capsys):
+    doc = tiny_doc(roles={"n": 5, "m": 1}, partition={"rho": 0.5, "groups": 5})
+    out = tmp_path / "sweep"
+    code = main(["sweep", write_doc(tmp_path, doc), "--param", "num_clients", "--values", "6,4",
+                 "--repeats", "1", "--out", str(out)])
+    assert code == 1
+    assert "config error: --param num_clients=4: partition.groups = 5: cannot spread" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_selfish_only_without_the_selfish_attack(tmp_path, capsys):
+    doc = tiny_doc(attack={"kind": "none", "info_mode": "selfish_only"})
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: attack: attack.info_mode 'selfish_only' needs attack.kind 'selfish'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_fltrust_with_zero_learning_rate_where_no_client_aggregates_with_it(tmp_path):
+    doc = tiny_doc(rule={"kind": "fltrust"}, attack={"kind": "independent"}, trainer={"learning_rate": 0.0})
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

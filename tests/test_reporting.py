@@ -155,6 +155,15 @@ def test_run_sweep_rejects_rho_outside_its_range_before_running(tmp_path, monkey
     assert not (tmp_path / "sweep").exists()
 
 
+def test_run_sweep_rejects_fewer_clients_than_partition_groups_before_running(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    cfg = tiny_config(roles=RoleConfig(n=5, m=1), partition=PartitionConfig(rho=0.5, groups=5))
+    spec = SweepSpec("num_clients", (6, 4), repeats=1)
+    with pytest.raises(ConfigError, match=r"^--param num_clients=4: partition\.groups = 5: cannot spread 5 groups over 4"):
+        run_sweep(cfg, spec, out_dir=str(tmp_path / "sweep"))
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_run_sweep_rejects_a_repeated_value_before_running(tmp_path, monkeypatch):
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
     spec = SweepSpec("lambda", (0.0, 0.5, 0.5), repeats=1)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflsim import simulation
-from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median
+from dflsim.aggregation import RULE_KINDS, AggregationRule, agg_fedavg, agg_median
 from dflsim.core import ConfigError, EmptyDataset, EmptyTestSet, NumericalDivergence, RoleConfig, Rng
 from dflsim.simulation import (
     AttackConfig,
@@ -407,6 +408,56 @@ def test_rule_that_cannot_aggregate_what_its_receivers_read_is_rejected(kind, pa
     config(1)  # 4 > 2 * 1 and 4 >= 1 + 3
     for attack_kind in ("independent", "two_coalitions"):  # every client aggregates with fedavg
         config(2, attack_kind)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in simulation.ATTACK_KINDS if kind != "selfish"])
+def test_selfish_only_needs_the_selfish_attack(kind):
+    with pytest.raises(ValueError, match=rf"^attack\.info_mode 'selfish_only' needs attack\.kind 'selfish', got '{kind}'"):
+        AttackConfig(kind=kind, info_mode="selfish_only")
+
+
+@pytest.mark.parametrize("kind", ["independent", "two_coalitions"])
+def test_fltrust_with_zero_learning_rate_runs_where_no_client_aggregates_with_it(kind):
+    fltrust = AggregationRule("fltrust")
+    eng = Engine(small_config(
+        rule=fltrust, attack=AttackConfig(kind=kind, selfish_rule=fltrust), trainer=TrainerConfig(learning_rate=0.0),
+    ))
+    eng.run_round()
+    assert {rule.kind for rule in eng.rules} == {"fedavg"}
+
+
+RULES = st.builds(AggregationRule, st.sampled_from(RULE_KINDS), st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(4, 9),
+    kind=st.sampled_from(simulation.ATTACK_KINDS),
+    info_mode=st.sampled_from(["all", "selfish_only"]),
+    rule=RULES,
+    selfish_rule=st.none() | RULES,
+    learning_rate=st.sampled_from([0.0, 0.1]),
+    data=st.data(),
+)
+def test_a_config_runs_its_read_plan_or_is_rejected_naming_a_config_path(
+    total, kind, info_mode, rule, selfish_rule, learning_rate, data
+):
+    m = data.draw(st.integers(1, (total - 1) // 3), label="m")
+    try:
+        cfg = small_config(
+            roles=RoleConfig(n=total - m, m=m),
+            rule=rule,
+            attack=AttackConfig(kind=kind, info_mode=info_mode, selfish_rule=selfish_rule),
+            trainer=TrainerConfig(learning_rate=learning_rate, local_epochs=1, batch_size=16),
+        )
+    except ValueError as exc:
+        assert re.match(r"[a-z_]+(\.[a-z_]+)+ ", str(exc)), str(exc)
+        return
+    eng = Engine(cfg)
+    if kind == "selfish":
+        eng.detector = dataclasses.replace(eng.detector, started=True)
+    _, crafted = eng.run_round()
+    assert (crafted is not None) == (kind in ("selfish", "gaussian", "trim"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
