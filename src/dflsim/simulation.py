@@ -161,10 +161,11 @@ def partition_non_iid(
 ) -> list[Dataset]:
     """Deal every example to exactly one client, round-robin groups of clients."""
     groups = cfg.groups if cfg.groups is not None else data.num_classes
+    path = "partition.groups" if cfg.groups is not None else "the data's class count (partition.groups null)"
     if groups > num_clients:
-        raise ValueError(f"cannot spread {groups} groups over {num_clients} clients")
+        raise ConfigError(f"{path} = {groups}: cannot spread {groups} groups over {num_clients} clients")
     if not (1.0 / groups <= cfg.rho <= 1.0):
-        raise ValueError(f"rho must lie in [1/groups, 1] = [{1.0/groups:.4f}, 1], got {cfg.rho}")
+        raise ConfigError(f"partition.rho = {cfg.rho}: must lie in [1/groups, 1] = [{1.0 / groups:.4f}, 1]")
 
     members = [np.array([c for c in range(num_clients) if c % groups == g]) for g in range(groups)]
     own = data.labels % groups
@@ -218,13 +219,44 @@ def _unpack(models: np.ndarray, num_classes: int, num_features: int):
     return weights, models[..., num_classes * num_features:]
 
 
-def _batch_loss_and_grad(models, x, y, counts, num_classes):
+class _Step:
+    """Step j of an epoch: active clients (a basic slice if all are), slot
+    columns, (k, 1, 1) counts, short (row, count)s, pad mask or None, (k, B) flat cells."""
+
+    def __init__(self, j, width, sizes, batches):
+        self.act = slice(None) if batches.min() > j else np.flatnonzero(batches > j)
+        self.cols = slice(j * width, (j + 1) * width)
+        counts = np.minimum(sizes[self.act] - j * width, width)
+        self.counts = counts[:, None, None]
+        self.short = [(i, int(n)) for i, n in enumerate(counts) if n < width]
+        self.pad = np.arange(width) >= counts[:, None] if self.short else None
+        self.cells = np.arange(counts.size * width).reshape(-1, width)
+
+
+class TrainingPlan:
+    """What local training reads that depends only on the shard sizes and
+    the trainer config, built once per run: the ``steps`` of an epoch, each
+    client's pool rows broadcast to one row per epoch for its draw to
+    permute, and the clients grouped by batch count for the loss means."""
+
+    def __init__(self, sizes, cfg: TrainerConfig):
+        self.cfg, self.sizes = cfg, np.asarray(sizes)
+        batches = -(-self.sizes // cfg.batch_size)
+        width = min(cfg.batch_size, int(self.sizes.max()))  # no batch is wider than the largest shard
+        offsets = np.cumsum(self.sizes) - self.sizes
+        self.slot_width = batches.max() * width
+        self.pool_rows = [np.broadcast_to(o + np.arange(n), (cfg.local_epochs, n)) for o, n in zip(offsets, self.sizes)]
+        self.steps = [_Step(j, width, self.sizes, batches) for j in range(batches.max())]
+        self.means = [(batches == n, n) for n in set(batches.tolist())]  # np.unique's first call adds ~1 MB of peak RSS
+
+
+def _batch_loss_and_grad(models, x, y, step: _Step, num_classes):
     """Mean softmax cross-entropy and its gradient for k models at once.
 
     ``models`` is (k, d), ``x`` (k, B, F) and ``y`` (k, B); batch i is the
-    first ``counts[i]`` rows, and padding fills the rest.  Full batches run
-    as one stacked product, the same BLAS call per slice as one batch.  A
-    short batch's two products and loss sum run in its own (counts[i], F)
+    first ``step.counts[i]`` rows, and padding fills the rest.  Full batches
+    run as one stacked product, the same BLAS call per slice as one batch.
+    A short batch's two products and loss sum run in its own (count, F)
     shape: over padding, BLAS edge kernels, gemv paths and pairwise sums
     round differently.  The bias gradient adds rows in order, so padding
     set to zero leaves its stacked sum exact.
@@ -232,69 +264,64 @@ def _batch_loss_and_grad(models, x, y, counts, num_classes):
     k, width, features = x.shape
     weights, bias = _unpack(models, num_classes, features)
     logits = x @ weights.transpose(0, 2, 1)
-    short = np.flatnonzero(counts < width)
-    for i in short:
-        np.matmul(x[i, : counts[i]], weights[i].T, out=logits[i, : counts[i]])
+    for i, n in step.short:
+        np.matmul(x[i, :n], weights[i].T, out=logits[i, :n])
     logits += bias[:, None, :]
     shift = logits[..., 0].copy()  # the class max by slices: max(axis=2) reduces each C-wide row alone
     for c in range(1, num_classes):
         np.maximum(shift, logits[..., c], out=shift)
     logits -= shift[..., None]
+    # one reduction: a sum of class slices adds in another order from 8 classes on
     log_probs = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
-    labelled = (np.arange(k)[:, None], np.arange(width), y)
-    picked = log_probs[labelled]
+    labelled = step.cells * num_classes + y  # flat indices of the labels' log-probabilities
+    picked = log_probs.reshape(-1)[labelled]
     losses = -(picked.sum(axis=1) / width)  # np.mean's sum and division, without its per-call cost
-    for i in short:
-        losses[i] = -(picked[i, : counts[i]].sum() / counts[i])
+    for i, n in step.short:
+        losses[i] = -(picked[i, :n].sum() / n)
     probs = np.exp(log_probs)
-    probs[labelled] -= 1.0
-    probs /= counts[:, None, None]
-    if short.size:  # assigned, not multiplied by a mask: padding reads pool row 0, whose logits may not be finite
-        probs[np.arange(width) >= counts[:, None]] = 0.0
+    probs.reshape(-1)[labelled] -= 1.0  # a fresh ufunc result is C-contiguous, so reshape gives a view
+    probs /= step.counts
+    if step.short:  # assigned, not multiplied by a mask: padding reads pool row 0, whose logits may not be finite
+        probs[step.pad] = 0.0
     grad_w, grad_b = probs.transpose(0, 2, 1) @ x, probs.sum(axis=1)
-    for i in short:
-        np.matmul(probs[i, : counts[i]].T, x[i, : counts[i]], out=grad_w[i])
+    for i, n in step.short:
+        np.matmul(probs[i, :n].T, x[i, :n], out=grad_w[i])
     return losses, np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)
 
 
 def loss_and_grad(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int):
     """Mean softmax cross-entropy and its gradient w.r.t. the flat model."""
-    losses, grads = _batch_loss_and_grad(model[None], x[None], y[None], np.array([len(x)]), num_classes)
+    step = _Step(0, len(x), np.array([len(x)]), np.ones(1))
+    losses, grads = _batch_loss_and_grad(model[None], x[None], y[None], step, num_classes)
     return float(losses[0]), grads[0]
 
 
-def train_clients(models: np.ndarray, pool: Dataset, sizes, cfg: TrainerConfig, gens):
+def train_clients(models: np.ndarray, pool: Dataset, plan: TrainingPlan, gens):
     """Run the local epochs of all clients in lockstep; return (models, mean batch losses).
 
-    ``pool`` holds the shards in client order, ``sizes[i]`` rows for client
-    i, which trains ``models[i]`` drawing one permutation per epoch from
-    ``gens[i]``.  Step j of an epoch trains every client that has a j-th
-    minibatch in one (k, B, F) pass, and each client ends as it would
-    training alone.
+    ``pool`` holds the shards in client order, ``plan.sizes[i]`` rows for
+    client i, which trains ``models[i]`` drawing its permutations for all
+    epochs from ``gens[i]`` in one ``permuted`` call.  Step j of an epoch
+    trains every client that has a j-th minibatch in one (k, B, F) pass,
+    and each client ends as it would training alone.
     """
-    sizes = np.asarray(sizes)
-    batches = -(-sizes // cfg.batch_size)
-    size = min(cfg.batch_size, int(sizes.max()))  # no batch is wider than the largest shard
-    offsets = np.cumsum(sizes) - sizes
+    cfg = plan.cfg
     # pool row of each batch slot; padding slots read row 0, and no result uses them
-    slots = np.zeros((cfg.local_epochs, sizes.size, batches.max() * size), dtype=np.int64)
+    slots = np.zeros((cfg.local_epochs, plan.sizes.size, plan.slot_width), dtype=np.int64)
     for cid, gen in enumerate(gens):
-        perms = [gen.permutation(sizes[cid]) for _ in range(cfg.local_epochs)]
-        slots[:, cid, : sizes[cid]] = offsets[cid] + np.array(perms)
+        gen.permuted(plan.pool_rows[cid], axis=1, out=slots[:, cid, : plan.sizes[cid]])
     models = np.array(models, dtype=np.float64)
-    losses = np.zeros((sizes.size, cfg.local_epochs, batches.max()))
+    losses = np.zeros((plan.sizes.size, cfg.local_epochs, len(plan.steps)))
     for epoch in range(cfg.local_epochs):
-        for j in range(batches.max()):
-            act = np.flatnonzero(batches > j)
-            batch = slots[epoch, act, j * size:(j + 1) * size]
-            counts = np.minimum(sizes[act] - j * size, size)
-            losses[act, epoch, j], grad = _batch_loss_and_grad(
-                models[act], pool.features[batch], pool.labels[batch], counts, pool.num_classes
+        for j, step in enumerate(plan.steps):  # act is a slice, and own a view, when every client is active
+            batch, own = slots[epoch, step.act, step.cols], models[step.act]
+            losses[step.act, epoch, j], grad = _batch_loss_and_grad(
+                own, np.take(pool.features, batch, axis=0), pool.labels[batch], step, pool.num_classes
             )
-            models[act] -= cfg.learning_rate * (grad + cfg.weight_decay * models[act])
-    means = np.empty(sizes.size)  # a client's row is contiguous: np.mean's pairwise sum and division
-    for n in set(batches.tolist()):  # np.unique's first call would add ~1 MB of peak RSS
-        means[batches == n] = losses[batches == n, :, :n].reshape(-1, cfg.local_epochs * n).mean(axis=1)
+            models[step.act] -= cfg.learning_rate * (grad + cfg.weight_decay * own)
+    means = np.empty(plan.sizes.size)  # a client's row is contiguous: np.mean's pairwise sum and division
+    for rows, n in plan.means:
+        means[rows] = losses[rows, :, :n].reshape(-1, cfg.local_epochs * n).mean(axis=1)
     return models, means
 
 
@@ -302,7 +329,7 @@ def local_update(model: np.ndarray, data: Dataset, cfg: TrainerConfig, gen: np.r
     """Run the local epochs and return (updated model, mean batch loss)."""
     if data.size == 0:
         raise EmptyDataset("cannot train on an empty shard")
-    models, losses = train_clients(np.asarray(model)[None], data, [data.size], cfg, [gen])
+    models, losses = train_clients(np.asarray(model)[None], data, TrainingPlan([data.size], cfg), [gen])
     return models[0], float(losses[0])
 
 
@@ -490,6 +517,7 @@ ATTACKS = {
     "two_coalitions": (None, lambda selfish: selfish[:, None] == selfish),
 }
 ATTACK_KINDS = tuple(ATTACKS)
+DIVERGENCE_LOSS_FACTOR = 1e6  # a run stops at a mean batch loss above this times ln C, the zero model's loss
 
 
 def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule]]:
@@ -541,9 +569,9 @@ class Engine:
         self.rng = Rng(cfg.seed)
         self.train_set, self.test_set = self._build_datasets()
         shards = partition_non_iid(self.train_set, roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION))
-        self.sizes = np.array([shard.size for shard in shards])
-        if not self.sizes.all():
-            raise EmptyDataset(f"client {np.argmin(self.sizes)} has an empty shard: the partition gave it no examples")
+        self.plan = TrainingPlan([shard.size for shard in shards], cfg.trainer)
+        if not self.plan.sizes.all():
+            raise EmptyDataset(f"client {self.plan.sizes.argmin()} has an empty shard: the partition gave it no examples")
         self.pool = Dataset(  # the shards in client order, in one array
             np.concatenate([s.features for s in shards]),
             np.concatenate([s.labels for s in shards]),
@@ -590,12 +618,14 @@ class Engine:
 
         # --- step I: local training -------------------------------------
         gens = [self.rng.stream(STREAM_TRAIN, t, cid) for cid in range(roles.total)]
-        pre_agg, losses = train_clients(self.models, self.pool, self.sizes, self.cfg.trainer, gens)
-        finite = np.isfinite(pre_agg).all(axis=1) & np.isfinite(losses)
-        if not finite.all():
-            cid = int(np.argmin(finite))
+        pre_agg, losses = train_clients(self.models, self.pool, self.plan, gens)
+        ceiling = DIVERGENCE_LOSS_FACTOR * np.log(self.pool.num_classes)
+        sound = np.isfinite(pre_agg).all(axis=1) & (losses <= ceiling)  # False for a NaN loss too
+        if not sound.all():
+            cid = int(np.argmin(sound))
             raise NumericalDivergence(
-                f"round {t}: local training of client {cid} diverged (loss {losses[cid]}, non-finite loss or model)"
+                f"round {t}: local training of client {cid} diverged "
+                f"(loss {losses[cid]}, ceiling {ceiling:.4g}: a loss above it, or a non-finite loss or model)"
             )
         mean_selfish_loss = float(np.mean(losses[roles.n:]))
         if self.detector is not None:

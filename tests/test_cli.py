@@ -243,6 +243,19 @@ def test_run_rejects_more_partition_groups_than_clients(tmp_path, capsys, partit
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("classes, rho, message", [
+    (5, 0.5, "the data's class count (partition.groups null) = 5: cannot spread 5 groups over 4 clients"),
+    (2, 0.3, "partition.rho = 0.3: must lie in [1/groups, 1] = [0.5000, 1]"),
+], ids=["classes", "rho"])
+def test_run_rejects_a_csv_partition_fault_as_a_config_error(tmp_path, capsys, classes, rho, message):
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,label\n" + "".join(f"{i % 7}.5,{i % 3},{i % classes}\n" for i in range(60)))
+    doc = tiny_doc(partition={"rho": rho, "groups": None}, data={"csv": {"path": str(data)}})
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_fewer_clients_than_partition_groups_before_any_run(tmp_path, capsys):
     doc = tiny_doc(roles={"n": 5, "m": 1}, partition={"rho": 0.5, "groups": 5})
     out = tmp_path / "sweep"

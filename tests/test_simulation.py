@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import pathlib
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dflsim import simulation
 from dflsim.aggregation import RULE_KINDS, AggregationRule, agg_fedavg, agg_median
+from dflsim.cli import load_config
 from dflsim.core import ConfigError, EmptyDataset, EmptyTestSet, NumericalDivergence, RoleConfig, Rng
 from dflsim.simulation import (
     AttackConfig,
@@ -20,6 +22,7 @@ from dflsim.simulation import (
     PartitionConfig,
     SyntheticDataConfig,
     TrainerConfig,
+    TrainingPlan,
     accuracy,
     correct_count,
     generate_synthetic,
@@ -229,6 +232,11 @@ def test_local_update_empty_shard():
 @example(sizes=[64, 64, 31], batch_size=7, epochs=1, classes=7, features=1, seed=24)  # gemv backward at F = 1
 @example(sizes=[99, 101], batch_size=32, epochs=1, classes=4, features=5, seed=3)  # step 4: every client short (3, 5)
 @example(sizes=[33, 64], batch_size=32, epochs=2, classes=4, features=6, seed=5)  # 1-row short batch: gemv forward
+@example(  # the desk shape: 20 shards of 66-101 rows, three of four steps with every client active
+    sizes=[84, 66, 71, 73, 99, 88, 86, 75, 78, 91, 75, 84, 74, 72, 76, 101, 77, 75, 78, 77],
+    batch_size=32, epochs=3, classes=4, features=20, seed=1,
+)
+@example(sizes=[1, 1, 1, 31, 1, 40], batch_size=1, epochs=1, classes=9, features=5, seed=0)  # a sliced normalizer fails
 def test_lockstep_trainer_matches_per_client_loop(sizes, batch_size, epochs, classes, features, seed):
     gen = np.random.default_rng(seed)
     cfg = TrainerConfig(learning_rate=0.3, local_epochs=epochs, batch_size=batch_size, weight_decay=0.01)
@@ -237,15 +245,27 @@ def test_lockstep_trainer_matches_per_client_loop(sizes, batch_size, epochs, cla
     ]
     models = gen.normal(size=(len(sizes), model_dim(classes, features)))
     pool = Dataset(np.concatenate([s.features for s in shards]), np.concatenate([s.labels for s in shards]), classes)
-    trained, losses = train_clients(
-        models, pool, sizes, cfg, [np.random.default_rng([seed, cid]) for cid in range(len(sizes))]
-    )
-    for cid, shard in enumerate(shards):
-        model, loss = local_update_of(
-            models[cid], shard.features, shard.labels, classes, cfg, np.random.default_rng([seed, cid])
+    plan = TrainingPlan(sizes, cfg)
+    for t in (1, 2):  # one plan serves every round, each with fresh generators
+        trained, losses = train_clients(
+            models, pool, plan, [np.random.default_rng([seed, t, cid]) for cid in range(len(sizes))]
         )
-        assert trained[cid].tobytes() == model.tobytes()
-        assert losses[cid].tobytes() == np.float64(loss).tobytes()
+        for cid, shard in enumerate(shards):
+            model, loss = local_update_of(
+                models[cid], shard.features, shard.labels, classes, cfg, np.random.default_rng([seed, t, cid])
+            )
+            assert trained[cid].tobytes() == model.tobytes()
+            assert losses[cid].tobytes() == np.float64(loss).tobytes()
+        models = trained
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 80, 130])
+def test_one_permuted_draw_equals_successive_permutations(n):
+    # the trainer draws a client's epochs in one permuted call; numpy runs the
+    # same Fisher-Yates over each row as permutation(n) does
+    base, twin = np.arange(n) + 1000, np.random.default_rng(n)
+    drawn = np.random.default_rng(n).permuted(np.broadcast_to(base, (3, n)), axis=1)
+    assert np.array_equal(drawn, [base[twin.permutation(n)] for _ in range(3)])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -258,9 +278,8 @@ def test_non_finite_padding_never_reaches_a_result():
     y = gen.integers(0, classes, size=sum(sizes))
     cfg = TrainerConfig(learning_rate=0.3, local_epochs=1, batch_size=32, weight_decay=0.01)
     models = np.abs(gen.normal(size=(2, model_dim(classes, features))))  # positive weights: every padding logit is inf
-    trained, losses = train_clients(
-        models, Dataset(x, y, classes), sizes, cfg, [np.random.default_rng([11, cid]) for cid in range(2)]
-    )
+    gens = [np.random.default_rng([11, cid]) for cid in range(2)]
+    trained, losses = train_clients(models, Dataset(x, y, classes), TrainingPlan(sizes, cfg), gens)
     model, loss = local_update_of(models[1], x[40:], y[40:], classes, cfg, np.random.default_rng([11, 1]))
     assert np.isfinite(model).all()
     assert trained[1].tobytes() == model.tobytes()
@@ -467,6 +486,28 @@ def test_diverging_training_stops_the_run():
     with pytest.raises(NumericalDivergence, match=r"round \d+: local training of client \d+ diverged"):
         eng.run()
     assert len(eng.records) < 60
+
+
+def quick_smoke_config(learning_rate):
+    cfg, _ = load_config(str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "quick_smoke.json"))
+    return dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, learning_rate=learning_rate))
+
+
+def test_loss_above_the_ceiling_stops_the_run_while_finite():
+    # one local epoch at learning rate 1e6: the largest client loss is ~3e8 in round 1
+    eng = Engine(quick_smoke_config(1e6))
+    ceiling = simulation.DIVERGENCE_LOSS_FACTOR * np.log(2)
+    with pytest.raises(NumericalDivergence, match=r"round 1: local training of client \d+ diverged") as info:
+        eng.run()
+    loss = float(re.search(r"\(loss ([^,]+), ceiling", str(info.value)).group(1))
+    assert ceiling < loss < np.inf and f"ceiling {ceiling:.4g}:" in str(info.value)
+    assert eng.records == []
+
+
+def test_large_but_bounded_losses_run_to_the_end():
+    # learning rate 1e3: the largest client loss stays below 1e3, far under 1e6 * ln 2
+    records = Engine(quick_smoke_config(1e3)).run()
+    assert [r.round for r in records] == list(range(1, 21))
 
 
 SELFISH = np.arange(7) >= 5  # 5 honest and 2 selfish clients
