@@ -87,6 +87,16 @@ def solve_optimal_coordinate(w: float, w_benign: float, bounds: CoordinateBounds
 # reachable intervals
 # ---------------------------------------------------------------------------
 
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+
+
+def _check_offset(b: float) -> None:
+    if b <= 0.0:
+        raise ValueError(f"b must be > 0, got {b}")
+
+
 def _check_descending(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.size == 0:
@@ -117,8 +127,7 @@ def median_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
     """
     q = _check_descending(q)
     n = q.size
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_m(m)
     if n < m + 1:
         raise IndexOutOfRange(f"median bounds need n >= m + 1, got n={n}, m={m}")
     upper = 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
@@ -131,8 +140,7 @@ def trimmed_mean_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
     values can reach: means of the top and bottom n-m benign values."""
     q = _check_descending(q)
     n = q.size
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_m(m)
     if n <= m:
         raise IndexOutOfRange(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
     upper = float(q[: n - m].mean())
@@ -151,8 +159,7 @@ def craft_fedavg(q: Sequence[float], target: float, m: int) -> np.ndarray:
     """
     q = np.asarray(q, dtype=np.float64)
     n = q.size
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_m(m)
     bounds = fedavg_bounds(q)
     if not bounds.contains(target):
         raise OutOfBounds(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
@@ -172,10 +179,8 @@ def craft_median(q: Sequence[float], target: float, m: int, b: float = 1.0) -> n
     """
     q = _check_descending(q)
     n = q.size
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if b <= 0.0:
-        raise ValueError(f"b must be > 0, got {b}")
+    _check_m(m)
+    _check_offset(b)
     bounds = median_bounds(q, m)
     if not bounds.contains(target):
         raise OutOfBounds(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
@@ -204,10 +209,8 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
     """
     q = _check_descending(q)
     n = q.size
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if b <= 0.0:
-        raise ValueError(f"b must be > 0, got {b}")
+    _check_m(m)
+    _check_offset(b)
     if n < 2 * m + 1:
         raise IndexOutOfRange(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
     bounds = trimmed_mean_bounds(q, m)
@@ -261,8 +264,7 @@ def craft_flame_attack(
     (ties by sender index) anchor the construction so the crafted shares
     stay inside the majority cluster while biasing the clipped average.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_m(m)
     receivers = np.asarray(receiver_pre_agg, dtype=np.float64)[None]
     return _craft_flame_all(receivers, np.asarray(benign_shares, dtype=np.float64), m, 0.0, 1.0, alpha, beta)[0]
 
@@ -365,11 +367,6 @@ def _raise_first_failure(codes: np.ndarray) -> None:
     r, k = divmod(int(np.flatnonzero(codes)[0]), codes.shape[1])
     error, text = _FAILURES[int(codes[r, k])]
     raise error(f"receiver {r}, coordinate {k}: {text}")
-
-
-def _check_offset(b: float) -> None:
-    if b <= 0.0:
-        raise ValueError(f"b must be > 0, got {b}")
 
 
 def _column_sums(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -494,8 +491,7 @@ def craft_shared_model(
     per-coordinate functions above bit for bit.  Rules without a tailored
     construction (krum, fltrust) receive the FedAvg-based crafting.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_m(m)
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     receivers = np.asarray(receivers, dtype=np.float64)

@@ -130,35 +130,24 @@ def load_config(path: str, seed_flag: int | None = None) -> tuple[ExperimentConf
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg, output = load_config(args.config, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg, output = load_config(args.config, args.seed)
     out_dir = args.out or output or "out"
-    try:
-        records = run_experiment(cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        write_records(records, os.path.join(out_dir, "records.csv"))
-        final = records[-1]
-        summary = {
-            "rounds": cfg.rounds,
-            "final": {
-                "mtas": final.mtas,
-                "mtans": final.mtans,
-                "gap": final.gap,
-                "attack_started": final.attack_started,
-            },
-            "config": config_to_dict(cfg),
-        }
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2)
-    except ConfigError as exc:  # raised while loading a csv data file
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - boundary of the process
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    records = run_experiment(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    write_records(records, os.path.join(out_dir, "records.csv"))
+    final = records[-1]
+    summary = {
+        "rounds": cfg.rounds,
+        "final": {
+            "mtas": final.mtas,
+            "mtans": final.mtans,
+            "gap": final.gap,
+            "attack_started": final.attack_started,
+        },
+        "config": config_to_dict(cfg),
+    }
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2)
     print(
         f"round {final.round}: mtas={final.mtas:.6f} mtans={final.mtans:.6f} "
         f"gap={final.gap:.6f} attack_started={str(final.attack_started).lower()}"
@@ -175,22 +164,14 @@ def _parse_values(parameter: str, text: str) -> tuple:
 
 
 def cmd_sweep(args) -> int:
+    cfg, output = load_config(args.config, args.seed)
+    values = _parse_values(args.param, args.values)
     try:
-        cfg, output = load_config(args.config, args.seed)
-        values = _parse_values(args.param, args.values)
         spec = SweepSpec(parameter=args.param, values=values, repeats=args.repeats)
-    except ValueError as exc:  # a ConfigError, or a SweepSpec check on --values or --repeats
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # a check on --values or --repeats
+        raise ConfigError(str(exc)) from None
     out_dir = args.out or output or "sweep"
-    try:
-        summary = run_sweep(cfg, spec, out_dir=out_dir, jobs=args.jobs, config_doc=config_to_dict(cfg))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - boundary of the process
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    summary = run_sweep(cfg, spec, out_dir=out_dir, jobs=args.jobs, config_doc=config_to_dict(cfg))
     for value, gap, mtas, mtans in zip(
         summary["values"], summary["mean_gap"], summary["mean_mtas"], summary["mean_mtans"]
     ):
@@ -201,13 +182,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.trials < 1:  # a self-check that checks nothing must not pass
-        print(f"config error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return 1
-    try:
-        results = run_all(trials=args.trials, seed=args.seed if args.seed is not None else 0)
-    except Exception as exc:  # noqa: BLE001 - boundary of the process
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    results = run_all(trials=args.trials, seed=args.seed if args.seed is not None else 0)
     failed = False
     for result in results:
         print(result.describe())
@@ -248,8 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place that maps an error to an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # also raised while a csv data file loads
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # noqa: BLE001 - boundary of the process
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

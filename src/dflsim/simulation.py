@@ -105,10 +105,7 @@ def generate_synthetic(
     gen: np.random.Generator,
 ) -> Dataset:
     """Balanced Gaussian blobs with unit covariance."""
-    if classes < 2 or features < 2 or per_class < 1:
-        raise ValueError("need classes >= 2, features >= 2 and per_class >= 1")
-    if separation < 0.0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    SyntheticDataConfig(classes, features, per_class, separation)  # checks the arguments
     return _sample_blobs(_class_means(classes, features, separation, gen), per_class, gen)
 
 
@@ -153,6 +150,18 @@ class PartitionConfig:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
 
 
+def _check_partition(groups: int | None, clients: int, rho: float, path: str, what: str) -> None:
+    """Reject more partition groups than clients, and a partition.rho
+    outside [1/groups, 1], or outside (0, 1] while the group count waits
+    on the classes of a csv file (``groups`` None).  ``path`` names the
+    config value that set the group count."""
+    if groups and groups > clients:
+        raise ConfigError(f"{path} = {groups}: cannot spread {groups} {what} over {clients} clients")
+    if not ((1.0 / groups <= rho if groups else 0.0 < rho) and rho <= 1.0):  # NaN fails both
+        span = f"[1/groups, 1] = [{1.0 / groups:.4f}, 1]" if groups else "(0, 1]"
+        raise ConfigError(f"partition.rho = {rho}: must lie in {span}")
+
+
 def partition_non_iid(
     data: Dataset,
     num_clients: int,
@@ -162,10 +171,7 @@ def partition_non_iid(
     """Deal every example to exactly one client, round-robin groups of clients."""
     groups = cfg.groups if cfg.groups is not None else data.num_classes
     path = "partition.groups" if cfg.groups is not None else "the data's class count (partition.groups null)"
-    if groups > num_clients:
-        raise ConfigError(f"{path} = {groups}: cannot spread {groups} groups over {num_clients} clients")
-    if not (1.0 / groups <= cfg.rho <= 1.0):
-        raise ConfigError(f"partition.rho = {cfg.rho}: must lie in [1/groups, 1] = [{1.0 / groups:.4f}, 1]")
+    _check_partition(groups, num_clients, cfg.rho, path, "groups")
 
     members = [np.array([c for c in range(num_clients) if c % groups == g]) for g in range(groups)]
     own = data.labels % groups
@@ -376,8 +382,11 @@ class SyntheticDataConfig:
     test_per_class: int = 250
 
     def __post_init__(self) -> None:
-        if self.test_per_class < 1:
-            raise ValueError(f"test_per_class must be >= 1, got {self.test_per_class}")
+        for name, least in (("classes", 2), ("features", 2), ("per_class", 1), ("test_per_class", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not (np.isfinite(self.separation) and self.separation >= 0.0):
+            raise ValueError(f"separation must be a finite value >= 0, got {self.separation}")
 
 
 @dataclass(frozen=True)
@@ -417,10 +426,7 @@ class AttackConfig:
             raise ValueError(f"lam must be a finite value >= 0, got {self.lam}")
         if not (np.isfinite(self.b) and self.b > 0.0):
             raise ValueError(f"b must be a finite value > 0, got {self.b}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
+        AttackStartDetector(self.epsilon, self.interval)  # checks both
         if self.info_mode not in ("all", "selfish_only"):
             raise ValueError(f"info_mode must be 'all' or 'selfish_only', got {self.info_mode!r}")
         if self.info_mode == "selfish_only" and self.kind != "selfish":
@@ -441,22 +447,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        self._check_partition()
-        read_plan(self)
-
-    def _check_partition(self) -> None:
-        """Reject more partition groups than clients, and a partition.rho
-        outside [1/groups, 1], or outside (0, 1] while the group count waits
-        on the classes of a csv file."""
         groups, path, what = self.partition.groups, "partition.groups", "groups"
         if groups is None and isinstance(self.data, SyntheticDataConfig):
             groups, path, what = self.data.classes, "data.synthetic.classes", "groups (one per class, partition.groups null)"
-        if groups and groups > self.roles.total:
-            raise ValueError(f"{path} = {groups}: cannot spread {groups} {what} over {self.roles.total} clients")
-        rho = self.partition.rho
-        if not ((1.0 / groups <= rho if groups else 0.0 < rho) and rho <= 1.0):  # NaN fails both
-            span = f"[1/groups, 1] = [{1.0 / groups:.4f}, 1]" if groups else "(0, 1]"
-            raise ValueError(f"partition.rho = {rho}: must lie in {span}")
+        _check_partition(groups, self.roles.total, self.partition.rho, path, what)
+        read_plan(self)
 
     def resolved_lambda(self) -> float:
         if self.attack.lam is not None:
@@ -603,7 +598,9 @@ class Engine:
         perm = self.rng.stream(STREAM_TEST).permutation(full.size)
         cut = max(1, int(round(data.test_fraction * full.size)))
         if cut >= full.size:
-            raise ConfigError("test_fraction leaves no training data")
+            raise ConfigError(
+                f"data.csv.test_fraction = {data.test_fraction}: a test set of {cut} of {full.size} rows leaves no training data"
+            )
         return full.subset(perm[cut:]), full.subset(perm[:cut])
 
     def run_round(self) -> tuple[np.ndarray, np.ndarray | None]:

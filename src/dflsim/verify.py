@@ -46,6 +46,12 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.failures == 0
 
+    def fail(self, **details) -> None:
+        """Count one failed trial; keep the first one's details."""
+        self.failures += 1
+        if self.first_failure is None:
+            self.first_failure = details
+
     def describe(self) -> str:
         status = "pass" if self.passed else "FAIL"
         extras = " ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
@@ -89,12 +95,7 @@ def check_fedavg_identity(trials: int = 10_000, seed: int = 0, craft=craft_fedav
         crafted = craft(q, target, m)
         got = float(np.mean(np.concatenate([q, crafted])))
         if not _close(got, target):
-            result.failures += 1
-            if result.first_failure is None:
-                result.first_failure = {
-                    "q": q.tolist(), "m": m, "w": w, "lam": lam,
-                    "target": target, "aggregated": got,
-                }
+            result.fail(q=q.tolist(), m=m, w=w, lam=lam, target=target, aggregated=got)
     result.seconds = time.perf_counter() - start
     return result
 
@@ -123,12 +124,7 @@ def check_median_identity(trials: int = 10_000, seed: int = 0, craft=craft_media
         crafted = craft(q, target, m)
         got = float(np.median(np.concatenate([q, crafted])))
         if not _close(got, target):
-            result.failures += 1
-            if result.first_failure is None:
-                result.first_failure = {
-                    "q": q.tolist(), "m": m, "w": w, "lam": lam,
-                    "target": target, "aggregated": got,
-                }
+            result.fail(q=q.tolist(), m=m, w=w, lam=lam, target=target, aggregated=got)
     result.seconds = time.perf_counter() - start
     return result
 
@@ -155,12 +151,7 @@ def check_trimmed_mean_identity(trials: int = 10_000, seed: int = 0, craft=craft
         crafted = craft(q, target, m)
         got = _trimmed_mean_values(np.concatenate([q, crafted]), m)
         if not _close(got, target):
-            result.failures += 1
-            if result.first_failure is None:
-                result.first_failure = {
-                    "q": q.tolist(), "m": m, "w": w, "lam": lam,
-                    "target": target, "aggregated": got,
-                }
+            result.fail(q=q.tolist(), m=m, w=w, lam=lam, target=target, aggregated=got)
     result.seconds = time.perf_counter() - start
     return result
 
@@ -218,13 +209,9 @@ def check_solver_against_grid(
             best = float(grid[int(np.argmin(objective))])
             step = (bounds.upper - bounds.lower) / (grid_points - 1)
             if abs(solved - best) > step + ABS_TOL:
-                result.failures += 1
-                if result.first_failure is None:
-                    result.first_failure = {
-                        "w": w, "w_benign": w_benign, "lam": lam,
-                        "bounds": [bounds.lower, bounds.upper],
-                        "solved": solved, "grid_best": best,
-                    }
+                result.fail(
+                    w=w, w_benign=w_benign, lam=lam, bounds=[bounds.lower, bounds.upper], solved=solved, grid_best=best
+                )
     result.seconds = time.perf_counter() - start
     return result
 
@@ -273,9 +260,7 @@ def check_bounds_tightness(
         ok &= _close(_trimmed_mean_values(low, m), tm_bounds.lower)
 
         if not ok:
-            result.failures += 1
-            if result.first_failure is None:
-                result.first_failure = {"q": q.tolist(), "m": m}
+            result.fail(q=q.tolist(), m=m)
     result.seconds = time.perf_counter() - start
     return result
 

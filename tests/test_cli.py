@@ -175,6 +175,29 @@ def test_run_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError("a config fault"), 1, "config error: a config fault"),
+    (RuntimeError("a runtime fault"), 2, "runtime error: a runtime fault"),
+], ids=["config", "runtime"])
+def test_each_command_maps_errors_to_exit_codes(tmp_path, monkeypatch, capsys, command, error, code, prefix):
+    import dflsim.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    for name in ("run_experiment", "run_sweep", "run_all"):
+        monkeypatch.setattr(cli, name, fail)
+    path = write_doc(tmp_path, tiny_doc())
+    argv = {
+        "run": ["run", path, "--out", str(tmp_path / "out")],
+        "sweep": ["sweep", path, "--param", "lambda", "--values", "0", "--repeats", "1", "--out", str(tmp_path / "s")],
+        "verify": ["verify", "--trials", "10"],
+    }[command]
+    assert main(argv) == code
+    assert prefix in capsys.readouterr().err
+
+
 def test_bad_csv_header_is_a_config_error_for_run_and_sweep(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("f0,f1,target\n0.5,1.0,0\n1.5,2.0,1\n")
@@ -240,6 +263,30 @@ def test_run_rejects_more_partition_groups_than_clients(tmp_path, capsys, partit
     doc = tiny_doc(partition=partition, **({"data": data} if data else {}))
     assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
     assert f"config error: top level: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("synthetic, message", [
+    ({"classes": 1}, "classes must be >= 2, got 1"),
+    ({"features": 1}, "features must be >= 2, got 1"),
+    ({"per_class": 0}, "per_class must be >= 1, got 0"),
+    ({"separation": -3.0}, "separation must be a finite value >= 0, got -3.0"),
+], ids=["classes", "features", "per_class", "separation"])
+def test_run_rejects_synthetic_data_faults_as_config_errors(tmp_path, capsys, synthetic, message):
+    doc = json.loads((CONFIG_DIR / "quick_smoke.json").read_text())
+    doc["data"]["synthetic"].update(synthetic)
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: data.synthetic: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_csv_test_fraction_that_leaves_no_training_data(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,label\n0.5,1.0,0\n1.5,2.0,1\n2.5,0.0,1\n")
+    doc = tiny_doc(data={"csv": {"path": str(data), "test_fraction": 0.9}})
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: data.csv.test_fraction = 0.9: a test set of 3 of 3 rows leaves no training data" in err
     assert not (tmp_path / "out").exists()
 
 
