@@ -118,34 +118,47 @@ def fedavg_bounds(q: Sequence[float]) -> CoordinateBounds:
     return CoordinateBounds(float(q.min()), float(q.max()))
 
 
-def median_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
-    """Interval the median of ``q`` plus ``m`` crafted values can reach.
+def _column_sums(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Sums of ``rows[start:stop]`` per column (the one sum of a 1-D ``rows``),
+    each added in the order of a 1-D sum: a reduction along a contiguous last
+    axis (one along axis 0 adds in another order and changes the last bits)."""
+    return np.ascontiguousarray(rows[start:stop].T).sum(axis=-1)
 
-    ``q`` must be sorted descending.  Pushing all crafted values above the
-    benign maximum (or below the minimum) shifts the median rank by m in
-    either direction, which gives the endpoints.
-    """
-    q = _check_descending(q)
-    n = q.size
-    _check_m(m)
+
+def _median_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) ends of the interval the median of ``q`` plus ``m``
+    crafted values can reach, per column of ``q``, of shape (n,) or (n, d)
+    and sorted descending along axis 0.  Pushing all crafted values above
+    the benign maximum (or below the minimum) shifts the median rank by m
+    in either direction, which gives the endpoints."""
+    n = q.shape[0]
     if n < m + 1:
         raise IndexOutOfRange(f"median bounds need n >= m + 1, got n={n}, m={m}")
-    upper = 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
-    lower = 0.5 * (q[(n + m - 1) // 2] + q[(n + m) // 2])
-    return CoordinateBounds(float(lower), float(upper))
+    return 0.5 * (q[(n + m - 1) // 2] + q[(n + m) // 2]), 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
+
+
+def _trimmed_mean_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) ends of the interval the trimmed mean (m per side) of
+    ``q`` plus ``m`` crafted values can reach, shaped and sorted as in
+    :func:`_median_interval`: the means of the bottom and top n - m values."""
+    n = q.shape[0]
+    if n <= m:
+        raise IndexOutOfRange(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
+    return _column_sums(q, m, n) / (n - m), _column_sums(q, 0, n - m) / (n - m)
+
+
+def median_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
+    """Interval the median of ``q`` (sorted descending) plus ``m`` crafted values can reach."""
+    q = _check_descending(q)
+    _check_m(m)
+    return CoordinateBounds(*map(float, _median_interval(q, m)))
 
 
 def trimmed_mean_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
-    """Interval the trimmed mean (m per side) of ``q`` plus ``m`` crafted
-    values can reach: means of the top and bottom n-m benign values."""
+    """Interval the trimmed mean (m per side) of ``q`` (sorted descending) plus ``m`` crafted values can reach."""
     q = _check_descending(q)
-    n = q.size
     _check_m(m)
-    if n <= m:
-        raise IndexOutOfRange(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
-    upper = float(q[: n - m].mean())
-    lower = float(q[m:].mean())
-    return CoordinateBounds(lower, upper)
+    return CoordinateBounds(*map(float, _trimmed_mean_interval(q, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +190,10 @@ def craft_median(q: Sequence[float], target: float, m: int, b: float = 1.0) -> n
     the benign maximum; symmetrically below; otherwise all crafted values
     equal the target.
     """
-    q = _check_descending(q)
-    n = q.size
-    _check_m(m)
-    _check_offset(b)
     bounds = median_bounds(q, m)
+    _check_offset(b)
+    q = np.asarray(q, dtype=np.float64)
+    n = q.size
     if not bounds.contains(target):
         raise OutOfBounds(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
     upper_pivot = q[(n - m) // 2]
@@ -207,13 +219,12 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
     the benign range to shift which benign values get trimmed, and the rest
     take a common value that lands the surviving mean exactly on the target.
     """
-    q = _check_descending(q)
-    n = q.size
-    _check_m(m)
+    bounds = trimmed_mean_bounds(q, m)
     _check_offset(b)
+    q = np.asarray(q, dtype=np.float64)
+    n = q.size
     if n < 2 * m + 1:
         raise IndexOutOfRange(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
-    bounds = trimmed_mean_bounds(q, m)
     if not bounds.contains(target):
         raise OutOfBounds(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
     benign_trimmed = float(q[m:n - m].mean())
@@ -342,38 +353,19 @@ def _solve_optimal(w: np.ndarray, w_benign: np.ndarray, lower: np.ndarray, upper
     return np.where(np.abs(p - upper) > np.abs(p - lower), upper, lower)
 
 
-def _targets(receivers, benign_agg, lower, upper, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal targets (R, d) and the per-cell error codes of the scalar path:
-    1 for invalid bounds on the coordinate, 2 for a target outside them."""
-    invalid = ~(np.isfinite(lower) & np.isfinite(upper)) | (lower > upper)
+def _targets(receivers, benign, benign_agg, lower, upper, lam) -> np.ndarray:
+    """Optimal targets (R, d) of the receivers' coordinates.  Finite benign
+    shares and bounds give lower <= upper, and the solver returns a clamp or
+    an endpoint, so only a NaN receiver coordinate (at lam < 1) can put a
+    target outside them: each fault raises at its first coordinate."""
+    finite = np.isfinite(benign).all(axis=0) & np.isfinite(lower) & np.isfinite(upper)
+    if not finite.all():
+        raise InvalidBounds(f"coordinate {finite.argmin()}: benign shares or reachable bounds not finite")
     target = _solve_optimal(receivers, benign_agg, lower, upper, lam)
-    codes = np.where((lower <= target) & (target <= upper), 0, 2).astype(np.int8)
-    codes[:, invalid] = 1
-    return target, codes
-
-
-# error code of a cell -> what the per-coordinate loop raises there
-_FAILURES = {
-    1: (InvalidBounds, "invalid reachable bounds"),
-    2: (OutOfBounds, "target outside the reachable bounds"),
-}
-
-
-def _raise_first_failure(codes: np.ndarray) -> None:
-    """Raise the error the per-coordinate loop would meet first (receivers
-    outer, coordinates inner), if any cell failed."""
-    if not codes.any():
-        return
-    r, k = divmod(int(np.flatnonzero(codes)[0]), codes.shape[1])
-    error, text = _FAILURES[int(codes[r, k])]
-    raise error(f"receiver {r}, coordinate {k}: {text}")
-
-
-def _column_sums(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Sums of ``rows[start:stop]`` per column, added in the order of the
-    scalar code's 1-D sums (a reduction along a contiguous last axis; one
-    along axis 0 adds in another order and changes the last bits)."""
-    return np.ascontiguousarray(rows[start:stop].T).sum(axis=1)
+    if np.isnan(target).any():
+        r, k = np.argwhere(np.isnan(target))[0]
+        raise OutOfBounds(f"receiver {r}, coordinate {k}: target outside the reachable bounds")
+    return target
 
 
 def _craft_fedavg_all(receivers, benign, m, lam, b) -> np.ndarray:
@@ -381,8 +373,7 @@ def _craft_fedavg_all(receivers, benign, m, lam, b) -> np.ndarray:
     n = benign.shape[0]
     columns = np.ascontiguousarray(benign.T)
     lower, upper = columns.min(axis=1), columns.max(axis=1)
-    target, codes = _targets(receivers, agg_fedavg(benign), lower, upper, lam)
-    _raise_first_failure(codes)
+    target = _targets(receivers, benign, agg_fedavg(benign), lower, upper, lam)
     crafted = np.repeat(target[:, None, :], m, axis=1)
     crafted[:, 0] = (n + 1) * target - columns.sum(axis=1)
     return crafted
@@ -391,17 +382,10 @@ def _craft_fedavg_all(receivers, benign, m, lam, b) -> np.ndarray:
 def _craft_median_all(receivers, benign, m, lam, b) -> np.ndarray:
     """:func:`median_bounds` and :func:`craft_median` for every receiver and
     coordinate at once."""
-    _check_offset(b)
     n = benign.shape[0]
-    if n < m + 1:
-        raise IndexOutOfRange(f"median bounds need n >= m + 1, got n={n}, m={m}")
     q = -np.sort(-benign, axis=0)
-    upper = 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
-    lower = 0.5 * (q[(n + m - 1) // 2] + q[(n + m) // 2])
-    target, codes = _targets(receivers, agg_median(benign), lower, upper, lam)
-    # one non-finite benign value can leave the median bounds finite
-    codes[:, ~np.isfinite(q).all(axis=0)] = 1
-    _raise_first_failure(codes)
+    lower, upper = _median_interval(q, m)
+    target = _targets(receivers, q, agg_median(benign), lower, upper, lam)
     upper_pivot = q[(n - m) // 2]
     lower_pivot = q[(n + m - 1) // 2]
     above = target > upper_pivot
@@ -421,14 +405,12 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     first feasible split.  Split j parks m - j crafted values outside the
     benign range and gives the other j a common filler value.
     """
-    _check_offset(b)
     n = benign.shape[0]
     if n < 2 * m + 1:
         raise IndexOutOfRange(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
     q = -np.sort(-benign, axis=0)
-    upper = _column_sums(q, 0, n - m) / (n - m)
-    lower = _column_sums(q, m, n) / (n - m)
-    target, codes = _targets(receivers, agg_trimmed_mean(benign, m), lower, upper, lam)
+    lower, upper = _trimmed_mean_interval(q, m)
+    target = _targets(receivers, q, agg_trimmed_mean(benign, m), lower, upper, lam)
     splits = np.arange(m + 1)[:, None]
     # below the benign trimmed mean: split j keeps q[m:n-j], pivots on q[m-1]
     low_sums = np.stack([_column_sums(q, m, n - j) for j in range(m + 1)])
@@ -445,7 +427,6 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     )
     feasible[:, m] = True  # feasible in exact arithmetic, see craft_trimmed_mean
     split = feasible.argmax(axis=1)
-    _raise_first_failure(codes)
 
     sums = np.where(go_low, np.take_along_axis(low_sums, split, axis=0), np.take_along_axis(high_sums, split, axis=0))
     filler = ((n - m) * target - sums) / np.maximum(split, 1)
@@ -492,6 +473,7 @@ def craft_shared_model(
     construction (krum, fltrust) receive the FedAvg-based crafting.
     """
     _check_m(m)
+    _check_offset(b)
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     receivers = np.asarray(receivers, dtype=np.float64)

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 from .aggregation import AggregationRule
 from .core import ConfigError, RoleConfig
@@ -31,6 +32,22 @@ from .verify import run_all
 # config keys that rename to python identifiers
 _ATTACK_KEYS = {"lambda": "lam"}
 
+# type of a config field -> (what its JSON value must be, the JSON value types that fit)
+_JSON_TYPES = {
+    int: ("an integer", (int,)), float: ("a number", (int, float)), bool: ("true or false", (bool,)),
+    str: ("a string", (str,)), type(None): ("null", (type(None),)),
+}
+
+
+def _check_json_type(hint, value, path: str) -> None:
+    """Reject a JSON value whose type does not fit a field annotated ``hint``; an int field takes no 2.0."""
+    options = typing.get_args(hint) or (hint,)
+    if any(option not in _JSON_TYPES for option in options):
+        return  # a field of a config type parses its own value
+    if not any(type(value) in _JSON_TYPES[option][1] for option in options):
+        expected = " or ".join(_JSON_TYPES[option][0] for option in options)
+        raise ConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
+
 
 def _build(cls, doc: dict, path: str, renames: dict | None = None, nested: dict | None = None):
     """Construct a config dataclass from a JSON mapping with path-tagged errors."""
@@ -38,13 +55,14 @@ def _build(cls, doc: dict, path: str, renames: dict | None = None, nested: dict 
         raise ConfigError(f"{path}: expected an object, got {type(doc).__name__}")
     renames = renames or {}
     nested = nested or {}
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    allowed = (field_names - set(renames.values())) | set(renames)
+    hints = typing.get_type_hints(cls)
+    allowed = (set(hints) - set(renames.values())) | set(renames)
     kwargs = {}
     for key, value in doc.items():
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key (expected one of {sorted(allowed)})")
         name = renames.get(key, key)
+        _check_json_type(hints[name], value, f"{path}.{key}")
         if name in nested and value is not None:
             value = nested[name](value, f"{path}.{key}")
         kwargs[name] = value
@@ -83,10 +101,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for key, value in doc.items():
         if key in sections:
             kwargs[key] = sections[key](value, key)
-        elif key in ("rounds", "seed", "output"):
-            if key != "output":
-                kwargs[key] = value
-        else:
+        elif key in ("rounds", "seed"):
+            _check_json_type(typing.get_type_hints(ExperimentConfig)[key], value, key)
+            kwargs[key] = value
+        elif key != "output":
             raise ConfigError(f"{key}: unknown top-level key")
     try:
         return ExperimentConfig(**kwargs)
@@ -115,8 +133,7 @@ def load_config(path: str, seed_flag: int | None = None) -> tuple[ExperimentConf
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     output = doc.get("output") if isinstance(doc, dict) else None
-    if output is not None and not isinstance(output, str):
-        raise ConfigError("output: expected a string path")
+    _check_json_type(str | None, output, "output")
     cfg = config_from_dict(doc)
     env_seed = os.environ.get("DFL_SEED")
     if env_seed is not None:

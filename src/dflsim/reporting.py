@@ -6,14 +6,13 @@ import csv
 import dataclasses
 import json
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, RoleConfig
-
-CSV_FIELDS = ("round", "mtas", "mtans", "gap", "mean_selfish_loss", "attack_started")
 
 # sweep parameter -> the type of its values
 SWEEP_PARAMETERS = {
@@ -41,41 +40,31 @@ class ExperimentRecord:
             raise ValueError("gap must equal mtas - mtans")
 
 
+# type of a record field -> (how write_records formats its value, how read_records parses it)
+_CSV_CODECS = {
+    int: (str, int),
+    float: ("{:.6f}".format, float),
+    bool: (lambda value: "true" if value else "false", lambda text: text == "true"),
+}
+_CSV_COLUMNS = [(name, *_CSV_CODECS[kind]) for name, kind in typing.get_type_hints(ExperimentRecord).items()]
+CSV_FIELDS = tuple(name for name, _, _ in _CSV_COLUMNS)
+
+
 def write_records(records, path: str) -> None:
     """Write records as CSV with six-decimal floats and lowercase booleans."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for rec in records:
-            writer.writerow([
-                rec.round,
-                f"{rec.mtas:.6f}",
-                f"{rec.mtans:.6f}",
-                f"{rec.gap:.6f}",
-                f"{rec.mean_selfish_loss:.6f}",
-                "true" if rec.attack_started else "false",
-            ])
+        writer.writerows([fmt(getattr(rec, name)) for name, fmt, _ in _CSV_COLUMNS] for rec in records)
 
 
 def read_records(path: str) -> list[ExperimentRecord]:
     """Parse a records CSV written by :func:`write_records`."""
-    records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_FIELDS:
             raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        for row in reader:
-            records.append(
-                ExperimentRecord(
-                    round=int(row["round"]),
-                    mtas=float(row["mtas"]),
-                    mtans=float(row["mtans"]),
-                    gap=float(row["gap"]),
-                    mean_selfish_loss=float(row["mean_selfish_loss"]),
-                    attack_started=row["attack_started"] == "true",
-                )
-            )
-    return records
+        return [ExperimentRecord(**{name: parse(row[name]) for name, _, parse in _CSV_COLUMNS}) for row in reader]
 
 
 # ---------------------------------------------------------------------------

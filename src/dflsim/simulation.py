@@ -116,16 +116,25 @@ def load_csv(path: str) -> Dataset:
         header = next(reader, None)
         if not header or header[-1].strip() != "label":
             raise ConfigError(f"{path}: expected a header ending in 'label'")
-        rows = [[float(cell) for cell in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ConfigError(f"{path}: rows do not match the header width")
+            for j, cell in enumerate(row):
+                try:
+                    row[j] = float(cell)
+                except ValueError:
+                    raise ConfigError(f"{path}:{reader.line_num}: column {header[j].strip()!r}: {cell!r} is not a number") from None
+            rows.append(row)
     if not rows:
         raise EmptyDataset(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
-    if data.shape[1] != len(header):
-        raise ConfigError(f"{path}: rows do not match the header width")
     labels = data[:, -1]
     if np.any(labels != np.round(labels)) or labels.min() < 0:
         raise ConfigError(f"{path}: labels must be non-negative integers")
     labels = labels.astype(np.int64)
+    if labels.max() < 1:
+        raise ConfigError(f"{path}: the labels give 1 class, need at least 2")
     return Dataset(data[:, :-1], labels, int(labels.max()) + 1)
 
 

@@ -587,6 +587,19 @@ def test_craft_shared_model_non_finite_share_fails_like_scalar_crafting(instance
     assert scalar is InvalidBounds
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["median", "trimmed_mean", "fedavg"])
+def test_craft_shared_model_names_the_first_faulty_coordinate(kind):
+    gen = np.random.default_rng(27)
+    receivers, benign = gen.normal(size=(3, 4)), gen.normal(size=(7, 4))
+    receivers[2, 0] = receivers[1, 2] = np.nan
+    with pytest.raises(OutOfBounds, match=r"^receiver 1, coordinate 2: target outside the reachable bounds$"):
+        craft_shared_model(AggregationRule(kind), receivers, benign, m=2, lam=0.5)
+    benign[4, 3] = benign[0, 1] = np.inf  # checked before any target
+    with pytest.raises(InvalidBounds, match=r"^coordinate 1: benign shares or reachable bounds not finite$"):
+        craft_shared_model(AggregationRule(kind), receivers, benign, m=2, lam=0.5)
+
+
 @st.composite
 def flame_instances(draw):
     """(receivers (R, d), benign (n, d), m) with n > m, values rounded to

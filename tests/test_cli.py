@@ -82,6 +82,31 @@ def test_invalid_values_are_path_tagged():
         config_from_dict(tiny_doc(roles={"n": 2, "m": 1}))
 
 
+@pytest.mark.parametrize("path, value, expected", [
+    ("rounds", 2.5, "an integer"),
+    ("trainer.batch_size", 32.5, "an integer"),
+    ("data.synthetic.classes", 2.0, "an integer"),
+    ("trainer.local_epochs", True, "an integer"),
+    ("seed", 1.5, "an integer"),
+    ("roles.n", 7.0, "an integer"),
+    ("rounds", "3", "an integer"),
+    ("attack.lambda", True, "a number or null"),
+    ("rule.clip", 1, "true or false"),
+    ("attack.kind", 3, "a string"),
+    ("output", 3, "a string or null"),
+])
+def test_run_rejects_a_config_value_of_the_wrong_json_type(tmp_path, capsys, path, value, expected):
+    doc = json.loads((CONFIG_DIR / "quick_smoke.json").read_text())
+    *sections, key = path.split(".")
+    section = doc
+    for name in sections:
+        section = section[name]
+    section[key] = value
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: expected {expected}, got {json.dumps(value)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "roles": {,}\n}')
@@ -207,6 +232,20 @@ def test_bad_csv_header_is_a_config_error_for_run_and_sweep(tmp_path, capsys):
     code = main(["sweep", path, "--param", "lambda", "--values", "0", "--repeats", "1", "--out", str(tmp_path / "s")])
     assert code == 1
     assert "expected a header ending in 'label'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("f0,f1,label\n0.5,1.0,0\n\n1.5,x,1\n", ":4: column 'f1': 'x' is not a number"),  # line 4, after a blank one
+    ("f0,f1,label\n0.5,1.0,0\n1.5,2.0\n", ": rows do not match the header width"),
+    ("f0,f1,label\n0.5,1.0,0\n1.5,2.0,0\n", ": the labels give 1 class, need at least 2"),
+], ids=["cell", "width", "one_class"])
+def test_run_rejects_a_csv_data_fault_as_a_config_error(tmp_path, capsys, text, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    doc = tiny_doc(data={"csv": {"path": str(data)}})
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {data}{message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_selfish_only_rule_that_cannot_aggregate_coalition(tmp_path, capsys):

@@ -8,7 +8,10 @@ every client in id order.  A change that keeps the simulation's numerics
 must reproduce both byte for byte.  The matrix also pins the two degenerate
 collaboration modes under every rule, repeats the rule-by-attack cells
 with 11 honest and 3 selfish clients, and runs trimmed mean under the selfish
-attack with 13 honest and 3 selfish clients and lambda 0.5.
+attack with 13 honest and 3 selfish clients and lambda 0.5.  Over the
+selfish cells whose rule has a closed-form crafting, the paper's optimality
+claim is checked where it runs: each crafted round must put every attacked
+receiver on its constrained optimum, coordinate by coordinate.
 
 The digests depend on the floating-point behaviour of numpy and its BLAS.
 After a deliberate change of the numerics, or on a platform whose BLAS
@@ -20,13 +23,17 @@ rounds differently, print fresh digests with
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
+from oracles import median_of, trimmed_mean_of
 
 from dflsim.aggregation import AggregationRule
+from dflsim.attack import fedavg_bounds, median_bounds, solve_optimal_coordinate, trimmed_mean_bounds
 from dflsim.core import RoleConfig
 from dflsim.reporting import write_records
 from dflsim.simulation import (
@@ -37,6 +44,7 @@ from dflsim.simulation import (
     SyntheticDataConfig,
     TrainerConfig,
 )
+from dflsim.verify import ABS_TOL, REL_TOL
 
 RULES = ("fedavg", "median", "trimmed_mean", "krum", "fltrust", "flame")
 ATTACKS = ("none", "selfish", "gaussian", "trim")
@@ -63,6 +71,16 @@ WIDE_CELLS = [(rule, attack, "all") for rule in RULES for attack in ATTACKS]
 WIDER_ROLES = RoleConfig(n=13, m=3)
 WIDER_LAMBDA = 0.5
 WIDER_CELLS = [("trimmed_mean", "selfish", "all")]
+# the selfish cells whose rule has a closed-form crafting: (rule, roles, lambda)
+OPTIMUM_CELLS = [(rule, roles, None) for roles in (ROLES, WIDE_ROLES) for rule in ("fedavg", "median", "trimmed_mean")]
+OPTIMUM_CELLS.append(("trimmed_mean", WIDER_ROLES, WIDER_LAMBDA))
+# rule -> (its reachable interval and its aggregate of the benign values sorted
+# descending, given the number m of selfish clients)
+OPTIMUM_TERMS = {
+    "fedavg": (lambda q, m: fedavg_bounds(q), lambda q, m: float(np.mean(q))),
+    "median": (median_bounds, lambda q, m: median_of(q)),
+    "trimmed_mean": (trimmed_mean_bounds, trimmed_mean_of),
+}
 
 # (rule, attack, info_mode) -> (records CSV sha256, final models sha256)
 PINNED = {
@@ -190,6 +208,34 @@ def test_regression_matrix_13_3(cell, tmp_path):
     digests, started = run_cell(cell, str(tmp_path), WIDER_ROLES, WIDER_LAMBDA)
     assert started
     assert digests == PINNED_13_3[cell]
+
+
+@pytest.mark.parametrize(
+    "rule, roles, lam", OPTIMUM_CELLS, ids=[f"{rule}-{roles.n}+{roles.m}" for rule, roles, _ in OPTIMUM_CELLS]
+)
+def test_crafted_aggregates_sit_on_the_optimum(rule, roles, lam):
+    """On every crafted round each attacked receiver's aggregate equals, per
+    coordinate, the optimum of (x - w)^2 - lam * (x - w_benign)^2 over the
+    reachable interval, from the scalar bounds and solver and the oracles."""
+    engine = Engine(regression_config(rule, "selfish", roles=roles, lam=lam))
+    bounds_of, benign_of = OPTIMUM_TERMS[rule]
+    checks, mismatches = 0, []
+    for t in range(1, engine.cfg.rounds + 1):
+        pre_agg, crafted = engine.run_round()
+        if crafted is None:
+            continue
+        for k in range(pre_agg.shape[1]):
+            q = -np.sort(-pre_agg[: roles.n, k])
+            bounds, benign = bounds_of(q, roles.m), benign_of(q, roles.m)
+            for r in range(roles.n):
+                target = solve_optimal_coordinate(pre_agg[r, k], benign, bounds, engine.lam)
+                checks += 1
+                if not math.isclose(engine.models[r, k], target, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+                    mismatches.append((t, r, k, engine.models[r, k], target))
+    assert checks > 0
+    assert not mismatches, (
+        f"{len(mismatches)} of {checks} missed; first (round, receiver, coordinate, got, target): {mismatches[0]}"
+    )
 
 
 if __name__ == "__main__":
