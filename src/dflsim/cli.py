@@ -16,7 +16,7 @@ import sys
 import typing
 
 from .aggregation import AggregationRule
-from .core import ConfigError, RoleConfig
+from .core import ConfigError, RoleConfig, check_seed
 from .reporting import SWEEP_PARAMETERS, SweepSpec, run_sweep, write_records
 from .simulation import (
     AttackConfig,
@@ -138,11 +138,12 @@ def load_config(path: str, seed_flag: int | None = None) -> tuple[ExperimentConf
     env_seed = os.environ.get("DFL_SEED")
     if env_seed is not None:
         try:
-            cfg = dataclasses.replace(cfg, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"DFL_SEED={env_seed!r} is not an integer") from None
+        cfg = dataclasses.replace(cfg, seed=check_seed(seed, f"DFL_SEED={env_seed!r}"))
     if seed_flag is not None:
-        cfg = dataclasses.replace(cfg, seed=seed_flag)
+        cfg = dataclasses.replace(cfg, seed=check_seed(seed_flag, "--seed"))
     return cfg, output
 
 
@@ -200,7 +201,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:  # a self-check that checks nothing must not pass
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    results = run_all(trials=args.trials, seed=args.seed if args.seed is not None else 0)
+    seed = check_seed(args.seed if args.seed is not None else 0, "--seed")
+    results = run_all(trials=args.trials, seed=seed)
     failed = False
     for result in results:
         print(result.describe())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, RoleConfig
+from .core import ConfigError, RoleConfig, check_seed
 
 # sweep parameter -> the type of its values
 SWEEP_PARAMETERS = {
@@ -128,8 +128,9 @@ def run_sweep(
     Every value is applied to ``cfg`` before any cell runs, and one that
     gives an invalid config, or is repeated, raises :class:`ConfigError`.
     Per value, ``spec.repeats`` experiments run with seeds ``cfg.seed + 0
-    .. cfg.seed + repeats - 1``; the summary averages the final-round
-    metrics over repeats.  With ``out_dir`` set, each cell's records land in
+    .. cfg.seed + repeats - 1`` (a ConfigError if one reaches 2**64); the
+    summary averages the final-round metrics over repeats.  With
+    ``out_dir`` set, each cell's records land in
     ``<parameter>_<value>_rep<k>.csv`` as soon as the cell finishes.
     ``config_doc`` is echoed into the summary so results stay reproducible.
     """
@@ -141,6 +142,8 @@ def run_sweep(
     repeated = [value for i, value in enumerate(spec.values) if value in spec.values[:i]]
     if repeated:  # cells, their files and the summary are keyed by value
         raise ConfigError(f"--values: {repeated[0]} repeated")
+    last = spec.repeats - 1  # the last repeat runs with the largest seed
+    check_seed(cfg.seed + last, f"--repeats {spec.repeats}: sweep seed seed + repeat = {cfg.seed} + {last}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     finals = {value: [None] * spec.repeats for value in spec.values}  # final record per repeat

@@ -456,6 +456,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        Rng(self.seed)  # checks the seed range
         groups, path, what = self.partition.groups, "partition.groups", "groups"
         if groups is None and isinstance(self.data, SyntheticDataConfig):
             groups, path, what = self.data.classes, "data.synthetic.classes", "groups (one per class, partition.groups null)"
@@ -489,21 +490,17 @@ def _craft_selfish(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray | N
 
 def _craft_gaussian(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
     attack, roles = eng.cfg.attack, eng.roles
-    return np.stack([
-        craft_gaussian(pre_agg.shape[1], roles.m, eng.rng.stream(STREAM_ATTACK, t, receiver), attack.sigma)
-        for receiver in roles.non_selfish_ids
-    ])
+    gens = eng.rng.reset(eng.gens[: roles.n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
+    return np.stack([craft_gaussian(pre_agg.shape[1], roles.m, gen, attack.sigma) for gen in gens])
 
 
 def _craft_trim(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
     # eng.models still holds every receiver's aggregate of the previous round
     attack, roles = eng.cfg.attack, eng.roles
+    gens = eng.rng.reset(eng.gens[: roles.n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
     return np.stack([
-        craft_directed_deviation(
-            pre_agg[: roles.n], eng.models[receiver], roles.m,
-            eng.rng.stream(STREAM_ATTACK, t, receiver), attack.delta_lo, attack.delta_hi,
-        )
-        for receiver in roles.non_selfish_ids
+        craft_directed_deviation(pre_agg[: roles.n], model, roles.m, gen, attack.delta_lo, attack.delta_hi)
+        for model, gen in zip(eng.models, gens)
     ])
 
 
@@ -582,6 +579,9 @@ class Engine:
             self.train_set.num_classes,
         )
         self.models = np.zeros((roles.total, model_dim(self.train_set.num_classes, self.train_set.num_features)))
+        # one generator per client, re-keyed by Rng.reset to each (tag, round, client)
+        # stream: a round's training draws all end before its crafting draws start
+        self.gens = [np.random.Generator(np.random.Philox(0)) for _ in range(roles.total)]
         self.lam = cfg.resolved_lambda()
         self.crafter = ATTACKS[cfg.attack.kind][0]
         self.detector: AttackStartDetector | None = (
@@ -623,7 +623,7 @@ class Engine:
         roles = self.roles
 
         # --- step I: local training -------------------------------------
-        gens = [self.rng.stream(STREAM_TRAIN, t, cid) for cid in range(roles.total)]
+        gens = self.rng.reset(self.gens, STREAM_TRAIN, t)
         pre_agg, losses = train_clients(self.models, self.pool, self.plan, gens)
         ceiling = DIVERGENCE_LOSS_FACTOR * np.log(self.pool.num_classes)
         sound = np.isfinite(pre_agg).all(axis=1) & (losses <= ceiling)  # False for a NaN loss too

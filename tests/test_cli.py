@@ -129,6 +129,43 @@ def test_load_config_seed_precedence(tmp_path, monkeypatch):
         load_config(path)
 
 
+@pytest.mark.parametrize("doc_seed, env, flags, message", [
+    (-1, None, [], "top level: seed must lie in [0, 2**64), got -1"),
+    (2**64, None, [], "top level: seed must lie in [0, 2**64), got 18446744073709551616"),
+    (7, "-1", [], "DFL_SEED='-1': seed must lie in [0, 2**64), got -1"),
+    (7, None, ["--seed", str(2**64)], "--seed: seed must lie in [0, 2**64), got 18446744073709551616"),
+    (7, "0", ["--seed", "-1"], "--seed: seed must lie in [0, 2**64), got -1"),
+])
+def test_run_rejects_a_seed_outside_64_bits(tmp_path, monkeypatch, capsys, doc_seed, env, flags, message):
+    # a seed is never folded into range: -1 and 2**64 - 1 would give the same records
+    if env is None:
+        monkeypatch.delenv("DFL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DFL_SEED", env)
+    out = tmp_path / "out"
+    assert main(["run", write_doc(tmp_path, tiny_doc(seed=doc_seed)), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_accepts_the_largest_seed(tmp_path, monkeypatch):
+    monkeypatch.delenv("DFL_SEED", raising=False)
+    assert main(["run", write_doc(tmp_path, tiny_doc(seed=2**64 - 1)), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_sweep_rejects_a_repeat_seed_outside_64_bits_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("DFL_SEED", raising=False)
+    out = tmp_path / "sweep"
+    code = main(["sweep", write_doc(tmp_path, tiny_doc(seed=2**64 - 1)), "--param", "lambda", "--values", "0.5",
+                 "--repeats", "2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: --repeats 2: sweep seed seed + repeat = 18446744073709551615 + 1: "
+        "seed must lie in [0, 2**64), got 18446744073709551616\n"
+    )
+    assert not out.exists()
+
+
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
@@ -470,6 +507,15 @@ def test_verify_rejects_fewer_than_one_trial(monkeypatch, capsys, trials):
     captured = capsys.readouterr()
     assert f"config error: --trials must be >= 1, got {trials}" in captured.err
     assert "pass" not in captured.out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_rejects_a_seed_outside_64_bits(monkeypatch, capsys, seed):
+    import dflsim.cli as cli
+
+    monkeypatch.setattr(cli, "run_all", lambda trials, seed: pytest.fail("a suite ran"))
+    assert main(["verify", "--trials", "10", "--seed", seed]) == 1
+    assert capsys.readouterr().err == f"config error: --seed: seed must lie in [0, 2**64), got {seed}\n"
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dflsim.core import EmptyGroup, RoleConfig, Rng, ThreatModelViolation
+from dflsim.core import STREAM_ATTACK, STREAM_TRAIN, EmptyGroup, RoleConfig, Rng, ThreatModelViolation
 
 
 # ---------------------------------------------------------------------------
@@ -66,3 +68,70 @@ def test_rng_stream_independent_of_other_draws():
 def test_rng_rejects_negative_path():
     with pytest.raises(ValueError):
         Rng(1).stream(-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+def test_rng_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        Rng(seed)
+
+
+# ---------------------------------------------------------------------------
+# re-keyed generators: Rng.reset must reproduce Rng.stream exactly
+# ---------------------------------------------------------------------------
+
+def philox_generators(count):
+    return [np.random.Generator(np.random.Philox(0)) for _ in range(count)]
+
+
+def full_state(gen):
+    state = gen.bit_generator.state
+    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()}, "buffer": state["buffer"].tolist()}
+
+
+def first_draws(gen):
+    # an odd count of 32-bit draws leaves half a 64-bit word for the next draws
+    return gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist(), gen.random(3).tolist(), gen.normal(size=3).tolist()
+
+
+def assert_fresh_streams(rng, gens, *prefix):
+    for i, gen in enumerate(gens):
+        fresh = rng.stream(*prefix, i)
+        assert full_state(gen) == full_state(fresh), (prefix, i)
+        assert first_draws(gen) == first_draws(fresh), (prefix, i)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("round_", [0, 1, 2**32 - 1, 2**32, 2**40])
+def test_reset_generators_equal_fresh_streams(seed, round_):
+    rng = Rng(seed)
+    gens = philox_generators(100)
+    assert rng.reset(gens, STREAM_TRAIN, round_) is gens
+    assert_fresh_streams(rng, gens, STREAM_TRAIN, round_)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    prefix=st.lists(st.integers(0, 2**96), max_size=3),
+    count=st.integers(1, 30),
+)
+def test_reset_matches_stream_for_any_seed_and_path(seed, prefix, count):
+    rng = Rng(seed)
+    assert_fresh_streams(rng, rng.reset(philox_generators(count), *prefix), *prefix)
+
+
+def test_reset_after_a_partial_draw_equals_a_fresh_stream():
+    rng = Rng(11)
+    gens = rng.reset(philox_generators(5), STREAM_TRAIN, 3)
+    for gen in gens:
+        gen.integers(0, 2**32, size=3, dtype=np.uint32)
+        state = gen.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] not in (0, 4)
+    rng.reset(gens, STREAM_ATTACK, 4)
+    assert_fresh_streams(rng, gens, STREAM_ATTACK, 4)
+
+
+def test_reset_rejects_negative_path():
+    with pytest.raises(ValueError):
+        Rng(1).reset(philox_generators(2), 2, -1)

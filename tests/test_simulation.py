@@ -625,6 +625,19 @@ def test_two_coalitions_mode_averages_within_coalition():
         assert np.allclose(eng.models[cid], selfish_avg)
 
 
+@pytest.mark.parametrize("kind", ["none", "selfish", "gaussian", "trim"])
+def test_rounds_build_no_per_client_stream(monkeypatch, kind):
+    # each round re-keys the engine's own generators; Rng.stream serves set-up only
+    eng = Engine(small_config(attack=AttackConfig(kind=kind)))
+    if kind == "selfish":
+        eng.detector = dataclasses.replace(eng.detector, started=True)
+    stream, calls = Rng.stream, []
+    monkeypatch.setattr(Rng, "stream", lambda self, *path: calls.append(path) or stream(self, *path))
+    crafted = [eng.run_round()[1] is not None for _ in range(3)]
+    assert calls == []
+    assert all(crafted) == (kind != "none")
+
+
 def test_gaussian_attack_replaces_shares_to_non_selfish():
     eng = Engine(small_config(attack=AttackConfig(kind="gaussian")))
     pre_agg, crafted = eng.run_round()
