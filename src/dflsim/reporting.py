@@ -7,7 +7,6 @@ import dataclasses
 import json
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +133,8 @@ def run_sweep(
     ``<parameter>_<value>_rep<k>.csv`` as soon as the cell finishes.
     ``config_doc`` is echoed into the summary so results stay reproducible.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     for value in spec.values:
         try:
             apply_parameter(cfg, spec.parameter, value)
@@ -155,6 +156,7 @@ def run_sweep(
 
     tasks = [(cfg, spec.parameter, value, repeat) for value in spec.values for repeat in range(spec.repeats)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor, as_completed  # only here: a run need not load it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_sweep_cell, task) for task in tasks]
             for future in as_completed(futures):

@@ -350,13 +350,15 @@ def local_update(model: np.ndarray, data: Dataset, cfg: TrainerConfig, gen: np.r
 
 def predict(model: np.ndarray, x: np.ndarray, num_classes: int) -> np.ndarray:
     weights, bias = _unpack(model, num_classes, x.shape[1])
-    return np.argmax(x @ weights.T + bias, axis=1)
+    logits = x @ weights.T
+    logits += bias
+    return logits.argmax(axis=1)
 
 
 def correct_count(model: np.ndarray, data: Dataset) -> int:
     if data.size == 0:
         raise EmptyTestSet("cannot evaluate on an empty set")
-    return int(np.sum(predict(model, data.features, data.num_classes) == data.labels))
+    return int(np.count_nonzero(predict(model, data.features, data.num_classes) == data.labels))
 
 
 def accuracy(model: np.ndarray, data: Dataset) -> float:

@@ -448,6 +448,16 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one_before_any_run(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    code = main(["sweep", write_doc(tmp_path, tiny_doc()), "--param", "lambda", "--values", "0.5",
+                 "--repeats", "1", "--jobs", jobs, "--out", str(out)])
+    assert code == 1
+    assert f"config error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_an_invalid_cell_before_any_run(tmp_path, capsys):
     doc = tiny_doc(roles={"n": 14, "m": 6})
     out = tmp_path / "sweep"

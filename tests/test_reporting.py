@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from dflsim import simulation
 from dflsim.aggregation import AggregationRule
+from dflsim.cli import config_to_dict
 from dflsim.core import ConfigError, EmptyDataset, RoleConfig
 from dflsim.reporting import (
     ExperimentRecord,
@@ -135,6 +140,52 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     serial = run_sweep(cfg, spec)
     parallel = run_sweep(cfg, spec, jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_sweep_rejects_jobs_below_one_before_running(tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    spec = SweepSpec("lambda", (0.5,), repeats=1)
+    with pytest.raises(ConfigError, match=rf"^--jobs must be >= 1, got {jobs}$"):
+        run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"), jobs=jobs)
+    assert not (tmp_path / "sweep").exists()
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+# What a benchmark child does: import dflsim, build the headline config's engine
+# and run one round.  None of it may load the sweep's process pool.  Then a
+# two-job sweep imports the pool where it uses it and writes the serial bytes.
+FRESH_RUN = """
+import os, sys
+import dflsim
+from dflsim import cli, core, reporting, simulation, verify
+
+cfg, _ = cli.load_config(sys.argv[1])
+simulation.Engine(cfg).run_round()
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("concurrent", "multiprocessing"))
+assert not loaded, f"a run loaded {loaded}"
+
+tiny, _ = cli.load_config(sys.argv[2])
+spec = reporting.SweepSpec("lambda", (0.0, 0.5), repeats=1)
+serial = reporting.run_sweep(tiny, spec, out_dir=os.path.join(sys.argv[3], "serial"))
+parallel = reporting.run_sweep(tiny, spec, out_dir=os.path.join(sys.argv[3], "parallel"), jobs=2)
+assert serial == parallel
+assert "concurrent.futures.process" in sys.modules
+"""
+
+
+def test_a_fresh_run_loads_no_process_pool_and_a_sweep_still_uses_one(tmp_path):
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(config_to_dict(tiny_config())))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, str(REPO / "configs" / "median_selfish.json"), str(tiny), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("lambda_0.0_rep0.csv", "lambda_0.5_rep0.csv", "sweep_summary.json"):
+        assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_run_sweep_validates_every_cell_before_running(tmp_path, monkeypatch):

@@ -32,6 +32,7 @@ from dflsim.simulation import (
     loss_and_grad,
     model_dim,
     partition_non_iid,
+    predict,
     run_experiment,
     train_clients,
 )
@@ -303,6 +304,16 @@ def test_accuracy_empty_test_set():
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
     with pytest.raises(EmptyTestSet):
         accuracy(np.zeros(model_dim(2, 4)), empty)
+
+
+def test_predict_and_correct_count_match_the_plain_argmax():
+    data = generate_synthetic(4, 5, 60, 2.0, Rng(1).stream(0))
+    models = [np.zeros(model_dim(4, 5)), *Rng(2).stream(0).normal(size=(20, model_dim(4, 5)))]  # zeros: all ties
+    for model in models:
+        weights, bias = model[:20].reshape(4, 5), model[20:]
+        expected = np.argmax(data.features @ weights.T + bias, axis=1)
+        assert np.array_equal(predict(model, data.features, 4), expected)
+        assert correct_count(model, data) == int(np.sum(expected == data.labels))
 
 
 def test_group_accuracy_split():
