@@ -15,7 +15,6 @@ from .attack import (
     AttackStartDetector,
     CoordinateBounds,
     craft_fedavg,
-    craft_flame_attack,
     craft_median,
     craft_shared_model,
     craft_trimmed_mean,
@@ -35,12 +34,10 @@ from .simulation import (
     PartitionConfig,
     SyntheticDataConfig,
     TrainerConfig,
-    accuracy,
     correct_count,
     generate_synthetic,
     group_accuracy,
     load_csv,
-    local_update,
     partition_non_iid,
     run_experiment,
 )

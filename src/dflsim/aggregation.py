@@ -11,7 +11,7 @@ deterministic tie-breaks (lowest sender index wins).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,13 +42,11 @@ class AggregationRule:
 
     def resolved(self, num_selfish: int) -> "AggregationRule":
         """Fill rule parameters that default to the selfish count."""
-        trim = self.trim
-        attackers = self.assumed_attackers
-        if self.kind == "trimmed_mean" and trim is None:
-            trim = num_selfish
-        if self.kind == "krum" and attackers is None:
-            attackers = num_selfish
-        return AggregationRule(self.kind, trim, attackers, self.clip)
+        if self.kind == "trimmed_mean" and self.trim is None:
+            return replace(self, trim=num_selfish)
+        if self.kind == "krum" and self.assumed_attackers is None:
+            return replace(self, assumed_attackers=num_selfish)
+        return self
 
 
 def _stack(models, ndims=(2,)) -> np.ndarray:
@@ -212,10 +210,7 @@ def agg_flame(models, clip: bool = True) -> np.ndarray:
         clip_to = float(np.median(norms))
         scale = np.ones_like(norms)
         mask = norms > clip_to
-        if clip_to > 0.0:
-            scale[mask] = clip_to / norms[mask]
-        else:
-            scale[mask] = 0.0
+        scale[mask] = clip_to / norms[mask]  # 0 where the median norm is 0
         kept = kept * scale[:, None]
     return kept.mean(axis=0)
 

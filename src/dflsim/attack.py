@@ -17,7 +17,7 @@ coordinate-wise median and trimmed mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,9 +92,9 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be >= 1, got {m}")
 
 
-def _check_offset(b: float) -> None:
-    if b <= 0.0:
-        raise ValueError(f"b must be > 0, got {b}")
+def check_offset(b: float) -> None:
+    if not 0.0 < b < np.inf:  # NaN fails too
+        raise ValueError(f"b must be a finite value > 0, got {b}")
 
 
 def _check_descending(q: np.ndarray) -> np.ndarray:
@@ -191,7 +191,7 @@ def craft_median(q: Sequence[float], target: float, m: int, b: float = 1.0) -> n
     equal the target.
     """
     bounds = median_bounds(q, m)
-    _check_offset(b)
+    check_offset(b)
     q = np.asarray(q, dtype=np.float64)
     n = q.size
     if not bounds.contains(target):
@@ -220,7 +220,7 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
     take a common value that lands the surviving mean exactly on the target.
     """
     bounds = trimmed_mean_bounds(q, m)
-    _check_offset(b)
+    check_offset(b)
     q = np.asarray(q, dtype=np.float64)
     n = q.size
     if n < 2 * m + 1:
@@ -256,28 +256,6 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
         if r >= 0:
             crafted[m - r - 1:] = ((n - m) * target - q[r + 1:n - m].sum()) / (r + 1)
     return crafted
-
-
-# ---------------------------------------------------------------------------
-# flame-tailored crafting
-# ---------------------------------------------------------------------------
-
-def craft_flame_attack(
-    receiver_pre_agg: np.ndarray,
-    benign_shares: Sequence[np.ndarray],
-    m: int,
-    alpha: float = FLAME_ALPHA,
-    beta: float = FLAME_BETA,
-) -> np.ndarray:
-    """Crafted shares against the clustering defense, all m identical.
-
-    The benign shares closest in cosine distance to the receiver's own model
-    (ties by sender index) anchor the construction so the crafted shares
-    stay inside the majority cluster while biasing the clipped average.
-    """
-    _check_m(m)
-    receivers = np.asarray(receiver_pre_agg, dtype=np.float64)[None]
-    return _craft_flame_all(receivers, np.asarray(benign_shares, dtype=np.float64), m, 0.0, 1.0, alpha, beta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +414,12 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
 
 
 def _craft_flame_all(receivers, benign, m, lam, b, alpha=FLAME_ALPHA, beta=FLAME_BETA) -> np.ndarray:
-    """:func:`craft_flame_attack` for every receiver at once: one (R, n)
-    array of cosine distances, a stable sort per receiver and one sum over
-    each receiver's gathered (n - m) // 2 closest benign shares."""
+    """Crafted shares against the clustering defense, all m identical, for
+    every receiver at once.  The (n - m) // 2 benign shares closest in
+    cosine distance to a receiver's own model (ties by sender index) anchor
+    its shares, so they stay inside the majority cluster while biasing the
+    clipped average: one (R, n) array of distances, a stable sort per
+    receiver and one sum over each receiver's gathered shares."""
     n = benign.shape[0]
     if n <= m:
         raise ValueError(f"need more benign shares than selfish clients, got n={n}, m={m}")
@@ -473,7 +454,7 @@ def craft_shared_model(
     construction (krum, fltrust) receive the FedAvg-based crafting.
     """
     _check_m(m)
-    _check_offset(b)
+    check_offset(b)
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     receivers = np.asarray(receivers, dtype=np.float64)

@@ -14,10 +14,19 @@ TRIM_ATTACK_DELTA_HI = 2.0
 GAUSSIAN_SIGMA = 200.0
 
 
+def check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < np.inf:  # NaN fails too
+        raise ValueError(f"sigma must be a finite value > 0, got {sigma}")
+
+
+def check_deltas(delta_lo: float, delta_hi: float) -> None:
+    if not 0.0 < delta_lo < delta_hi < np.inf:
+        raise ValueError(f"need 0 < delta_lo < delta_hi < inf, got delta_lo {delta_lo}, delta_hi {delta_hi}")
+
+
 def craft_gaussian(dim: int, m: int, gen: np.random.Generator, sigma: float = GAUSSIAN_SIGMA) -> np.ndarray:
     """(m, dim) noise shares drawn i.i.d. from N(0, sigma^2)."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    check_sigma(sigma)
     return gen.normal(0.0, sigma, size=(m, dim))
 
 
@@ -36,8 +45,7 @@ def craft_directed_deviation(
     otherwise above the benign maximum.  Offsets scale with the magnitude of
     the extreme value, falling back to an absolute offset when it is zero.
     """
-    if not (0.0 < delta_lo < delta_hi):
-        raise ValueError(f"need 0 < delta_lo < delta_hi, got {delta_lo}, {delta_hi}")
+    check_deltas(delta_lo, delta_hi)
     benign = np.stack([np.asarray(s, dtype=np.float64) for s in benign_shares])
     prev_aggregate = np.asarray(prev_aggregate, dtype=np.float64)
     q_min = benign.min(axis=0)

@@ -203,13 +203,11 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = check_seed(args.seed if args.seed is not None else 0, "--seed")
     results = run_all(trials=args.trials, seed=seed)
-    failed = False
     for result in results:
         print(result.describe())
         if not result.passed:
-            failed = True
             print(f"counterexample: {json.dumps(result.first_failure)}", file=sys.stderr)
-    return 3 if failed else 0
+    return 0 if all(result.passed for result in results) else 3
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -117,19 +117,6 @@ class RoleConfig:
     def total(self) -> int:
         return self.n + self.m
 
-    def is_selfish(self, client_id: int) -> bool:
-        if not 0 <= client_id < self.total:
-            raise ValueError(f"client id {client_id} out of range 0..{self.total - 1}")
-        return client_id >= self.n
-
-    @property
-    def non_selfish_ids(self) -> range:
-        return range(self.n)
-
-    @property
-    def selfish_ids(self) -> range:
-        return range(self.n, self.total)
-
 
 # ---------------------------------------------------------------------------
 # deterministic RNG

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import AggregationRule, aggregate
-from .attack import AttackStartDetector, craft_shared_model, default_lambda
+from .attack import AttackStartDetector, check_offset, craft_shared_model, default_lambda
 from .baselines import (
     GAUSSIAN_SIGMA,
     TRIM_ATTACK_DELTA_HI,
     TRIM_ATTACK_DELTA_LO,
+    check_deltas,
+    check_sigma,
     craft_directed_deviation,
     craft_gaussian,
 )
@@ -176,13 +178,13 @@ def partition_non_iid(
     num_clients: int,
     cfg: PartitionConfig,
     gen: np.random.Generator,
-) -> list[Dataset]:
-    """Deal every example to exactly one client, round-robin groups of clients."""
+) -> np.ndarray:
+    """The (size,) client of each example: every example goes to exactly
+    one client, and client c belongs to group c % groups."""
     groups = cfg.groups if cfg.groups is not None else data.num_classes
     path = "partition.groups" if cfg.groups is not None else "the data's class count (partition.groups null)"
     _check_partition(groups, num_clients, cfg.rho, path, "groups")
 
-    members = [np.array([c for c in range(num_clients) if c % groups == g]) for g in range(groups)]
     own = data.labels % groups
     if groups == 1:
         chosen_group = own
@@ -191,13 +193,11 @@ def partition_non_iid(
         offset = gen.integers(1, groups, size=data.size)
         chosen_group = np.where(u < cfg.rho, own, (own + offset) % groups)
 
-    assignment = np.empty(data.size, dtype=np.int64)
-    for g in range(groups):
+    owner = np.empty(data.size, dtype=np.int64)
+    for g in range(groups):  # a draw of size 0 takes nothing from gen, so an empty group needs no guard
         mask = chosen_group == g
-        count = int(mask.sum())
-        if count:
-            assignment[mask] = members[g][gen.integers(0, members[g].size, size=count)]
-    return [data.subset(np.flatnonzero(assignment == c)) for c in range(num_clients)]
+        owner[mask] = g + groups * gen.integers(0, len(range(g, num_clients, groups)), size=int(mask.sum()))
+    return owner
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +214,12 @@ class TrainerConfig:
     weight_decay: float = 5e-4
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("learning_rate", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be a finite value >= 0, got {getattr(self, name)}")
+        for name in ("local_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def model_dim(num_classes: int, num_features: int) -> int:
@@ -340,14 +338,6 @@ def train_clients(models: np.ndarray, pool: Dataset, plan: TrainingPlan, gens):
     return models, means
 
 
-def local_update(model: np.ndarray, data: Dataset, cfg: TrainerConfig, gen: np.random.Generator):
-    """Run the local epochs and return (updated model, mean batch loss)."""
-    if data.size == 0:
-        raise EmptyDataset("cannot train on an empty shard")
-    models, losses = train_clients(np.asarray(model)[None], data, TrainingPlan([data.size], cfg), [gen])
-    return models[0], float(losses[0])
-
-
 def predict(model: np.ndarray, x: np.ndarray, num_classes: int) -> np.ndarray:
     weights, bias = _unpack(model, num_classes, x.shape[1])
     logits = x @ weights.T
@@ -359,10 +349,6 @@ def correct_count(model: np.ndarray, data: Dataset) -> int:
     if data.size == 0:
         raise EmptyTestSet("cannot evaluate on an empty set")
     return int(np.count_nonzero(predict(model, data.features, data.num_classes) == data.labels))
-
-
-def accuracy(model: np.ndarray, data: Dataset) -> float:
-    return correct_count(model, data) / data.size
 
 
 def group_accuracy(models, data: Dataset, counts=None) -> float:
@@ -435,9 +421,10 @@ class AttackConfig:
             raise ValueError(f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}")
         if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be a finite value >= 0, got {self.lam}")
-        if not (np.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"b must be a finite value > 0, got {self.b}")
+        check_offset(self.b)
         AttackStartDetector(self.epsilon, self.interval)  # checks both
+        check_sigma(self.sigma)
+        check_deltas(self.delta_lo, self.delta_hi)
         if self.info_mode not in ("all", "selfish_only"):
             raise ValueError(f"info_mode must be 'all' or 'selfish_only', got {self.info_mode!r}")
         if self.info_mode == "selfish_only" and self.kind != "selfish":
@@ -571,15 +558,11 @@ class Engine:
         self.roles = roles = cfg.roles
         self.rng = Rng(cfg.seed)
         self.train_set, self.test_set = self._build_datasets()
-        shards = partition_non_iid(self.train_set, roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION))
-        self.plan = TrainingPlan([shard.size for shard in shards], cfg.trainer)
+        owner = partition_non_iid(self.train_set, roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION))
+        self.plan = TrainingPlan(np.bincount(owner, minlength=roles.total), cfg.trainer)
         if not self.plan.sizes.all():
             raise EmptyDataset(f"client {self.plan.sizes.argmin()} has an empty shard: the partition gave it no examples")
-        self.pool = Dataset(  # the shards in client order, in one array
-            np.concatenate([s.features for s in shards]),
-            np.concatenate([s.labels for s in shards]),
-            self.train_set.num_classes,
-        )
+        self.pool = self.train_set.subset(np.argsort(owner, kind="stable"))  # the shards in client order
         self.models = np.zeros((roles.total, model_dim(self.train_set.num_classes, self.train_set.num_features)))
         # one generator per client, re-keyed by Rng.reset to each (tag, round, client)
         # stream: a round's training draws all end before its crafting draws start

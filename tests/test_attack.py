@@ -9,8 +9,8 @@ from dflsim.attack import (
     FLAME_BETA,
     AttackStartDetector,
     CoordinateBounds,
+    _craft_flame_all,
     craft_fedavg,
-    craft_flame_attack,
     craft_median,
     craft_shared_model,
     craft_trimmed_mean,
@@ -341,7 +341,7 @@ def test_craft_trimmed_out_of_bounds():
 
 def test_craft_flame_frozen_value():
     benign = [np.array([v]) for v in (1.0, 1.0, 2.0, 2.0, 3.0, 3.0)]
-    crafted = craft_flame_attack(np.array([1.0]), benign, m=2)
+    crafted = craft_shared_model(AggregationRule("flame"), np.array([[1.0]]), benign, m=2, lam=0.0)[0]
     # two closest (ties -> lowest indices) sum to 2; (2 + 5*1 - 0.01*12) / (2 + 5 - 0.06)
     expected = (2.0 + 5.0 - 0.12) / 6.94
     assert crafted.shape == (2, 1)
@@ -359,7 +359,7 @@ def test_craft_flame_selects_by_direction():
         np.array([2.0, 0.3]),
         np.array([0.5, 2.0]),
     ]
-    crafted = craft_flame_attack(ref, benign, m=2)
+    crafted = craft_shared_model(AggregationRule("flame"), ref[None], benign, m=2, lam=0.0)[0]
     take = (6 - 2) // 2
     dists = [1.0 - b @ ref / (np.linalg.norm(b) * np.linalg.norm(ref)) for b in benign]
     chosen = np.argsort(dists, kind="stable")[:take]
@@ -370,7 +370,7 @@ def test_craft_flame_selects_by_direction():
 def test_craft_flame_degenerate_denominator():
     benign = [np.array([float(i)]) for i in range(1, 7)]
     with pytest.raises(DegenerateDenominator):
-        craft_flame_attack(np.array([1.0]), benign, m=2, alpha=0.06 - 2.0, beta=0.01)
+        _craft_flame_all(np.array([[1.0]]), np.array(benign), 2, 0.0, 1.0, alpha=0.06 - 2.0, beta=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +502,6 @@ def test_craft_shared_model_coordinate_independence():
             lam=0.5,
         )[0]
         assert np.array_equal(full[:, k:k + 1], single)
-
-
-def test_craft_shared_model_flame_delegates():
-    gen = np.random.default_rng(25)
-    receiver, benign = _random_instance(gen)
-    crafted = craft_shared_model(AggregationRule("flame"), receiver[None], benign, m=3, lam=0.0)[0]
-    direct = craft_flame_attack(receiver, benign, m=3)
-    assert np.array_equal(crafted, direct)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,31 @@ def test_run_rejects_synthetic_data_faults_as_config_errors(tmp_path, capsys, sy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, values, message", [
+    ("attack", {"kind": "gaussian", "sigma": 0}, "sigma must be a finite value > 0, got 0"),
+    ("attack", {"kind": "gaussian", "sigma": -1}, "sigma must be a finite value > 0, got -1"),
+    ("attack", {"kind": "gaussian", "sigma": float("inf")}, "sigma must be a finite value > 0, got inf"),
+    ("attack", {"kind": "gaussian", "sigma": float("nan")}, "sigma must be a finite value > 0, got nan"),
+    ("attack", {"kind": "selfish", "sigma": 0}, "sigma must be a finite value > 0, got 0"),
+    ("attack", {"kind": "trim", "delta_lo": 2, "delta_hi": 0.5},
+     "need 0 < delta_lo < delta_hi < inf, got delta_lo 2, delta_hi 0.5"),
+    ("attack", {"kind": "trim", "delta_hi": float("inf")},
+     "need 0 < delta_lo < delta_hi < inf, got delta_lo 0.5, delta_hi inf"),
+    ("attack", {"kind": "none", "delta_lo": float("inf"), "delta_hi": float("inf")},
+     "need 0 < delta_lo < delta_hi < inf, got delta_lo inf, delta_hi inf"),
+    ("trainer", {"learning_rate": float("nan")}, "learning_rate must be a finite value >= 0, got nan"),
+    ("trainer", {"learning_rate": float("inf")}, "learning_rate must be a finite value >= 0, got inf"),
+    ("trainer", {"weight_decay": float("nan")}, "weight_decay must be a finite value >= 0, got nan"),
+    ("trainer", {"weight_decay": float("inf")}, "weight_decay must be a finite value >= 0, got inf"),
+])
+def test_run_rejects_attack_and_trainer_values_that_fail_in_round_one(tmp_path, capsys, section, values, message):
+    doc = json.loads((CONFIG_DIR / "quick_smoke.json").read_text())
+    doc[section].update(values)  # json writes inf and nan as the Infinity and NaN literals it reads back
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {section}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_a_csv_test_fraction_that_leaves_no_training_data(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("f0,f1,label\n0.5,1.0,0\n1.5,2.0,1\n2.5,0.0,1\n")

@@ -13,9 +13,6 @@ from dflsim.core import STREAM_ATTACK, STREAM_TRAIN, EmptyGroup, RoleConfig, Rng
 def test_roles_accepts_default_experiment_setup():
     roles = RoleConfig(n=14, m=6)
     assert roles.total == 20
-    assert list(roles.selfish_ids) == list(range(14, 20))
-    assert not roles.is_selfish(0)
-    assert roles.is_selfish(14)
 
 
 def test_roles_boundary_of_threat_model():
@@ -31,12 +28,6 @@ def test_roles_rejects_empty_groups():
         RoleConfig(n=0, m=1)
     with pytest.raises(EmptyGroup):
         RoleConfig(n=5, m=0)
-
-
-def test_roles_id_range_check():
-    roles = RoleConfig(n=3, m=1)
-    with pytest.raises(ValueError):
-        roles.is_selfish(4)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,10 @@ from dflsim.simulation import (
     SyntheticDataConfig,
     TrainerConfig,
     TrainingPlan,
-    accuracy,
     correct_count,
     generate_synthetic,
     group_accuracy,
     load_csv,
-    local_update,
     loss_and_grad,
     model_dim,
     partition_non_iid,
@@ -87,8 +85,8 @@ def test_generate_synthetic_separation_controls_difficulty():
             model -= 0.5 * grad
         return model
 
-    assert accuracy(fit(easy), easy) > 0.99
-    assert accuracy(fit(hard), hard) < 0.45  # no signal at zero separation
+    assert correct_count(fit(easy), easy) / easy.size > 0.99
+    assert correct_count(fit(hard), hard) / hard.size < 0.45  # no signal at zero separation
 
 
 def test_load_csv_roundtrip(tmp_path):
@@ -126,31 +124,30 @@ def _toy_data(per_class=300, classes=4):
 
 def test_partition_preserves_every_example():
     data = _toy_data()
-    shards = partition_non_iid(data, 8, PartitionConfig(rho=0.7, groups=4), Rng(0).stream(1))
-    assert sum(s.size for s in shards) == data.size
-    merged = np.sort(np.concatenate([s.features[:, 0] for s in shards]))
-    assert np.array_equal(merged, np.sort(data.features[:, 0]))
+    owner = partition_non_iid(data, 8, PartitionConfig(rho=0.7, groups=4), Rng(0).stream(1))
+    assert owner.shape == (data.size,) and owner.dtype == np.int64  # one client per example
+    assert np.array_equal(np.unique(owner), np.arange(8))  # each in range, and every client dealt some
 
 
 def test_partition_rho_one_is_pure_label_skew():
     data = _toy_data()
-    shards = partition_non_iid(data, 8, PartitionConfig(rho=1.0, groups=4), Rng(1).stream(1))
-    for cid, shard in enumerate(shards):
-        assert np.all(shard.labels % 4 == cid % 4)
+    owner = partition_non_iid(data, 8, PartitionConfig(rho=1.0, groups=4), Rng(1).stream(1))
+    assert np.array_equal(data.labels % 4, owner % 4)
 
 
 def test_partition_uniform_rho_is_balanced():
     data = _toy_data(per_class=2500)
-    shards = partition_non_iid(data, 4, PartitionConfig(rho=0.25, groups=4), Rng(2).stream(1))
-    for shard in shards:
-        counts = np.bincount(shard.labels, minlength=4) / shard.size
+    owner = partition_non_iid(data, 4, PartitionConfig(rho=0.25, groups=4), Rng(2).stream(1))
+    for cid in range(4):
+        labels = data.labels[owner == cid]
+        counts = np.bincount(labels, minlength=4) / labels.size
         assert np.all(np.abs(counts - 0.25) < 0.05)
 
 
 def test_partition_skew_matches_rho():
     data = _toy_data(per_class=4000)
-    shards = partition_non_iid(data, 4, PartitionConfig(rho=0.7, groups=4), Rng(3).stream(1))
-    own = [np.mean(s.labels == cid) for cid, s in enumerate(shards)]
+    owner = partition_non_iid(data, 4, PartitionConfig(rho=0.7, groups=4), Rng(3).stream(1))
+    own = [np.mean(data.labels[owner == cid] == cid) for cid in range(4)]
     assert np.all(np.abs(np.asarray(own) - 0.7) < 0.04)
 
 
@@ -188,19 +185,19 @@ def test_local_update_zero_learning_rate_is_identity():
     data = generate_synthetic(2, 4, 30, 2.0, Rng(5).stream(0))
     model = np.ones(model_dim(2, 4))
     cfg = TrainerConfig(learning_rate=0.0, local_epochs=2, batch_size=64, weight_decay=0.0)
-    updated, mean_loss = local_update(model, data, cfg, Rng(5).stream(1))
-    assert np.array_equal(updated, model)
+    updated, mean_loss = train_clients(model[None], data, TrainingPlan([data.size], cfg), [Rng(5).stream(1)])
+    assert np.array_equal(updated[0], model)
     initial_loss, _ = loss_and_grad(model, data.features, data.labels, 2)
-    assert np.isclose(mean_loss, initial_loss)
+    assert np.isclose(mean_loss[0], initial_loss)
 
 
 def test_local_update_decreases_loss_on_separable_data():
     data = generate_synthetic(2, 4, 100, 5.0, Rng(6).stream(0))
     model = np.zeros(model_dim(2, 4))
     cfg = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=200, weight_decay=0.0)
-    updated, _ = local_update(model, data, cfg, Rng(6).stream(1))
+    updated, _ = train_clients(model[None], data, TrainingPlan([data.size], cfg), [Rng(6).stream(1)])
     before, _ = loss_and_grad(model, data.features, data.labels, 2)
-    after, _ = loss_and_grad(updated, data.features, data.labels, 2)
+    after, _ = loss_and_grad(updated[0], data.features, data.labels, 2)
     assert after < before
 
 
@@ -209,15 +206,9 @@ def test_local_update_applies_weight_decay():
     model = np.full(model_dim(2, 4), 10.0)
     no_decay = TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=64, weight_decay=0.0)
     decay = TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=64, weight_decay=0.1)
-    plain, _ = local_update(model, data, no_decay, Rng(7).stream(1))
-    decayed, _ = local_update(model, data, decay, Rng(7).stream(1))
+    plain, _ = train_clients(model[None], data, TrainingPlan([data.size], no_decay), [Rng(7).stream(1)])
+    decayed, _ = train_clients(model[None], data, TrainingPlan([data.size], decay), [Rng(7).stream(1)])
     assert np.linalg.norm(decayed) < np.linalg.norm(plain)
-
-
-def test_local_update_empty_shard():
-    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
-    with pytest.raises(EmptyDataset):
-        local_update(np.zeros(model_dim(2, 4)), empty, TrainerConfig(), Rng(0).stream(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -303,7 +294,7 @@ def test_class_slice_max_matches_a_row_max_on_special_values():
 def test_accuracy_empty_test_set():
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
     with pytest.raises(EmptyTestSet):
-        accuracy(np.zeros(model_dim(2, 4)), empty)
+        correct_count(np.zeros(model_dim(2, 4)), empty)
 
 
 def test_predict_and_correct_count_match_the_plain_argmax():
@@ -325,8 +316,8 @@ def test_group_accuracy_split():
         good -= 0.5 * grad
     bad = -good
     models = [good, good, good, bad]  # the selfish client holds the bad model
-    mtas = group_accuracy([models[i] for i in roles.selfish_ids], data)
-    mtans = group_accuracy([models[i] for i in roles.non_selfish_ids], data)
+    mtas = group_accuracy([models[i] for i in range(roles.n, roles.total)], data)
+    mtans = group_accuracy([models[i] for i in range(roles.n)], data)
     assert mtans > 0.95
     assert mtas < 0.2
 
@@ -355,13 +346,13 @@ def test_selfish_shares_honest_among_coalition_crafted_to_others():
     pre_agg, crafted = eng.run_round()
     roles = eng.roles
     assert crafted.shape == (roles.n, roles.m, pre_agg.shape[1])
-    for receiver in roles.non_selfish_ids:
-        for k, sender in enumerate(roles.selfish_ids):
+    for receiver in range(roles.n):
+        for k, sender in enumerate(range(roles.n, roles.total)):
             assert not np.array_equal(crafted[receiver, k], pre_agg[sender])
         # true models from the benign senders, crafted shares from the selfish ones
         shares = np.concatenate([pre_agg[: roles.n], crafted[receiver]])
         assert np.array_equal(eng.models[receiver], agg_median(shares))
-    for receiver in roles.selfish_ids:  # the coalition reads every true model
+    for receiver in range(roles.n, roles.total):  # the coalition reads every true model
         assert np.array_equal(eng.models[receiver], agg_median(pre_agg))
 
 
@@ -375,7 +366,7 @@ def test_selfish_attack_steers_receiver_to_per_coordinate_optimum():
     roles = eng.roles
     benign = pre_agg[: roles.n]
     benign_agg = np.median(benign, axis=0)
-    receiver = roles.non_selfish_ids[0]
+    receiver = 0  # the first non-selfish client
     post = eng.models[receiver]
     from dflsim.attack import median_bounds, solve_optimal_coordinate
 
@@ -405,7 +396,7 @@ def test_selfish_only_info_mode():
     ))
     pre_agg, _ = eng.run_round()
     roles = eng.roles
-    for cid in roles.selfish_ids:
+    for cid in range(roles.n, roles.total):
         expected = agg_fedavg(pre_agg[roles.n:])
         assert np.allclose(eng.models[cid], expected)
 
@@ -601,11 +592,11 @@ def test_receivers_sharing_an_aggregate_share_its_evaluation(monkeypatch, kind, 
 
 
 def test_empty_shard_is_rejected_when_the_engine_is_built(monkeypatch):
-    shards = []
+    owners = []
 
     def recording_partition(*args):
-        shards.extend(partition_non_iid(*args))
-        return shards
+        owners.append(partition_non_iid(*args))
+        return owners[0]
 
     monkeypatch.setattr(simulation, "partition_non_iid", recording_partition)
     cfg = small_config(
@@ -613,7 +604,7 @@ def test_empty_shard_is_rejected_when_the_engine_is_built(monkeypatch):
     )
     with pytest.raises(EmptyDataset) as info:
         Engine(cfg)
-    first_empty = next(cid for cid, shard in enumerate(shards) if shard.size == 0)
+    first_empty = int(np.flatnonzero(np.bincount(owners[0], minlength=cfg.roles.total) == 0)[0])
     assert str(info.value) == f"client {first_empty} has an empty shard: the partition gave it no examples"
 
 
@@ -630,9 +621,9 @@ def test_two_coalitions_mode_averages_within_coalition():
     roles = eng.roles
     benign_avg = agg_fedavg(pre_agg[: roles.n])
     selfish_avg = agg_fedavg(pre_agg[roles.n:])
-    for cid in roles.non_selfish_ids:
+    for cid in range(roles.n):
         assert np.allclose(eng.models[cid], benign_avg)
-    for cid in roles.selfish_ids:
+    for cid in range(roles.n, roles.total):
         assert np.allclose(eng.models[cid], selfish_avg)
 
 
@@ -654,12 +645,12 @@ def test_gaussian_attack_replaces_shares_to_non_selfish():
     pre_agg, crafted = eng.run_round()
     roles = eng.roles
     assert eng.records[-1].attack_started
-    receiver = roles.non_selfish_ids[0]
-    assert not np.array_equal(crafted[receiver, 0], pre_agg[roles.selfish_ids[0]])
+    receiver = 0  # the first non-selfish client
+    assert not np.array_equal(crafted[receiver, 0], pre_agg[roles.n])
     shares = np.concatenate([pre_agg[: roles.n], crafted[receiver]])
     assert np.array_equal(eng.models[receiver], agg_median(shares))
     # coalition still exchanges honestly
-    assert np.array_equal(eng.models[roles.selfish_ids[-1]], agg_median(pre_agg))
+    assert np.array_equal(eng.models[roles.total - 1], agg_median(pre_agg))
 
 
 def test_flame_defense_defaults_selfish_rule_to_median():
@@ -728,6 +719,13 @@ def test_attack_config_validation():
         AttackConfig(interval=0)
     with pytest.raises(ValueError):
         AttackConfig(info_mode="everyone")
+    for kind in ("gaussian", "trim", "selfish"):  # checked under every kind, as b is
+        for sigma in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"^sigma must be a finite value > 0"):
+                AttackConfig(kind=kind, sigma=sigma)
+        for lo, hi in ((2.0, 0.5), (1.0, 1.0), (0.5, np.inf), (np.inf, np.inf), (0.5, np.nan), (np.nan, 2.0)):
+            with pytest.raises(ValueError, match=r"^need 0 < delta_lo < delta_hi < inf"):
+                AttackConfig(kind=kind, delta_lo=lo, delta_hi=hi)
 
 
 def test_config_validation_propagates():
@@ -737,6 +735,10 @@ def test_config_validation_propagates():
         AttackConfig(kind="selfish", lam=-1.0)
     with pytest.raises(ValueError):
         TrainerConfig(batch_size=0)
+    for name in ("learning_rate", "weight_decay"):
+        for value in (np.nan, np.inf):  # json reads NaN and Infinity, and NaN < 0 is False
+            with pytest.raises(ValueError, match=rf"^{name} must be a finite value >= 0"):
+                TrainerConfig(**{name: value})
     with pytest.raises(ValueError):
         SyntheticDataConfig(test_per_class=0)
     with pytest.raises(ValueError):
