@@ -15,22 +15,15 @@ import os
 import sys
 import typing
 
-from .aggregation import AggregationRule
-from .core import ConfigError, RoleConfig, check_seed
+from .core import ConfigError, check_seed
 from .reporting import SWEEP_PARAMETERS, SweepSpec, run_sweep, write_records
-from .simulation import (
-    AttackConfig,
-    CsvDataConfig,
-    ExperimentConfig,
-    PartitionConfig,
-    SyntheticDataConfig,
-    TrainerConfig,
-    run_experiment,
-)
+from .simulation import CsvDataConfig, ExperimentConfig, SyntheticDataConfig, run_experiment
 from .verify import run_all
 
-# config keys that rename to python identifiers
-_ATTACK_KEYS = {"lambda": "lam"}
+# the fields whose JSON key is not their name ("lambda" is a python keyword)
+_JSON_KEYS = {"lam": "lambda"}
+# the sources a data field names, as {"synthetic": {...}} or {"csv": {...}}
+_SOURCES = {"synthetic": SyntheticDataConfig, "csv": CsvDataConfig}
 
 # type of a config field -> (what its JSON value must be, the JSON value types that fit)
 _JSON_TYPES = {
@@ -39,84 +32,70 @@ _JSON_TYPES = {
 }
 
 
-def _check_json_type(hint, value, path: str) -> None:
-    """Reject a JSON value whose type does not fit a field annotated ``hint``; an int field takes no 2.0."""
+def _parse(hint, value, path: str):
+    """Map a JSON value onto a field annotated ``hint``.
+
+    A field of a config type is built from its object; any other value must
+    have the JSON type of its field (an int field takes no 2.0).
+    """
     options = typing.get_args(hint) or (hint,)
-    if any(option not in _JSON_TYPES for option in options):
-        return  # a field of a config type parses its own value
-    if not any(type(value) in _JSON_TYPES[option][1] for option in options):
-        expected = " or ".join(_JSON_TYPES[option][0] for option in options)
-        raise ConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
+    configs = [option for option in options if dataclasses.is_dataclass(option)]
+    if not configs:
+        if not any(type(value) in _JSON_TYPES[option][1] for option in options):
+            expected = " or ".join(_JSON_TYPES[option][0] for option in options)
+            raise ConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
+        return value
+    if len(configs) > 1:  # a union of data sources: the object names its one source
+        if not isinstance(value, dict) or len(value) != 1 or next(iter(value)) not in _SOURCES:
+            raise ConfigError(f"{path}: expected exactly one of {' or '.join(map(repr, _SOURCES))}")
+        ((source, body),) = value.items()
+        return _build(_SOURCES[source], body, f"{path}.{source}")
+    return None if value is None and type(None) in options else _build(configs[0], value, path)
 
 
-def _build(cls, doc: dict, path: str, renames: dict | None = None, nested: dict | None = None):
-    """Construct a config dataclass from a JSON mapping with path-tagged errors."""
+def _build(cls, doc, path: str):
+    """Construct config dataclass ``cls`` from a JSON object by its type hints; errors name the path ("" at the top)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object, got {type(doc).__name__}")
-    renames = renames or {}
-    nested = nested or {}
     hints = typing.get_type_hints(cls)
-    allowed = (set(hints) - set(renames.values())) | set(renames)
+    fields = {_JSON_KEYS.get(name, name): name for name in hints}  # JSON key -> field
     kwargs = {}
     for key, value in doc.items():
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key (expected one of {sorted(allowed)})")
-        name = renames.get(key, key)
-        _check_json_type(hints[name], value, f"{path}.{key}")
-        if name in nested and value is not None:
-            value = nested[name](value, f"{path}.{key}")
-        kwargs[name] = value
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown key (expected one of {sorted(fields)})" if path
+                              else f"{key}: unknown top-level key")
+        kwargs[fields[key]] = _parse(hints[fields[key]], value, f"{path}.{key}" if path else key)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_rule(doc, path: str) -> AggregationRule:
-    return _build(AggregationRule, doc, path)
-
-
-def _parse_data(doc, path: str):
-    if not isinstance(doc, dict) or len(doc) != 1 or next(iter(doc)) not in ("synthetic", "csv"):
-        raise ConfigError(f"{path}: expected exactly one of 'synthetic' or 'csv'")
-    key, body = next(iter(doc.items()))
-    if key == "synthetic":
-        return _build(SyntheticDataConfig, body, f"{path}.synthetic")
-    return _build(CsvDataConfig, body, f"{path}.csv")
+        raise ConfigError(f"{path or 'top level'}: {exc}") from None
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a JSON config document into an :class:`ExperimentConfig`."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    sections = {
-        "roles": lambda d, p: _build(RoleConfig, d, p),
-        "rule": _parse_rule,
-        "attack": lambda d, p: _build(AttackConfig, d, p, renames=_ATTACK_KEYS, nested={"selfish_rule": _parse_rule}),
-        "trainer": lambda d, p: _build(TrainerConfig, d, p),
-        "partition": lambda d, p: _build(PartitionConfig, d, p),
-        "data": _parse_data,
-    }
-    kwargs = {}
-    for key, value in doc.items():
-        if key in sections:
-            kwargs[key] = sections[key](value, key)
-        elif key in ("rounds", "seed"):
-            _check_json_type(typing.get_type_hints(ExperimentConfig)[key], value, key)
-            kwargs[key] = value
-        elif key != "output":
-            raise ConfigError(f"{key}: unknown top-level key")
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"top level: {exc}") from None
+    return _build(ExperimentConfig, {key: value for key, value in doc.items() if key != "output"}, "")
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Serialize a config back to JSON form, each field as given (null where it defaults)."""
-    doc = dataclasses.asdict(cfg)
-    doc["attack"]["lambda"] = doc["attack"].pop("lam")
-    doc["data"] = {"synthetic" if isinstance(cfg.data, SyntheticDataConfig) else "csv": doc["data"]}
+def config_to_dict(cfg) -> dict:
+    """Serialize a config back to JSON form, each field as given (null where it defaults); a renamed key goes last."""
+    doc = {field.name: getattr(cfg, field.name) for field in dataclasses.fields(cfg)}
+    doc = {name: config_to_dict(value) if dataclasses.is_dataclass(value) else value for name, value in doc.items()}
+    for name, key in _JSON_KEYS.items():
+        if name in doc:
+            doc[key] = doc.pop(name)
+    source = [key for key, cls in _SOURCES.items() if isinstance(cfg, cls)]
+    return {source[0]: doc} if source else doc
+
+
+def _unique_keys(pairs: list, path: str) -> dict:
+    """A JSON object's mapping; a key given twice is rejected rather than the last one kept."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"{path}: key {key!r} appears more than once in one object")
+        doc[key] = value
     return doc
 
 
@@ -127,13 +106,12 @@ def load_config(path: str, seed_flag: int | None = None) -> tuple[ExperimentConf
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    output = doc.get("output") if isinstance(doc, dict) else None
-    _check_json_type(str | None, output, "output")
+    output = _parse(str | None, doc.get("output") if isinstance(doc, dict) else None, "output")
     cfg = config_from_dict(doc)
     env_seed = os.environ.get("DFL_SEED")
     if env_seed is not None:

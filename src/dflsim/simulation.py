@@ -9,6 +9,7 @@ with its own rule.  Selfish clients send their true models to each other and
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,7 +127,10 @@ def load_csv(path: str) -> Dataset:
                 try:
                     row[j] = float(cell)
                 except ValueError:
-                    raise ConfigError(f"{path}:{reader.line_num}: column {header[j].strip()!r}: {cell!r} is not a number") from None
+                    row[j] = None
+                if row[j] is None or not math.isfinite(row[j]):  # float() also reads nan and inf
+                    what = "a number" if row[j] is None else "a finite number"
+                    raise ConfigError(f"{path}:{reader.line_num}: column {header[j].strip()!r}: {cell!r} is not {what}")
             rows.append(row)
     if not rows:
         raise EmptyDataset(f"{path}: no data rows")

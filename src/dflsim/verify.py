@@ -63,7 +63,7 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
 
 
-def _draw_instance(gen: np.random.Generator, need_odd_even: bool = False, parity: int | None = None):
+def _draw_instance(gen: np.random.Generator, parity: int | None = None):
     """Random (n, m, q, w, lam) with the colluding-minority constraint."""
     while True:
         n = int(gen.integers(5, 21))

@@ -4,9 +4,21 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dflsim.aggregation import RULE_KINDS, AggregationRule
 from dflsim.cli import config_from_dict, config_to_dict, load_config, main
-from dflsim.core import ConfigError
+from dflsim.core import ConfigError, RoleConfig
+from dflsim.simulation import (
+    ATTACK_KINDS,
+    AttackConfig,
+    CsvDataConfig,
+    ExperimentConfig,
+    PartitionConfig,
+    SyntheticDataConfig,
+    TrainerConfig,
+)
 
 
 def tiny_doc(**extra):
@@ -48,6 +60,55 @@ def test_config_round_trip():
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def _numbers(low, high, **kwargs):
+    return st.floats(low, high, allow_nan=False, **kwargs)
+
+
+@st.composite
+def experiment_configs(draw):
+    """A valid config in which every field may leave its default."""
+    m = draw(st.integers(1, 4))
+    rules = st.builds(AggregationRule, st.sampled_from(RULE_KINDS), st.none() | st.integers(0, m),
+                      st.none() | st.integers(0, m), st.booleans())
+    positive = _numbers(0.0, 10.0, exclude_min=True)
+    fraction = _numbers(0.0, 1.0, exclude_min=True, exclude_max=True)
+    delta_lo, delta_hi = sorted(draw(st.lists(positive, min_size=2, max_size=2)))
+    data = draw(st.builds(SyntheticDataConfig, st.integers(2, 4), st.integers(2, 30), st.integers(1, 500),
+                          _numbers(0.0, 10.0), st.integers(1, 300))
+                | st.builds(CsvDataConfig, st.text(), fraction))
+    try:
+        return ExperimentConfig(
+            roles=RoleConfig(draw(st.integers(2 * m + 1, 12)), m),
+            rule=draw(rules),
+            attack=AttackConfig(
+                kind=draw(st.sampled_from(ATTACK_KINDS)),
+                lam=draw(st.none() | _numbers(0.0, 5.0)),
+                b=draw(positive),
+                epsilon=draw(fraction),
+                interval=draw(st.integers(1, 100)),
+                info_mode=draw(st.sampled_from(("all", "selfish_only"))),
+                selfish_rule=draw(st.none() | rules),
+                sigma=draw(_numbers(0.0, 1e3, exclude_min=True)),
+                delta_lo=delta_lo,
+                delta_hi=delta_hi,
+            ),
+            trainer=TrainerConfig(draw(_numbers(0.0, 1.0)), draw(st.integers(1, 5)), draw(st.integers(1, 64)),
+                                  draw(_numbers(0.0, 1.0))),
+            partition=PartitionConfig(draw(_numbers(0.5, 1.0)), draw(st.none() | st.integers(2, 3))),
+            data=data,
+            rounds=draw(st.integers(1, 1000)),
+            seed=draw(st.integers(0, 2**64 - 1)),
+        )
+    except ValueError:  # a combination the cross-field checks reject
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiment_configs())
+def test_every_config_survives_a_round_trip_through_json(cfg):
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
 def test_config_to_dict_writes_each_field_as_given_in_a_fixed_key_order():
     cfg, _ = load_config(str(CONFIG_DIR / "median_selfish.json"))
     assert json.dumps(config_to_dict(dataclasses.replace(cfg, seed=0))) == (
@@ -75,6 +136,28 @@ def test_unknown_keys_are_rejected_with_path():
         config_from_dict(tiny_doc(extra_section={}))
     with pytest.raises(ConfigError, match="synthetic"):
         config_from_dict(tiny_doc(data={"parquet": {}}))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "top level: expected an object"),
+    ({"rounds": 0}, "top level: rounds must be >= 1, got 0"),
+    ({"extra": 1}, "extra: unknown top-level key"),
+    ({"attack": {"mode": 1}}, "attack.mode: unknown key (expected one of ['b', 'delta_hi', 'delta_lo', 'epsilon', "
+                              "'info_mode', 'interval', 'kind', 'lambda', 'selfish_rule', 'sigma'])"),
+    ({"rule": {"kind": "median", "lambda": 1}},
+     "rule.lambda: unknown key (expected one of ['assumed_attackers', 'clip', 'kind', 'trim'])"),
+    ({"roles": {"n": 3}}, "roles: RoleConfig.__init__() missing 1 required positional argument: 'm'"),
+    ({"rule": None}, "rule: expected an object, got NoneType"),
+    ({"data": None}, "data: expected exactly one of 'synthetic' or 'csv'"),
+    ({"data": {"synthetic": {}, "csv": {}}}, "data: expected exactly one of 'synthetic' or 'csv'"),
+    ({"attack": {"selfish_rule": 3}}, "attack.selfish_rule: expected an object, got int"),
+    ({"attack": {"selfish_rule": {"trim": "x"}}}, 'attack.selfish_rule.trim: expected an integer or null, got "x"'),
+    ({"data": {"csv": {"test_fraction": "a"}}}, 'data.csv.test_fraction: expected a number, got "a"'),
+])
+def test_config_errors_name_the_config_path(doc, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(doc)
+    assert str(info.value) == message
 
 
 def test_invalid_values_are_path_tagged():
@@ -112,6 +195,20 @@ def test_load_config_reports_json_position(tmp_path):
     path.write_text('{\n  "roles": {,}\n}')
     with pytest.raises(ConfigError, match=r"broken\.json:2:"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"seed": 7', '"seed": 7, "seed": 8', "seed"),
+    ('"attack": {', '"attack": {"kind": "none", ', "kind"),
+    ('"classes": 2', '"classes": 2, "classes": 3', "classes"),
+], ids=["top_level", "section", "nested"])
+def test_run_rejects_a_repeated_json_key(tmp_path, capsys, old, new, key):
+    # json keeps the last of two equal keys; a config that gives one twice is a fault, not a choice
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(tiny_doc()).replace(old, new, 1))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: key {key!r} appears more than once in one object\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_seed_precedence(tmp_path, monkeypatch):
@@ -275,7 +372,11 @@ def test_bad_csv_header_is_a_config_error_for_run_and_sweep(tmp_path, capsys):
     ("f0,f1,label\n0.5,1.0,0\n\n1.5,x,1\n", ":4: column 'f1': 'x' is not a number"),  # line 4, after a blank one
     ("f0,f1,label\n0.5,1.0,0\n1.5,2.0\n", ": rows do not match the header width"),
     ("f0,f1,label\n0.5,1.0,0\n1.5,2.0,0\n", ": the labels give 1 class, need at least 2"),
-], ids=["cell", "width", "one_class"])
+    ("f0,f1,label\n0.5,1.0,0\nnan,2.0,1\n", ":3: column 'f0': 'nan' is not a finite number"),
+    ("f0,f1,label\n0.5,inf,0\n1.5,2.0,1\n", ":2: column 'f1': 'inf' is not a finite number"),
+    ("f0,f1,label\n0.5,1.0,0\n1.5,-Infinity,1\n", ":3: column 'f1': '-Infinity' is not a finite number"),
+    ("f0,f1,label\n0.5,1.0,0\n1.5,2.0,inf\n", ":3: column 'label': 'inf' is not a finite number"),
+], ids=["cell", "width", "one_class", "nan", "inf", "minus_inf", "inf_label"])
 def test_run_rejects_a_csv_data_fault_as_a_config_error(tmp_path, capsys, text, message):
     data = tmp_path / "data.csv"
     data.write_text(text)
