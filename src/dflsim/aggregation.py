@@ -90,12 +90,6 @@ def agg_trimmed_mean(models, trim: int) -> np.ndarray:
     return mat[..., trim:count - trim, :].mean(axis=-2)
 
 
-def pairwise_sq_distances(mat: np.ndarray) -> np.ndarray:
-    """Matrix of squared Euclidean distances between rows."""
-    diff = mat[:, None, :] - mat[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def agg_krum(models, assumed_attackers: int) -> np.ndarray:
     """Select the model whose summed squared distance to its nearest
     ``count - assumed_attackers - 2`` neighbours is smallest.
@@ -108,7 +102,8 @@ def agg_krum(models, assumed_attackers: int) -> np.ndarray:
         raise TooFewModels(
             f"krum needs at least assumed_attackers + 3 = {assumed_attackers + 3} models, got {count}"
         )
-    sq = pairwise_sq_distances(mat)
+    diff = mat[:, None, :] - mat[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)  # squared distances between rows
     np.fill_diagonal(sq, np.inf)
     closest = np.sort(sq, axis=1)[:, : count - assumed_attackers - 2]
     scores = closest.sum(axis=1)

@@ -314,11 +314,6 @@ class AttackStartDetector:
 # full-vector crafting
 # ---------------------------------------------------------------------------
 
-def default_lambda(rule_kind: str) -> float:
-    """Per-rule default of the trade-off weight."""
-    return {"fedavg": 0.0, "median": 0.5, "trimmed_mean": 1.0}.get(rule_kind, 0.0)
-
-
 def _solve_optimal(w: np.ndarray, w_benign: np.ndarray, lower: np.ndarray, upper: np.ndarray, lam: float) -> np.ndarray:
     """:func:`solve_optimal_coordinate` over arrays: receiver coordinates
     ``w`` of shape (R, d) against per-coordinate aggregates and bounds (d,)."""
@@ -413,7 +408,7 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     return np.where(parked, park[:, None, :], filler[:, None, :])
 
 
-def _craft_flame_all(receivers, benign, m, lam, b, alpha=FLAME_ALPHA, beta=FLAME_BETA) -> np.ndarray:
+def _craft_flame_all(receivers, benign, m, lam, b) -> np.ndarray:
     """Crafted shares against the clustering defense, all m identical, for
     every receiver at once.  The (n - m) // 2 benign shares closest in
     cosine distance to a receiver's own model (ties by sender index) anchor
@@ -424,13 +419,13 @@ def _craft_flame_all(receivers, benign, m, lam, b, alpha=FLAME_ALPHA, beta=FLAME
     if n <= m:
         raise ValueError(f"need more benign shares than selfish clients, got n={n}, m={m}")
     take = (n - m) // 2
-    denom = take + alpha - beta * n
+    denom = take + FLAME_ALPHA - FLAME_BETA * n
     if abs(denom) < FLAME_DENOM_EPS:
         raise DegenerateDenominator(f"crafting denominator {denom} too close to zero")
     norms = np.sqrt(_row_dots(receivers, receivers))[:, None], np.sqrt(_row_dots(benign, benign))
     dists = 1.0 - _cosines(_row_dots(receivers[:, None, :], benign), *norms)
     selected = np.argsort(dists, axis=1, kind="stable")[:, :take]
-    crafted = (benign[selected].sum(axis=1) + alpha * receivers - beta * benign.sum(axis=0)) / denom
+    crafted = (benign[selected].sum(axis=1) + FLAME_ALPHA * receivers - FLAME_BETA * benign.sum(axis=0)) / denom
     return np.repeat(crafted[:, None, :], m, axis=1)
 
 

@@ -3,7 +3,7 @@ run the randomized self-checks.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 failed
 self-check.  The ``DFL_SEED`` environment variable overrides the config
-seed; a ``--seed`` flag overrides both.
+seed unless it is empty; a ``--seed`` flag overrides both.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def load_config(path: str, seed_flag: int | None = None) -> tuple[ExperimentConf
     output = _parse(str | None, doc.get("output") if isinstance(doc, dict) else None, "output")
     cfg = config_from_dict(doc)
     env_seed = os.environ.get("DFL_SEED")
-    if env_seed is not None:
+    if env_seed:  # an empty value counts as unset
         try:
             seed = int(env_seed)
         except ValueError:

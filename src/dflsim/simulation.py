@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import AggregationRule, aggregate
-from .attack import AttackStartDetector, check_offset, craft_shared_model, default_lambda
+from .attack import AttackStartDetector, check_offset, craft_shared_model
 from .baselines import (
     GAUSSIAN_SIGMA,
     TRIM_ATTACK_DELTA_HI,
@@ -404,9 +404,9 @@ class CsvDataConfig:
 class AttackConfig:
     """Which attack (or degenerate collaboration mode) the selfish clients run.
 
-    ``lam=None`` resolves to the per-rule default; ``selfish_rule=None``
-    resolves to the experiment's rule (median when the experiment runs the
-    clustering defense, whose tailored crafting assumes it).
+    :func:`read_plan` resolves the nulls: ``lam=None`` to the per-rule
+    default, ``selfish_rule=None`` to the experiment's rule (median when the
+    experiment runs the clustering defense, whose tailored crafting assumes it).
     """
 
     kind: str = "none"
@@ -456,18 +456,6 @@ class ExperimentConfig:
         _check_partition(groups, self.roles.total, self.partition.rho, path, what)
         read_plan(self)
 
-    def resolved_lambda(self) -> float:
-        if self.attack.lam is not None:
-            return self.attack.lam
-        return default_lambda(self.rule.kind)
-
-    def resolved_selfish_rule(self) -> AggregationRule:
-        if self.attack.selfish_rule is not None:
-            return self.attack.selfish_rule.resolved(self.roles.m)
-        if self.rule.kind == "flame":
-            return AggregationRule("median")
-        return self.rule.resolved(self.roles.m)
-
 
 # ---------------------------------------------------------------------------
 # round engine
@@ -511,12 +499,14 @@ ATTACKS = {
     "two_coalitions": (None, lambda selfish: selfish[:, None] == selfish),
 }
 ATTACK_KINDS = tuple(ATTACKS)
+DEFAULT_LAMBDA = {"median": 0.5, "trimmed_mean": 1.0}  # the defenders' rule -> lambda when null; 0 for any other
 DIVERGENCE_LOSS_FACTOR = 1e6  # a run stops at a mean batch loss above this times ln C, the zero model's loss
 
 
-def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule]]:
-    """The (N, N) mask ``reads`` (receiver ``i`` aggregates the senders in
-    ``reads[i]`` every round) and each receiver's resolved rule.  Raises
+def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule], float]:
+    """What a run makes of ``cfg``, its null fields resolved: the (N, N) mask
+    ``reads`` (receiver ``i`` aggregates the senders in ``reads[i]`` every
+    round), each receiver's rule and the attack's lambda.  Raises
     ValueError, naming the config path, when a rule cannot aggregate the
     models its receivers read; every receiver of one role reads as many.
     """
@@ -531,7 +521,8 @@ def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule]]
         if attack.info_mode == "selfish_only":
             reads[selfish] = selfish
             selfish_reads = "attack.info_mode 'selfish_only' leaves each selfish client"
-        rules = [cfg.rule.resolved(roles.m)] * roles.n + [cfg.resolved_selfish_rule()] * roles.m
+        selfish_rule = attack.selfish_rule or (AggregationRule("median") if cfg.rule.kind == "flame" else cfg.rule)
+        rules = [cfg.rule.resolved(roles.m)] * roles.n + [selfish_rule.resolved(roles.m)] * roles.m
     for receiver, path, reader in (
         (0, "rule", "each non-selfish client reads"),
         (-1, "rule" if attack.selfish_rule is None else "attack.selfish_rule", selfish_reads),
@@ -544,7 +535,7 @@ def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule]]
             raise ValueError(f"{path}.assumed_attackers = {rule.assumed_attackers}: {fault} krum needs N >= f + 3")
         if rule.kind == "fltrust" and cfg.trainer.learning_rate == 0.0:
             raise ValueError("trainer.learning_rate 0 keeps every model at zero, and fltrust needs a nonzero own model")
-    return reads, rules
+    return reads, rules, DEFAULT_LAMBDA.get(cfg.rule.kind, 0.0) if attack.lam is None else attack.lam
 
 
 class Engine:
@@ -571,12 +562,11 @@ class Engine:
         # one generator per client, re-keyed by Rng.reset to each (tag, round, client)
         # stream: a round's training draws all end before its crafting draws start
         self.gens = [np.random.Generator(np.random.Philox(0)) for _ in range(roles.total)]
-        self.lam = cfg.resolved_lambda()
         self.crafter = ATTACKS[cfg.attack.kind][0]
         self.detector: AttackStartDetector | None = (
             AttackStartDetector(cfg.attack.epsilon, cfg.attack.interval) if cfg.attack.kind == "selfish" else None
         )
-        self.reads, self.rules = read_plan(cfg)
+        self.reads, self.rules, self.lam = read_plan(cfg)
         # receivers of one rule and read mask aggregate in one call; shares are
         # crafted for non-selfish receivers only, so no group holds both roles
         keys = [(rule, reads.tobytes(), i < roles.n) for i, (rule, reads) in enumerate(zip(self.rules, self.reads))]

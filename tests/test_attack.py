@@ -9,12 +9,10 @@ from dflsim.attack import (
     FLAME_BETA,
     AttackStartDetector,
     CoordinateBounds,
-    _craft_flame_all,
     craft_fedavg,
     craft_median,
     craft_shared_model,
     craft_trimmed_mean,
-    default_lambda,
     fedavg_bounds,
     median_bounds,
     solve_optimal_coordinate,
@@ -28,6 +26,7 @@ from dflsim.core import (
     NotSorted,
     OutOfBounds,
 )
+from dflsim.simulation import AttackConfig, ExperimentConfig, read_plan
 
 from oracles import (
     brute_median_interval,
@@ -368,9 +367,9 @@ def test_craft_flame_selects_by_direction():
 
 
 def test_craft_flame_degenerate_denominator():
-    benign = [np.array([float(i)]) for i in range(1, 7)]
+    # (n - m) // 2 + FLAME_ALPHA - FLAME_BETA * n = 0 + 5.0 - 0.01 * 500 = 0.0
     with pytest.raises(DegenerateDenominator):
-        _craft_flame_all(np.array([[1.0]]), np.array(benign), 2, 0.0, 1.0, alpha=0.06 - 2.0, beta=0.01)
+        craft_shared_model(AggregationRule("flame"), [[1.0]], np.ones((500, 1)), m=499, lam=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +436,13 @@ def test_detector_waits_for_full_window():
 # ---------------------------------------------------------------------------
 
 def test_default_lambda_per_rule():
-    assert default_lambda("fedavg") == 0.0
-    assert default_lambda("median") == 0.5
-    assert default_lambda("trimmed_mean") == 1.0
-    assert default_lambda("krum") == 0.0
+    def lam(kind):
+        return read_plan(ExperimentConfig(rule=AggregationRule(kind), attack=AttackConfig(kind="selfish")))[2]
+
+    assert lam("fedavg") == 0.0
+    assert lam("median") == 0.5
+    assert lam("trimmed_mean") == 1.0
+    assert lam("krum") == 0.0
 
 
 def _random_instance(gen, n=7, m=3, dim=4):

@@ -226,6 +226,15 @@ def test_load_config_seed_precedence(tmp_path, monkeypatch):
         load_config(path)
 
 
+def test_an_empty_dfl_seed_counts_as_unset(tmp_path, monkeypatch):
+    # `export DFL_SEED=` leaves the variable set but empty: the config seed holds, and --seed still wins
+    path = write_doc(tmp_path, tiny_doc())
+    monkeypatch.setenv("DFL_SEED", "")
+    assert load_config(path)[0].seed == 7
+    assert load_config(path, seed_flag=23)[0].seed == 23
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("doc_seed, env, flags, message", [
     (-1, None, [], "top level: seed must lie in [0, 2**64), got -1"),
     (2**64, None, [], "top level: seed must lie in [0, 2**64), got 18446744073709551616"),

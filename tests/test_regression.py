@@ -14,10 +14,16 @@ claim is checked where it runs: each crafted round must put every attacked
 receiver on its constrained optimum, coordinate by coordinate.
 
 The digests depend on the floating-point behaviour of numpy and its BLAS.
-After a deliberate change of the numerics, or on a platform whose BLAS
-rounds differently, print fresh digests with
+The records digests hold under every OpenBLAS kernel family tried; the
+final-model digests differ between families, because each rounds the
+partial sums of a matrix product its own way.  So the models are pinned
+once per OpenBLAS core, picked by the core name numpy's OpenBLAS reports:
+the tables below hold the SkylakeX (AVX-512) models, and ``KERNEL_MODELS``
+those of the other cores.  A core with no pinned models fails every cell,
+naming itself.  After a deliberate change of the numerics, or for another
+core, print fresh digests under each kernel with
 
-    PYTHONPATH=src python tests/test_regression.py
+    OPENBLAS_CORETYPE=<core> PYTHONPATH=src python tests/test_regression.py
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from openblas_core import core_name
 from oracles import median_of, trimmed_mean_of
 
 from dflsim.aggregation import AggregationRule
@@ -159,6 +166,240 @@ PINNED_13_3 = {
     ('trimmed_mean', 'selfish', 'all'): ('13d92a63370e722e66fa7c2ab0a532eb95749521ee9464897a250876ac91ecf8', 'a96e8edd2903d8e667414e99b07ba90a3499a1c162d429bf03febd87d6e98326'),
 }
 
+TABLES = {"PINNED": PINNED, "PINNED_11_3": PINNED_11_3, "PINNED_13_3": PINNED_13_3}
+
+# OpenBLAS core -> table -> cell -> final models sha256, for each core whose
+# kernels give other models than the SkylakeX ones pinned above, printed by
+# this file under OPENBLAS_CORETYPE=<core>.  numpy's bundled OpenBLAS reports
+# its Prescott (SSE3) kernels as 'Katmai'; forced to Zen or Cooperlake, it
+# reports 'Haswell' or 'SkylakeX' and gives that core's models.
+KERNEL_MODELS = {
+    'Haswell': {
+        'PINNED': {
+            ('fedavg', 'none', 'all'): '7bb048650f1bf6645bb5ccd698522d79957b8711ec6a09943be45fcf94f6bd18',
+            ('fedavg', 'selfish', 'all'): '12ca6c3fce64fd0df0480a69ca80b976d8b88abc68a889a7a47d41b0e1d91ba3',
+            ('fedavg', 'gaussian', 'all'): 'abe3b8929677df0ba6d6e9966797064d533e92f1e95979f624d9fa5aee23eb1d',
+            ('fedavg', 'trim', 'all'): 'c075e4a5ab056f415bc97f732b579a55e4708e16615878801ea1ba99cf9ab383',
+            ('median', 'none', 'all'): 'cae9860a0561d13601f24b3e83dd829bcba9f1fd51f4aa249ea54107bc4ec6e8',
+            ('median', 'selfish', 'all'): '01221664c00afc8be286e9612ba6d3075e4fc08a8c4518535bbddc004da273d4',
+            ('median', 'gaussian', 'all'): '5647436ae61f0daefeceed3dab5a69f475fac1c1b3e8250d7fbfbf5f7167cc1c',
+            ('median', 'trim', 'all'): '9148dafb3a7adbdd91ba6c8af65fcd4ee01b9eaf92d6838e0b7dfd60d7cfe702',
+            ('trimmed_mean', 'none', 'all'): 'ac9c9b35e250cea831be4d86e1bc9cb84a90f1cdd959d4c4523e84001ac1338a',
+            ('trimmed_mean', 'selfish', 'all'): 'a72001a28b26e857b167106c6fc2517ef2cae2cbd209d2c50456a9cde9cd34d1',
+            ('trimmed_mean', 'gaussian', 'all'): 'f157f86cb734f908573b10ee84227849ab98977b3b9c44aef47cf487f7e1e184',
+            ('trimmed_mean', 'trim', 'all'): 'e0970b2c207ad0a827569ad72f8fc917af8a83bbc60add46665654576bea3902',
+            ('krum', 'none', 'all'): '873377513461806387357a3dbff231ed94c08898a6e5434bc1002602e99ac36b',
+            ('krum', 'selfish', 'all'): 'd43daf0f0238e8d392c1ef4d0570d05403ad0fd088ac3f295546b58423b68cf2',
+            ('krum', 'gaussian', 'all'): 'ed2dad9e1645424ceb61042e8892cc2c0949ba348eec464fadde2b015fcd0a84',
+            ('krum', 'trim', 'all'): 'ed2dad9e1645424ceb61042e8892cc2c0949ba348eec464fadde2b015fcd0a84',
+            ('fltrust', 'none', 'all'): '46901eaa9dd3fd851decf06e68345cefb1e12a80a11aa8c7c4f32b0a754cd258',
+            ('fltrust', 'selfish', 'all'): '0b771c2cbf421ed9f8782cd5403175f4e68492621d1d4890d232060a509beb4f',
+            ('fltrust', 'gaussian', 'all'): 'db5ecb36deeb1098ad158ef9cb0b66fda2ec250f0f4b14e0c456b3b733ec81a0',
+            ('fltrust', 'trim', 'all'): '4668f40d850a03c0361f03eb46e0816f269291d89a534da65cac28337cc0ebd1',
+            ('flame', 'none', 'all'): 'f22b15fc3c221c804742d24c8536b5fecb91bce9ddc8f262aac42675c9fd98bd',
+            ('flame', 'selfish', 'all'): '6e5eaa29c030b15deeea1ecc37acf2476e507364288dd95551f9847ef9f7d272',
+            ('flame', 'gaussian', 'all'): 'e7d21288dfd42b59652b239b9aee6d6f0202dc44fd4c450067b7a8fd9f0713a6',
+            ('flame', 'trim', 'all'): 'e7d21288dfd42b59652b239b9aee6d6f0202dc44fd4c450067b7a8fd9f0713a6',
+            ('fedavg', 'selfish', 'selfish_only'): '41c58d8a585b8b3ed58963beef45d2c2e9ab3f3a1d854e89cc9bfa4fd4de1944',
+            ('median', 'selfish', 'selfish_only'): '0aaacc68249c009bc1e830284b47579bd1a96e9eab8097e6e9adbeb02279f7d7',
+            ('fltrust', 'selfish', 'selfish_only'): '910522f7d8c8aab314ed650bb7d05b694ff0147bc0937f22179a77e93ec3e59e',
+            ('flame', 'selfish', 'selfish_only'): '092ffb9c7d21ad9b41ed3ee313c792313da4b4ef74fa90f670901c6d15bb3655',
+            ('fedavg', 'independent', 'all'): '2e1e9da7ad3b36b65f412a5fc831a331d72d85d0471bb82bd30c2296f72171a3',
+            ('median', 'independent', 'all'): '2e1e9da7ad3b36b65f412a5fc831a331d72d85d0471bb82bd30c2296f72171a3',
+            ('trimmed_mean', 'independent', 'all'): '2e1e9da7ad3b36b65f412a5fc831a331d72d85d0471bb82bd30c2296f72171a3',
+            ('krum', 'independent', 'all'): '2e1e9da7ad3b36b65f412a5fc831a331d72d85d0471bb82bd30c2296f72171a3',
+            ('fltrust', 'independent', 'all'): '2e1e9da7ad3b36b65f412a5fc831a331d72d85d0471bb82bd30c2296f72171a3',
+            ('flame', 'independent', 'all'): '2e1e9da7ad3b36b65f412a5fc831a331d72d85d0471bb82bd30c2296f72171a3',
+            ('fedavg', 'two_coalitions', 'all'): '9fb4e6b9e4364b68f86682e1d4a8a6e41332a7f73dd36a35d716bf7d622b2907',
+            ('median', 'two_coalitions', 'all'): '9fb4e6b9e4364b68f86682e1d4a8a6e41332a7f73dd36a35d716bf7d622b2907',
+            ('trimmed_mean', 'two_coalitions', 'all'): '9fb4e6b9e4364b68f86682e1d4a8a6e41332a7f73dd36a35d716bf7d622b2907',
+            ('krum', 'two_coalitions', 'all'): '9fb4e6b9e4364b68f86682e1d4a8a6e41332a7f73dd36a35d716bf7d622b2907',
+            ('fltrust', 'two_coalitions', 'all'): '9fb4e6b9e4364b68f86682e1d4a8a6e41332a7f73dd36a35d716bf7d622b2907',
+            ('flame', 'two_coalitions', 'all'): '9fb4e6b9e4364b68f86682e1d4a8a6e41332a7f73dd36a35d716bf7d622b2907',
+        },
+        'PINNED_11_3': {
+            ('fedavg', 'none', 'all'): '17a0922f182cc9df916475f6f565523da4d12fcee0aaf7a028d734b7e72dfa8b',
+            ('fedavg', 'selfish', 'all'): '5601cb962d9a1841ebefd4cfa7bc7f72b8d10657bb600321cc68ce2ab9a4e46c',
+            ('fedavg', 'gaussian', 'all'): '5fa8fa3cf866f7e08ab3b1ebd2be7bd7445a84c6f5c9f22be4b3539d764ba446',
+            ('fedavg', 'trim', 'all'): '5c78c7d9c17c66235e7df21adb1df0eed871f3cbad1c25c933f2a7c632ae662f',
+            ('median', 'none', 'all'): '8eaf9398e01e35de959f4950482a3487bdfd8dd5dfc9679eeb7e23c9f319ee92',
+            ('median', 'selfish', 'all'): 'a483832c3bcfe6a2fa0a42f542363c9453f3e40eeb464a4d6f6fdfa7fdaa4f97',
+            ('median', 'gaussian', 'all'): '59a002e00183cc216a50d73075f2882617929be7f44857b9c80b932b81a3757a',
+            ('median', 'trim', 'all'): '05405e6a164eecb974fc6323fc2aa352a0eeaddba5a24abde50f9d127955c409',
+            ('trimmed_mean', 'none', 'all'): '2645c743462fa4b410e742d78f2604166905923393648c60f2c136605cb8a8cf',
+            ('trimmed_mean', 'selfish', 'all'): 'd5eab480c2c6a67308c66a3a5ec48f88a801b0454d851acff45a1cf2f416ef66',
+            ('trimmed_mean', 'gaussian', 'all'): '8d8a9b2d72b3c662f060f4698ca229b6885a7f4070f0833475312d70d485643e',
+            ('trimmed_mean', 'trim', 'all'): '140fc2d311e53f4b2c4ab2a123e093114c7c5687c95db0066ca77328fd43afe7',
+            ('krum', 'none', 'all'): '4c7723bc9bb85e4b5745a466a00e826cad56f07c551d0a56a5252e00bc175101',
+            ('krum', 'selfish', 'all'): '4c7723bc9bb85e4b5745a466a00e826cad56f07c551d0a56a5252e00bc175101',
+            ('krum', 'gaussian', 'all'): 'b858e91617f8ea1205c067a151096f0158e04eb479053466921f5d717571aaf9',
+            ('krum', 'trim', 'all'): 'b858e91617f8ea1205c067a151096f0158e04eb479053466921f5d717571aaf9',
+            ('fltrust', 'none', 'all'): '3aebb1c7204ee316904131237ade1e8c7ab28199105da8190b00a11f4a3b8871',
+            ('fltrust', 'selfish', 'all'): '4ff98278477699851072a3ee12c84254785d15c15c4503926d0b8e25347211af',
+            ('fltrust', 'gaussian', 'all'): '7bbb4c6c7e8c2382e70e1120ece22ec9e8e38adfd5abf1365caa882a9020cc99',
+            ('fltrust', 'trim', 'all'): '6886c242ab28349424a3d4a6a61979edebc903b5b48cd7ed3c063f49800c8c9c',
+            ('flame', 'none', 'all'): 'b5a9e64238c3b0b2aaa8c8a2b06a5aa6652136188e326da23fe6017e69c04217',
+            ('flame', 'selfish', 'all'): '96b14c4ac8f3d5f31a189f8a493bff726721120ef6bf60a48385a917621e5b9a',
+            ('flame', 'gaussian', 'all'): 'e16b648e9466008cb706e703794d938f95d15e8728307646c189e5102044155b',
+            ('flame', 'trim', 'all'): 'e16b648e9466008cb706e703794d938f95d15e8728307646c189e5102044155b',
+        },
+        'PINNED_13_3': {
+            ('trimmed_mean', 'selfish', 'all'): 'dac3a263c39b1a208074b2c0b81af0c3905e515211c7160a5bef14688c625087',
+        },
+    },
+    'Sandybridge': {
+        'PINNED': {
+            ('fedavg', 'none', 'all'): '5c822c6f39a144f60246c155cc709ed5120c0eb693d24bf57d7efd9b6a95118d',
+            ('fedavg', 'selfish', 'all'): 'e739a0921f7efe40c92f0100320e7aa068b72388f55328765a82c1762b935b4d',
+            ('fedavg', 'gaussian', 'all'): 'abe3b8929677df0ba6d6e9966797064d533e92f1e95979f624d9fa5aee23eb1d',
+            ('fedavg', 'trim', 'all'): '35036b6b012e1f3fbaf06f3275fc4914f1f5346c46c3e16c167c7f626870305e',
+            ('median', 'none', 'all'): 'a8db3f1845c76ad9de6a214f7e3ce9cbfd279317b5d06badc526ad49babd8012',
+            ('median', 'selfish', 'all'): '74718cc7e3560c4b3d3141af2cb7529e9bfd240c9039791cd1eaa1d126e0cfa6',
+            ('median', 'gaussian', 'all'): 'cd4b839618efd6a2a04bf54e60128b50d89a02682f954154d462c9986e2b144b',
+            ('median', 'trim', 'all'): '693e967fe0bc9847a812e7a45c0052b9e643256cc652c191c0303ef57899b332',
+            ('trimmed_mean', 'none', 'all'): '2f4284790f1005cadd9cb02c7e081cafdcf6e426f3ca7532c8a1779406325c00',
+            ('trimmed_mean', 'selfish', 'all'): '1db629519c174194183910a25ec936dc2d18933bb39fa596d9878cbbccb71723',
+            ('trimmed_mean', 'gaussian', 'all'): '966faf2bf6e5aca483446341ca9f43e9d531cca7ca31d9c4b198ade1a6ef2492',
+            ('trimmed_mean', 'trim', 'all'): 'd7d8fb3361c38b2e39ade1c6aa04af3dfdbd6594d83cf47b317daae7d6e5228a',
+            ('krum', 'none', 'all'): 'fe89f17c1dd48b894205700a9d09e414c13177a670de660904e70c867d8cd813',
+            ('krum', 'selfish', 'all'): 'caed0f0c60c59b1964b8337b1c293c4007d2cc3742767d1124ae5202f4651248',
+            ('krum', 'gaussian', 'all'): '6046f967353c8ae1fd902d8cb9334e690c9b3b74cc0311181f8d33622a679621',
+            ('krum', 'trim', 'all'): '6046f967353c8ae1fd902d8cb9334e690c9b3b74cc0311181f8d33622a679621',
+            ('fltrust', 'none', 'all'): '771d29507ff08a542f5f33c799af9bc51549dcee1ceb6aa06a508c2fce601a8c',
+            ('fltrust', 'selfish', 'all'): '65d881e998f6fbacb1b20d9ceae20be0834445eb34fec3c2f7a6ad21207f3e1c',
+            ('fltrust', 'gaussian', 'all'): '13e94aae16bcb1b7a320d1c1b812bbf7d94373644ba378bb077c64c4f7618774',
+            ('fltrust', 'trim', 'all'): 'c535ab76dcb9aa357255958eeac4280bf14e313901d035e46a4566ca3be22b9e',
+            ('flame', 'none', 'all'): 'c2eb3e3e4e641bb6877a24b1aa284bcf89965a096f7e74044ed787f515ee29c0',
+            ('flame', 'selfish', 'all'): '325a5cc5516d67fd8e50e5317fdd491f6b97758b09439069736632c5f7175075',
+            ('flame', 'gaussian', 'all'): '48d661cf494b48b9e2b5dcda663bd306f0206005ee612bc0d3c99e0a879d7eea',
+            ('flame', 'trim', 'all'): '48d661cf494b48b9e2b5dcda663bd306f0206005ee612bc0d3c99e0a879d7eea',
+            ('fedavg', 'selfish', 'selfish_only'): '28bcf9c05f6c2c3524530760ccba5ff10f94ed63ce21999b8d4bb685ee51616a',
+            ('median', 'selfish', 'selfish_only'): '0631a2bfe8ef278add9a4a834b4fd1ba6ab1ee5929b6b29bb6150334f725292f',
+            ('fltrust', 'selfish', 'selfish_only'): '4b56ed882e7d77d21f2a45c7c0fdf0051d6bfdcae7824c6cfc46812da0576ac8',
+            ('flame', 'selfish', 'selfish_only'): '5c34b8960dbf190d6b420cdf07ca4d900d889b275fdadc61ed8a841f66eb8eb0',
+            ('fedavg', 'independent', 'all'): '2048150e85536946721e335280eed58ee2d5e17a81988cca43e0e298a8d30957',
+            ('median', 'independent', 'all'): '2048150e85536946721e335280eed58ee2d5e17a81988cca43e0e298a8d30957',
+            ('trimmed_mean', 'independent', 'all'): '2048150e85536946721e335280eed58ee2d5e17a81988cca43e0e298a8d30957',
+            ('krum', 'independent', 'all'): '2048150e85536946721e335280eed58ee2d5e17a81988cca43e0e298a8d30957',
+            ('fltrust', 'independent', 'all'): '2048150e85536946721e335280eed58ee2d5e17a81988cca43e0e298a8d30957',
+            ('flame', 'independent', 'all'): '2048150e85536946721e335280eed58ee2d5e17a81988cca43e0e298a8d30957',
+            ('fedavg', 'two_coalitions', 'all'): '698f8a7390ca7e79542c84218ab1c6a1ee7ac9088a6955f61faa0017bb015877',
+            ('median', 'two_coalitions', 'all'): '698f8a7390ca7e79542c84218ab1c6a1ee7ac9088a6955f61faa0017bb015877',
+            ('trimmed_mean', 'two_coalitions', 'all'): '698f8a7390ca7e79542c84218ab1c6a1ee7ac9088a6955f61faa0017bb015877',
+            ('krum', 'two_coalitions', 'all'): '698f8a7390ca7e79542c84218ab1c6a1ee7ac9088a6955f61faa0017bb015877',
+            ('fltrust', 'two_coalitions', 'all'): '698f8a7390ca7e79542c84218ab1c6a1ee7ac9088a6955f61faa0017bb015877',
+            ('flame', 'two_coalitions', 'all'): '698f8a7390ca7e79542c84218ab1c6a1ee7ac9088a6955f61faa0017bb015877',
+        },
+        'PINNED_11_3': {
+            ('fedavg', 'none', 'all'): '949ab47181499f4443a5bb6849726bfd6d973492acceab5c875ff7893d1766e3',
+            ('fedavg', 'selfish', 'all'): 'b3ebeb80ca0f9d5a6f6c32fcfcbd5618ac9f43da9d33926eb3d3207fa6e742ab',
+            ('fedavg', 'gaussian', 'all'): '5fa8fa3cf866f7e08ab3b1ebd2be7bd7445a84c6f5c9f22be4b3539d764ba446',
+            ('fedavg', 'trim', 'all'): 'e06f519ad25c34261be6888980cd1d3df176b4ff96d877715aae4227e2bb6b55',
+            ('median', 'none', 'all'): '3841fdf8c135954f2643d587d1f2dd1b6300ef6a609cf3d30679a4e57a5b3c89',
+            ('median', 'selfish', 'all'): '096f527916cb9a527f62835e83619890d8f255770ff4be4a2f0d08df94db4da7',
+            ('median', 'gaussian', 'all'): '116e96004bbce5d1437d7529e2d1a0c9d76e26ce36d0ba426f7f580717032d6d',
+            ('median', 'trim', 'all'): '0cfbdc629ae15299f7f630ad2265f3c06d8a0674ee0824802ad3ce6b96b2b35c',
+            ('trimmed_mean', 'none', 'all'): 'e90e95bb2db4ac4daa87f624c26ba9cc51496185a0877cb6aefd1bb7fcce2934',
+            ('trimmed_mean', 'selfish', 'all'): 'edb73c78fb42352299981179f2883944abddc242f0a7460f774545fb3f483c57',
+            ('trimmed_mean', 'gaussian', 'all'): '84b97de3d9be6536870b2bc2268b5841bbedf45ebb1ad57ed8b248199fd91d58',
+            ('trimmed_mean', 'trim', 'all'): '59caa4e359b0218759746cb932b9535c2a2adcd33ddc49d280c442240856a893',
+            ('krum', 'none', 'all'): '89909f8acf7b85143e778d47afd6dabdbe3dd53d48a45d9841aa5d6a03408c76',
+            ('krum', 'selfish', 'all'): '89909f8acf7b85143e778d47afd6dabdbe3dd53d48a45d9841aa5d6a03408c76',
+            ('krum', 'gaussian', 'all'): 'cb93497769bce33d0d4b84c1458f4b867d6a0f6879d93cb77ae88630748dfb89',
+            ('krum', 'trim', 'all'): 'cb93497769bce33d0d4b84c1458f4b867d6a0f6879d93cb77ae88630748dfb89',
+            ('fltrust', 'none', 'all'): '479ba5a43ab82f18fa3f05f9ef2ee429c0897e3819c9f5a0c0fefd7c38f35107',
+            ('fltrust', 'selfish', 'all'): 'ac53cfc66cc213b72aa9e526293d7cadb2d818edbef98407ee97ce28590688f0',
+            ('fltrust', 'gaussian', 'all'): 'b7fecf304ec0415497faf6ba9f1d25531c6754235f76dfa24f4e87e8b9f6a9ee',
+            ('fltrust', 'trim', 'all'): '91657125951003515307401c505211aa5bc5d1f0ee99298ff600c7bfcc98d016',
+            ('flame', 'none', 'all'): '0e2d11d42168485f3606f91a91fdf492f5634c7fa46cbbe396f1d49db1434a7e',
+            ('flame', 'selfish', 'all'): '0dd5cc7484b850230c1da2bbbdfc5aab98e6665e695b68ed7b988fbbd493b43a',
+            ('flame', 'gaussian', 'all'): 'c88af0bc254090c7fd73e3d802eb694204a6e350814a05b462343c48f9aa121f',
+            ('flame', 'trim', 'all'): 'c88af0bc254090c7fd73e3d802eb694204a6e350814a05b462343c48f9aa121f',
+        },
+        'PINNED_13_3': {
+            ('trimmed_mean', 'selfish', 'all'): '6085f5d1831a2a85504ab60fa2628c16a5d8036078da2e9c7025862ac124971a',
+        },
+    },
+    'Katmai': {
+        'PINNED': {
+            ('fedavg', 'none', 'all'): 'c4235ba7da21e3af7ca6822b74699ca03284fbffdfc14124b8263bb5a9bbd2a4',
+            ('fedavg', 'selfish', 'all'): '3c0f712193fff30581ef856968fb339bdeea74a93902911b4e1b03d1608e4ea0',
+            ('fedavg', 'gaussian', 'all'): 'abe3b8929677df0ba6d6e9966797064d533e92f1e95979f624d9fa5aee23eb1d',
+            ('fedavg', 'trim', 'all'): '35f8b6ed16eb98aef4d7cb1879a7ca57a92b0736149e939cce149f09ecb3f570',
+            ('median', 'none', 'all'): 'fa83b25f7bc550a088e8b6f5232d6fb9d8bdafa982808ecf52eec6e3a44ac0d1',
+            ('median', 'selfish', 'all'): '6800c33df5cccc413fe863f876e6a20c9ae3db404f76c10cad2c65ba7a3ba5a1',
+            ('median', 'gaussian', 'all'): '6bc52ba7fac06c59544ff493f84712530e7c5ee9c105921f7a5946ccbfa72825',
+            ('median', 'trim', 'all'): '6e1da37e89fec0b189af0ed58dff8a9df3130cbf54685996dc863b1fb08f6dc0',
+            ('trimmed_mean', 'none', 'all'): '601bf7b1821e84a121045994574a80cee39d3681c3ce7786370e9d070d4813fd',
+            ('trimmed_mean', 'selfish', 'all'): '9aa547212e8fc00ffe502855acaa4d49b315097a97a917ae46c5e06610ce9d58',
+            ('trimmed_mean', 'gaussian', 'all'): '655d66219a8cba3a4327b0c604bd7b1d2c271a42e533c79d2a5cbc7805eb3d07',
+            ('trimmed_mean', 'trim', 'all'): 'ebd02aaabdb553a199a15c3856dddda5752c8a57675c1b569263392d1981bdee',
+            ('krum', 'none', 'all'): '90802503942bbe8b01a279595bf0b93250fc9f61be17262dc6b8fb626f25b00a',
+            ('krum', 'selfish', 'all'): '0b7ede58b8790fe1bbe5d2a9be1063220a32fd0f147ddf38eadc29801348601f',
+            ('krum', 'gaussian', 'all'): 'b2c865724cd212400bff3513ef9d5b922bdddf6c33973de284764d1a1fbfad68',
+            ('krum', 'trim', 'all'): 'b2c865724cd212400bff3513ef9d5b922bdddf6c33973de284764d1a1fbfad68',
+            ('fltrust', 'none', 'all'): '0cd9a3462b6a91658c11b53c2fd8fb8128977d90649824b54f2478897c216952',
+            ('fltrust', 'selfish', 'all'): '80826687c127c8763393e2500f0663b93133206a5aaf08b916bbc1cfbd9af32f',
+            ('fltrust', 'gaussian', 'all'): '3c59c73a33e8cde116d91335113b14e11114b5a2eb26d48fdf7c57396d9ca03b',
+            ('fltrust', 'trim', 'all'): '4ff0268be83b87e1361f3ded9a9d6366dad47c55f418566cfd9798b92e2c7674',
+            ('flame', 'none', 'all'): '824eab3eaf34034916c27dec674edcbf917b66ae67cacad12e5230ae444f88ce',
+            ('flame', 'selfish', 'all'): 'bf40c1afd32594769ca6b64c4f718e390e1b0783c0aff8e4f0c6f1b18f0ec049',
+            ('flame', 'gaussian', 'all'): '1849e6d78006528edb95266526f7006b52281cd1f96375a6192f2b2ba713b564',
+            ('flame', 'trim', 'all'): '1849e6d78006528edb95266526f7006b52281cd1f96375a6192f2b2ba713b564',
+            ('fedavg', 'selfish', 'selfish_only'): '1af3dc3465bf3cbd1773d6d3c7173ebe1d258ad68c11c24d4ddb1317bd67006d',
+            ('median', 'selfish', 'selfish_only'): '0f1fe2e32d15fb9ce43e130ba5e84fa2cdd646548d896a2415e6fc0f9e70f580',
+            ('fltrust', 'selfish', 'selfish_only'): '628f388de65cbb6d0e8ab8c8e0585560cd895ef0cb6abce76ee93b850981f64f',
+            ('flame', 'selfish', 'selfish_only'): '73e2695790beef869c7db30e3da3c5621436e99c523a15ed3a5f8e35bf604c3e',
+            ('fedavg', 'independent', 'all'): '4b9ee207686d225d2a6eff4d82eb89db6178ea700e97fc59081fb29365e1a840',
+            ('median', 'independent', 'all'): '4b9ee207686d225d2a6eff4d82eb89db6178ea700e97fc59081fb29365e1a840',
+            ('trimmed_mean', 'independent', 'all'): '4b9ee207686d225d2a6eff4d82eb89db6178ea700e97fc59081fb29365e1a840',
+            ('krum', 'independent', 'all'): '4b9ee207686d225d2a6eff4d82eb89db6178ea700e97fc59081fb29365e1a840',
+            ('fltrust', 'independent', 'all'): '4b9ee207686d225d2a6eff4d82eb89db6178ea700e97fc59081fb29365e1a840',
+            ('flame', 'independent', 'all'): '4b9ee207686d225d2a6eff4d82eb89db6178ea700e97fc59081fb29365e1a840',
+            ('fedavg', 'two_coalitions', 'all'): 'a769e206527cb0af9eaeb576b8a9fe6085d0c5a3dd53061a7f0a5bcd48d1ee0f',
+            ('median', 'two_coalitions', 'all'): 'a769e206527cb0af9eaeb576b8a9fe6085d0c5a3dd53061a7f0a5bcd48d1ee0f',
+            ('trimmed_mean', 'two_coalitions', 'all'): 'a769e206527cb0af9eaeb576b8a9fe6085d0c5a3dd53061a7f0a5bcd48d1ee0f',
+            ('krum', 'two_coalitions', 'all'): 'a769e206527cb0af9eaeb576b8a9fe6085d0c5a3dd53061a7f0a5bcd48d1ee0f',
+            ('fltrust', 'two_coalitions', 'all'): 'a769e206527cb0af9eaeb576b8a9fe6085d0c5a3dd53061a7f0a5bcd48d1ee0f',
+            ('flame', 'two_coalitions', 'all'): 'a769e206527cb0af9eaeb576b8a9fe6085d0c5a3dd53061a7f0a5bcd48d1ee0f',
+        },
+        'PINNED_11_3': {
+            ('fedavg', 'none', 'all'): 'b3be3874f2187dac3ab46c19b77811b29022a06c89efe2aeef1a34d7b52e516b',
+            ('fedavg', 'selfish', 'all'): 'a6690597c6f2453537e37b155a31bf83142f60820d8fd696a820f44bf8f2b748',
+            ('fedavg', 'gaussian', 'all'): '5fa8fa3cf866f7e08ab3b1ebd2be7bd7445a84c6f5c9f22be4b3539d764ba446',
+            ('fedavg', 'trim', 'all'): '1fef00406667c7601939cd7426be1f690d6ab98324350daa1362466a6916907a',
+            ('median', 'none', 'all'): 'b190e3bbf04fe764b686cf9e096c86088f699c32250dab2ee94e3bce23081983',
+            ('median', 'selfish', 'all'): '2c760afef31c421d3938fd24a1807f5bcd0a9fd976eb139a09e0878e4d269a20',
+            ('median', 'gaussian', 'all'): 'edb2f1147abf1a9b153701693946d663a2938365990f22ab578e968fafaa80c7',
+            ('median', 'trim', 'all'): 'f4b96bd0195550fb9e79ba80fc0402cea162028f5bf08977938e015df34a92b0',
+            ('trimmed_mean', 'none', 'all'): '03c908b9e13326df1647cf1e533e7de637dbee5058fa4d15710d79c8c1a212f5',
+            ('trimmed_mean', 'selfish', 'all'): '91a2733d004816bb61cb0c42142857be58ae7236c8f8bfb163bf2f49285c3626',
+            ('trimmed_mean', 'gaussian', 'all'): '1d6660e8aa76e031ab1d53432874f4ae0b1098a3b066d4bd623ec43bd0424917',
+            ('trimmed_mean', 'trim', 'all'): '607b39fe3e8f75c8a686d16caa22eecd6c513ee47c9aabc516405ffc29e1492f',
+            ('krum', 'none', 'all'): '6fd518bd3cd096e22e2b1a693aea1f7d3d4d0405600eb4a02dbee9f0337f470c',
+            ('krum', 'selfish', 'all'): '6fd518bd3cd096e22e2b1a693aea1f7d3d4d0405600eb4a02dbee9f0337f470c',
+            ('krum', 'gaussian', 'all'): '7958355d9c541098aa5ddc8777648e3266a7cb732e31ca94006ca537894df5d1',
+            ('krum', 'trim', 'all'): '7958355d9c541098aa5ddc8777648e3266a7cb732e31ca94006ca537894df5d1',
+            ('fltrust', 'none', 'all'): '0e9e4e89292577a5c49ce51103453522fc3cb21fcea5a7f713a4ae4f44f9720f',
+            ('fltrust', 'selfish', 'all'): '61fc17ac93133794d7cafda8c4d6a42a53c7ff362bbb8a01bf21e72f0501bc81',
+            ('fltrust', 'gaussian', 'all'): 'cf968e51a03800ebe6949768f38e30f84359978ce396a6a43b5bbed7e1ee6df5',
+            ('fltrust', 'trim', 'all'): 'e24112a1c21c1a786e9fd1113aa585a99e67e09d989430f22c9e1f8eeda1f15e',
+            ('flame', 'none', 'all'): '2e5736b7e7c45851177f13094a3b7ab983f24254fc11397d1d1da5fb67d62eb2',
+            ('flame', 'selfish', 'all'): '6b5428fbcd22cb113b0c0feb7be70464fcd659a3acd37656dcd846ecb9e702bc',
+            ('flame', 'gaussian', 'all'): '8685da51d773d5c2dd233b1e7c78a8e70e6cf72b054b326bc95527e330f558b2',
+            ('flame', 'trim', 'all'): '8685da51d773d5c2dd233b1e7c78a8e70e6cf72b054b326bc95527e330f558b2',
+        },
+        'PINNED_13_3': {
+            ('trimmed_mean', 'selfish', 'all'): '49ec462c23e1d7d79cf3716dc9aa993532d3d0c0ece03c081d1a3a8240e5c77a',
+        },
+    },
+}
+MODELS = {
+    "SkylakeX": {name: {cell: pins[1] for cell, pins in table.items()} for name, table in TABLES.items()},
+    **KERNEL_MODELS,
+}
+CORE = core_name()
+
 
 def regression_config(
     rule: str, attack: str, info_mode: str = "all", roles: RoleConfig = ROLES, lam: float | None = None
@@ -189,25 +430,35 @@ def run_cell(
     return (records, models), engine.records[-1].attack_started
 
 
+def check_digests(digests: tuple[str, str], table: str, cell: tuple[str, str, str]) -> None:
+    """The records digest against the one pinned for every core, then the
+    final models against this core's set; each model failure names the core."""
+    records, models = digests
+    assert records == TABLES[table][cell][0]
+    core = CORE or "unknown (no OpenBLAS name getter found beside numpy)"
+    assert CORE in MODELS, f"OpenBLAS core {core} has no pinned final models; pinned cores: {', '.join(MODELS)}"
+    assert models == MODELS[CORE][table][cell], f"final models differ from the digest pinned for OpenBLAS core {core}"
+
+
 @pytest.mark.parametrize("cell", CELLS, ids="-".join)
 def test_regression_matrix(cell, tmp_path):
     digests, started = run_cell(cell, str(tmp_path))
     assert started == (cell[1] in CRAFTING_ATTACKS)
-    assert digests == PINNED[cell]
+    check_digests(digests, "PINNED", cell)
 
 
 @pytest.mark.parametrize("cell", WIDE_CELLS, ids="-".join)
 def test_regression_matrix_11_3(cell, tmp_path):
     digests, started = run_cell(cell, str(tmp_path), WIDE_ROLES)
     assert started == (cell[1] in CRAFTING_ATTACKS)
-    assert digests == PINNED_11_3[cell]
+    check_digests(digests, "PINNED_11_3", cell)
 
 
 @pytest.mark.parametrize("cell", WIDER_CELLS, ids="-".join)
 def test_regression_matrix_13_3(cell, tmp_path):
     digests, started = run_cell(cell, str(tmp_path), WIDER_ROLES, WIDER_LAMBDA)
     assert started
-    assert digests == PINNED_13_3[cell]
+    check_digests(digests, "PINNED_13_3", cell)
 
 
 @pytest.mark.parametrize(
@@ -245,9 +496,18 @@ if __name__ == "__main__":
             ("PINNED_11_3", WIDE_CELLS, WIDE_ROLES, None),
             ("PINNED_13_3", WIDER_CELLS, WIDER_ROLES, WIDER_LAMBDA),
         )
+        models = {}
         for table, cells, roles, lam in tables:
             sys.stdout.write(f"{table} = {{\n")
             for cell in cells:
                 digests, _ = run_cell(cell, directory, roles, lam)
+                models.setdefault(table, {})[cell] = digests[1]
                 sys.stdout.write(f"    {cell!r}: {digests!r},\n")
             sys.stdout.write("}\n")
+        sys.stdout.write(f"# the KERNEL_MODELS entry of OpenBLAS core {CORE}\n    {CORE!r}: {{\n")
+        for table, cells in models.items():
+            sys.stdout.write(f"        {table!r}: {{\n")
+            for cell, digest in cells.items():
+                sys.stdout.write(f"            {cell!r}: {digest!r},\n")
+            sys.stdout.write("        },\n")
+        sys.stdout.write("    },\n")

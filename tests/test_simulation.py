@@ -31,6 +31,7 @@ from dflsim.simulation import (
     model_dim,
     partition_non_iid,
     predict,
+    read_plan,
     run_experiment,
     train_clients,
 )
@@ -654,19 +655,20 @@ def test_gaussian_attack_replaces_shares_to_non_selfish():
 
 
 def test_flame_defense_defaults_selfish_rule_to_median():
+    # the last client is selfish: its rule is the attackers' own
     cfg = small_config(rule=AggregationRule("flame"))
-    assert cfg.resolved_selfish_rule().kind == "median"
+    assert read_plan(cfg)[1][-1].kind == "median"
     cfg = small_config(rule=AggregationRule("trimmed_mean"))
-    resolved = cfg.resolved_selfish_rule()
+    resolved = read_plan(cfg)[1][-1]
     assert resolved.kind == "trimmed_mean" and resolved.trim == cfg.roles.m
 
 
 def test_lambda_defaults_follow_rule():
-    assert small_config(rule=AggregationRule("fedavg")).resolved_lambda() == 0.0
-    assert small_config(rule=AggregationRule("median")).resolved_lambda() == 0.5
-    assert small_config(rule=AggregationRule("trimmed_mean")).resolved_lambda() == 1.0
+    assert read_plan(small_config(rule=AggregationRule("fedavg")))[2] == 0.0
+    assert read_plan(small_config(rule=AggregationRule("median")))[2] == 0.5
+    assert read_plan(small_config(rule=AggregationRule("trimmed_mean")))[2] == 1.0
     explicit = small_config(attack=AttackConfig(kind="selfish", lam=2.0))
-    assert explicit.resolved_lambda() == 2.0
+    assert read_plan(explicit)[2] == 2.0
 
 
 def test_run_experiment_is_deterministic():
