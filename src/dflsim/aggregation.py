@@ -202,7 +202,7 @@ def agg_flame(models, clip: bool = True) -> np.ndarray:
     kept = mat[admitted]
     if clip:
         norms = np.linalg.norm(kept, axis=1)
-        clip_to = float(np.median(norms))
+        clip_to = float(agg_median(norms[:, None])[0])  # np.median's value; its NaN check imports numpy.ma
         scale = np.ones_like(norms)
         mask = norms > clip_to
         scale[mask] = clip_to / norms[mask]  # 0 where the median norm is 0

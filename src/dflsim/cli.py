@@ -8,7 +8,6 @@ seed unless it is empty; a ``--seed`` flag overrides both.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import os
@@ -19,6 +18,9 @@ from .core import ConfigError, check_seed
 from .reporting import SWEEP_PARAMETERS, SweepSpec, run_sweep, write_records
 from .simulation import CsvDataConfig, ExperimentConfig, SyntheticDataConfig, run_experiment
 from .verify import run_all
+
+if typing.TYPE_CHECKING:
+    import argparse
 
 # the fields whose JSON key is not their name ("lambda" is a python keyword)
 _JSON_KEYS = {"lam": "lambda"}
@@ -189,6 +191,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: a run that only reads configs does not need it
+
     parser = argparse.ArgumentParser(
         prog="dflsim",
         description="Decentralized federated learning simulator with selfish model-crafting attacks.",

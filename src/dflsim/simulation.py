@@ -114,7 +114,11 @@ def generate_synthetic(
 
 def load_csv(path: str) -> Dataset:
     """Load ``f0,...,fk,label`` rows; labels must be non-negative integers."""
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:  # a missing file or a directory: the config names a bad path
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[-1].strip() != "label":
@@ -133,7 +137,7 @@ def load_csv(path: str) -> Dataset:
                     raise ConfigError(f"{path}:{reader.line_num}: column {header[j].strip()!r}: {cell!r} is not {what}")
             rows.append(row)
     if not rows:
-        raise EmptyDataset(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
     labels = data[:, -1]
     if np.any(labels != np.round(labels)) or labels.min() < 0:

@@ -188,3 +188,15 @@ def local_update_of(model: np.ndarray, features: np.ndarray, labels: np.ndarray,
             losses.append(loss)
             model -= cfg.learning_rate * (grad + cfg.weight_decay * model)
     return model, float(np.mean(losses))
+
+
+def flame_of(mat: np.ndarray) -> np.ndarray:
+    """FLAME without noise: the brute-force admitted rows, each clipped to
+    ``np.median`` of their norms, averaged."""
+    kept = mat[admitted_by_clustering(mat)]
+    norms = np.linalg.norm(kept, axis=1)
+    clip_to = float(np.median(norms))
+    scale = np.ones_like(norms)
+    mask = norms > clip_to
+    scale[mask] = clip_to / norms[mask]
+    return (kept * scale[:, None]).mean(axis=0)

@@ -17,7 +17,7 @@ from dflsim.aggregation import (
 )
 from dflsim.core import DimensionMismatch, EmptyAfterTrim, EmptyInput, TooFewModels, ZeroReference
 
-from oracles import admitted_by_clustering, fltrust_of, median_rows_of, trimmed_mean_rows_of
+from oracles import admitted_by_clustering, flame_of, fltrust_of, median_rows_of, trimmed_mean_rows_of
 
 
 def vecs(*rows):
@@ -228,6 +228,17 @@ def clustering_inputs(draw):
 @example(np.array([[0.4, -0.7], [0.4, 0.7], [-0.6, 0.3], [-1.0, -0.5]]))
 def test_flame_clustering_matches_oracle(mat):
     assert _admitted_by_clustering(mat) == admitted_by_clustering(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustering_inputs())
+@example(np.zeros((5, 3)))                                                     # every norm 0
+@example(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]))  # 5 admitted, median norm 0
+@example(np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0], [-1.0, 0.3], [0.2, -1.0]]))  # 3 admitted, tied median norm
+@example(np.array([[3.0, 4.0], [4.0, 3.0], [5.0, 0.0], [0.0, 5.0], [-2.0, -1.0]]))  # 4 admitted, all norms 5
+@example(np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [3.0, 3.0], [-1.0, 0.0]]))  # 4 admitted, tied middle pair
+def test_flame_clips_to_the_np_median_of_the_admitted_norms(mat):
+    assert agg_flame(mat).tobytes() == flame_of(mat).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -337,10 +337,27 @@ def test_run_config_error_exit_code(tmp_path, capsys):
 
 
 def test_run_runtime_error_exit_code(tmp_path, capsys):
-    doc = tiny_doc(data={"csv": {"path": str(tmp_path / "nope.csv")}})
+    # a valid csv, but 5 rows cannot give each of 7 + 2 clients a shard
+    data = tmp_path / "data.csv"
+    data.write_text("f0,label\n0.5,0\n1.5,1\n2.5,0\n3.5,1\n4.5,0\n")
+    doc = tiny_doc(roles={"n": 7, "m": 2}, data={"csv": {"path": str(data)}})
     path = write_doc(tmp_path, doc)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
-    assert "runtime error" in capsys.readouterr().err
+    assert re.match(r"runtime error: client \d+ has an empty shard", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("nope.csv", r"cannot read {path}: \[Errno 2\] "),
+    (".", r"cannot read {path}: \[Errno 21\] "),
+    ("header_only.csv", r"{path}: no data rows$"),
+], ids=["missing", "directory", "header_only"])
+def test_run_rejects_an_unreadable_or_empty_csv_as_a_config_error(tmp_path, capsys, name, message):
+    (tmp_path / "header_only.csv").write_text("f0,f1,label\n")
+    data = str(tmp_path / name)
+    doc = tiny_doc(data={"csv": {"path": data}})
+    assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert re.match(r"config error: " + message.format(path=re.escape(data)), capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "verify"])

@@ -172,7 +172,8 @@ TABLES = {"PINNED": PINNED, "PINNED_11_3": PINNED_11_3, "PINNED_13_3": PINNED_13
 # kernels give other models than the SkylakeX ones pinned above, printed by
 # this file under OPENBLAS_CORETYPE=<core>.  numpy's bundled OpenBLAS reports
 # its Prescott (SSE3) kernels as 'Katmai'; forced to Zen or Cooperlake, it
-# reports 'Haswell' or 'SkylakeX' and gives that core's models.
+# reports 'Haswell' or 'SkylakeX' and gives that core's models, and forced
+# to Barcelona or Atom it reports 'Nehalem'.
 KERNEL_MODELS = {
     'Haswell': {
         'PINNED': {
@@ -391,6 +392,79 @@ KERNEL_MODELS = {
         },
         'PINNED_13_3': {
             ('trimmed_mean', 'selfish', 'all'): '49ec462c23e1d7d79cf3716dc9aa993532d3d0c0ece03c081d1a3a8240e5c77a',
+        },
+    },
+    'Nehalem': {
+        'PINNED': {
+            ('fedavg', 'none', 'all'): '9196b8d5819b0c8dc2bd6ab43964a24acc0490da57b5ea1e9ae35f43fdfe8cbd',
+            ('fedavg', 'selfish', 'all'): 'a2a628878ef7e4464355505751973276ce94795742cb61b1f0d5b602cf0ccfb7',
+            ('fedavg', 'gaussian', 'all'): 'abe3b8929677df0ba6d6e9966797064d533e92f1e95979f624d9fa5aee23eb1d',
+            ('fedavg', 'trim', 'all'): '59e438bab2afb0a4d4ff9e03a153c5ea429122ef9b4f2bfcfcc4f97d57093b92',
+            ('median', 'none', 'all'): 'c0e9a5af7d33e7f1f8ce6911f47337277c88274829d13f24c2753043c3798826',
+            ('median', 'selfish', 'all'): 'e9c5688bcd7118c4343b33cca249d22324ff8dfaec646f4415571efc193f8ced',
+            ('median', 'gaussian', 'all'): '928b3a6d18b21eced12688c528bf882b0198a928cf3e95e5ab4d64b996241116',
+            ('median', 'trim', 'all'): '12699399ccd3d2463484d237978773bdeb872a2c6db47394f89cb519aa2aa1f8',
+            ('trimmed_mean', 'none', 'all'): 'ce8ebe93466231cb19da8a91ec7861b13470393c3cf6cebcc1fbba05682a30cd',
+            ('trimmed_mean', 'selfish', 'all'): '3b1e9008c53f8d413f5453244ff939ec5a3179044ca5047b7b8d46250adcd60b',
+            ('trimmed_mean', 'gaussian', 'all'): '0961fb196fb4364c31ae3743d6e63f527e7571f7b5fab6ebef6f44e8c6dbded2',
+            ('trimmed_mean', 'trim', 'all'): '338e02408cb93a27434f55c64fe99733bbc62fd6cf2c2563aed938a284918b78',
+            ('krum', 'none', 'all'): 'bb925bf234861e5481d95a4dcb46f5284c7db9e303928ffc6f48a4d594bf0e30',
+            ('krum', 'selfish', 'all'): 'ae0395b9db4998a4547f5529bd285f2e932586bbdb5fb7de2eb8e0f216d3210c',
+            ('krum', 'gaussian', 'all'): 'c221e3ac1ead3129e2abebf35958f261c77646051037c73b27035912dbb60638',
+            ('krum', 'trim', 'all'): 'c221e3ac1ead3129e2abebf35958f261c77646051037c73b27035912dbb60638',
+            ('fltrust', 'none', 'all'): '33f3b71d190b7cc9846e711eec77b6d61da7afd6be5287503497ea4d11206ca8',
+            ('fltrust', 'selfish', 'all'): 'a3d798c56362da8a964101fc0a1672dc2f095673577b761929c767465e0399e0',
+            ('fltrust', 'gaussian', 'all'): '3b70ca12799ebf790315f41b6c63620376d1ddc867ccf761da7b5a1fbf3e7797',
+            ('fltrust', 'trim', 'all'): 'd164c9fdde68a1bca54e7070128c3b78d249ef876d6208d4e9416f3e5a344f5d',
+            ('flame', 'none', 'all'): '457c5840b7403778d8fa13cefd2a32e4fae879e2968f28c99508f8ad38f71639',
+            ('flame', 'selfish', 'all'): 'f84f6081eb484c6064161119ff33679e4f7a7ee14718a2b8afb048ef7931760c',
+            ('flame', 'gaussian', 'all'): 'de6720963fe1f8c1895ee8ab85b5d5f5852b98cd47b342bcafc9b02d6b39d657',
+            ('flame', 'trim', 'all'): 'de6720963fe1f8c1895ee8ab85b5d5f5852b98cd47b342bcafc9b02d6b39d657',
+            ('fedavg', 'selfish', 'selfish_only'): '6b9999140a18359d7f14c1a3f36a649feb44c272eb7a13514f412aac6519c7cc',
+            ('median', 'selfish', 'selfish_only'): 'e53923e54e9bf8fc2d0fb3aa70f2920149cf7dac26961adfe24c27674a8aadff',
+            ('fltrust', 'selfish', 'selfish_only'): '6943ae3de8c1576847876a1c04471dabf96e9ab30b6d0832a51bd505e83bd5d0',
+            ('flame', 'selfish', 'selfish_only'): '9a122bde35bedee3200f766e60aa1159efde8d72312f21c1ab045fca345bd99e',
+            ('fedavg', 'independent', 'all'): '574e11413fe0a4aff39d92d7bc5b1301df81f20de01f95956dfebbb3e7bd09d6',
+            ('median', 'independent', 'all'): '574e11413fe0a4aff39d92d7bc5b1301df81f20de01f95956dfebbb3e7bd09d6',
+            ('trimmed_mean', 'independent', 'all'): '574e11413fe0a4aff39d92d7bc5b1301df81f20de01f95956dfebbb3e7bd09d6',
+            ('krum', 'independent', 'all'): '574e11413fe0a4aff39d92d7bc5b1301df81f20de01f95956dfebbb3e7bd09d6',
+            ('fltrust', 'independent', 'all'): '574e11413fe0a4aff39d92d7bc5b1301df81f20de01f95956dfebbb3e7bd09d6',
+            ('flame', 'independent', 'all'): '574e11413fe0a4aff39d92d7bc5b1301df81f20de01f95956dfebbb3e7bd09d6',
+            ('fedavg', 'two_coalitions', 'all'): 'a65d43e7c1ed0366d721eefc4407c01b8ed62b76e78429419ff0a19c0f67fefe',
+            ('median', 'two_coalitions', 'all'): 'a65d43e7c1ed0366d721eefc4407c01b8ed62b76e78429419ff0a19c0f67fefe',
+            ('trimmed_mean', 'two_coalitions', 'all'): 'a65d43e7c1ed0366d721eefc4407c01b8ed62b76e78429419ff0a19c0f67fefe',
+            ('krum', 'two_coalitions', 'all'): 'a65d43e7c1ed0366d721eefc4407c01b8ed62b76e78429419ff0a19c0f67fefe',
+            ('fltrust', 'two_coalitions', 'all'): 'a65d43e7c1ed0366d721eefc4407c01b8ed62b76e78429419ff0a19c0f67fefe',
+            ('flame', 'two_coalitions', 'all'): 'a65d43e7c1ed0366d721eefc4407c01b8ed62b76e78429419ff0a19c0f67fefe',
+        },
+        'PINNED_11_3': {
+            ('fedavg', 'none', 'all'): 'db3e0dd62c11ac746b99053f60a698b4a5bef6495875843922a3ed119e04d4bf',
+            ('fedavg', 'selfish', 'all'): '6fe7efa29dcd74a74269e426351563bf9d4d39c59f4eac32a53fd6ddf94b8101',
+            ('fedavg', 'gaussian', 'all'): '5fa8fa3cf866f7e08ab3b1ebd2be7bd7445a84c6f5c9f22be4b3539d764ba446',
+            ('fedavg', 'trim', 'all'): 'eeb017b22553a18c05edaad8b5c69a87eac6a2fec6b588ddf79abfdf7428a75d',
+            ('median', 'none', 'all'): '769a734407bf8ed02fe0e8cba008554ac3bbd990379324ad872280cb592f5f7a',
+            ('median', 'selfish', 'all'): '7847722e649bdfbcc20e4ac630a5acefcd29ba1f28d2ed16356e868fa6bcb051',
+            ('median', 'gaussian', 'all'): '2a8bc66c61b30b651d97a6b49f23a765140b14b4ebe03dfd00b02c3219b8f744',
+            ('median', 'trim', 'all'): '4d53c1e0b0d92c92092dcd9bf10f08a6141995b17f639456b2cb3813cde575cc',
+            ('trimmed_mean', 'none', 'all'): 'ae1d8c8b5d0843d46323d162d2cfd41a5fbe09f517101702ce42a444af323b76',
+            ('trimmed_mean', 'selfish', 'all'): '486fd8a41bd04f6b23c060ea38da95c218da0bccc72a359c5e474f9a5936f4bc',
+            ('trimmed_mean', 'gaussian', 'all'): 'cbc67f525c561ad1c14fe2e98c6f51fa841b15d58931327edc22c2acd32b629a',
+            ('trimmed_mean', 'trim', 'all'): '2164f3f1e8b2f1904f4abfefd26f07f3d7e8458fd01d73490480569d463c2c3c',
+            ('krum', 'none', 'all'): '245d8565f0d04745466d96ddfa4cdd85cdd3d1b1df0a4f252c742865e63fe1e9',
+            ('krum', 'selfish', 'all'): '245d8565f0d04745466d96ddfa4cdd85cdd3d1b1df0a4f252c742865e63fe1e9',
+            ('krum', 'gaussian', 'all'): '335d344ab19c293660305f04dc3b4c77ce4bbb88a69aae58bde10979cecc53c7',
+            ('krum', 'trim', 'all'): '335d344ab19c293660305f04dc3b4c77ce4bbb88a69aae58bde10979cecc53c7',
+            ('fltrust', 'none', 'all'): '390389a9ea204ca465a605c4018f04ab03da2adf4ee9e878710330e9719a2608',
+            ('fltrust', 'selfish', 'all'): 'a8b955cf59156a30a85a4c9910dbe0a8853f407c2758e8b8e2fc819510d3168f',
+            ('fltrust', 'gaussian', 'all'): '208f11e29bd972827d668d8701dc953a1858ff8cf052ed6273c3028c2685149f',
+            ('fltrust', 'trim', 'all'): '69eaa8fb164aa92fedaa4fece1117663bf635ea1e36a6333480a04f3c7cb9c5d',
+            ('flame', 'none', 'all'): 'c1fe19b9dfc1d5d3d9123d7c78ae05902271611a38c9978dd6a3dfad56adb5c7',
+            ('flame', 'selfish', 'all'): 'd77d5f694f60ed088977569a7025d642694c6e4d52c1a428bcfdafa0ba6b172c',
+            ('flame', 'gaussian', 'all'): '395c33dc02e456f57dcfb9fd2cc5992f5c011c3b86b02f66a102aece96d4e79e',
+            ('flame', 'trim', 'all'): '395c33dc02e456f57dcfb9fd2cc5992f5c011c3b86b02f66a102aece96d4e79e',
+        },
+        'PINNED_13_3': {
+            ('trimmed_mean', 'selfish', 'all'): '3965113fbcbfba1f56e0302b00c07e66737c602d090adcce8bc9293d45db421e',
         },
     },
 }

@@ -153,17 +153,30 @@ def test_run_sweep_rejects_jobs_below_one_before_running(tmp_path, monkeypatch, 
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-# What a benchmark child does: import dflsim, build the headline config's engine
-# and run one round.  None of it may load the sweep's process pool.  Then a
-# two-job sweep imports the pool where it uses it and writes the serial bytes.
+# What a benchmark child does: import dflsim, build an engine from the
+# headline config and run rounds; here a median run and a flame run, each
+# until its selfish attack has started and one round more.  None of it may
+# load numpy.ma (np.median's NaN check imports it), argparse or the sweep's
+# process pool.  Then a two-job sweep imports the pool where it uses it and
+# writes the serial bytes.
 FRESH_RUN = """
-import os, sys
+import json, os, sys
+import numpy
+preloaded = set(sys.modules)  # older numpy imports numpy.ma itself
 import dflsim
 from dflsim import cli, core, reporting, simulation, verify
 
-cfg, _ = cli.load_config(sys.argv[1])
-simulation.Engine(cfg).run_round()
-loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("concurrent", "multiprocessing"))
+with open(sys.argv[1]) as fh:
+    doc = json.load(fh)
+doc["attack"].update(interval=2, epsilon=0.5)  # a detector window short enough that the attack starts
+for rule in ("median", "flame"):
+    doc["rule"] = {"kind": rule}
+    engine = simulation.Engine(cli.config_from_dict(doc))
+    for _ in range(6):
+        engine.run_round()
+    assert engine.records[-2].attack_started, rule
+unwanted = ("numpy.ma", "argparse", "concurrent", "multiprocessing")
+loaded = sorted(m for m in set(sys.modules) - preloaded if any(m == u or m.startswith(u + ".") for u in unwanted))
 assert not loaded, f"a run loaded {loaded}"
 
 tiny, _ = cli.load_config(sys.argv[2])

@@ -10,9 +10,12 @@ import dflsim.verify
 from dflsim.attack import CoordinateBounds
 from dflsim.core import Rng
 from dflsim.verify import (
+    GRID_BLOCK,
+    LAMBDA_CHOICES,
     SuiteResult,
     _draw_instance,
     _fill_grid,
+    _grid_best,
     _tightness_aggregates,
     check_bounds_tightness,
     check_fedavg_identity,
@@ -22,7 +25,7 @@ from dflsim.verify import (
     run_all,
 )
 
-from oracles import tightness_aggregates_of
+from oracles import grid_argmin, tightness_aggregates_of
 
 
 def test_all_suites_pass_at_reduced_scale():
@@ -75,13 +78,18 @@ def test_broken_trimmed_mean_craft_is_caught():
     assert not res.passed
 
 
-def test_broken_solver_is_caught_by_grid():
+def test_broken_solver_is_caught_by_grid(monkeypatch):
     def midpoint(w, w_benign, bounds, lam):
         return 0.5 * (bounds.lower + bounds.upper)
 
-    res = check_solver_against_grid(instances_per_regime=50, grid_points=2_001, seed=0, solver=midpoint)
-    assert not res.passed
-    assert res.first_failure["solved"] != res.first_failure["grid_best"]
+    results = []
+    for block in (7, GRID_BLOCK):  # the grid searched 7 points at a time, then in one block
+        monkeypatch.setattr(dflsim.verify, "GRID_BLOCK", block)
+        res = check_solver_against_grid(instances_per_regime=50, grid_points=2_001, seed=0, solver=midpoint)
+        assert not res.passed
+        assert res.first_failure["solved"] != res.first_failure["grid_best"]
+        results.append((res.failures, res.first_failure))
+    assert results[0] == results[1]
 
 
 def test_suite_result_flags_failures():
@@ -105,9 +113,14 @@ def test_bounds_suite_catches_a_narrowed_interval(monkeypatch, name):
         return CoordinateBounds(bounds.lower + cut, bounds.upper - cut)
 
     monkeypatch.setattr(dflsim.verify, name, narrowed)
-    res = check_bounds_tightness(instances=20, trials_per_instance=500, seed=3)
-    assert not res.passed
-    assert res.first_failure.keys() == {"q", "m"}
+    results = []
+    for block in (7, 500):  # blocks of 7 placements, then all 500 in one
+        monkeypatch.setattr(dflsim.verify, "TIGHTNESS_BLOCK", block)
+        res = check_bounds_tightness(instances=20, trials_per_instance=500, seed=3)
+        assert not res.passed
+        assert res.first_failure.keys() == {"q", "m"}
+        results.append((res.failures, res.first_failure))
+    assert results[0] == results[1]
 
 
 def test_tightness_aggregates_match_a_fresh_sort_of_the_concatenated_matrix():
@@ -122,25 +135,69 @@ def test_tightness_aggregates_match_a_fresh_sort_of_the_concatenated_matrix():
         expected_medians, expected_tms = tightness_aggregates_of(q, crafted, m)
         assert medians.tobytes() == expected_medians.tobytes()
         assert tms.tobytes() == expected_tms.tobytes()
+        # and the same, row for row, from blocks of 7 placements
+        blocks = [_tightness_aggregates(q, crafted[first:first + 7], m) for first in range(0, 10_000, 7)]
+        for got, expected in zip(zip(*blocks), (medians, tms)):
+            assert np.concatenate(got).tobytes() == expected.tobytes()
 
 
 finite = st.floats(min_value=-1e100, max_value=1e100)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 2_001, 100_000]), finite, finite | st.integers(0, 4))
-@example(100_000, 0.0, 0)            # lower == upper
-@example(2_001, 0.0, 3)              # a span of denormals: linspace's zero-step branch
-@example(100_000, -3.25, 4)          # a span a few ulps wide
-def test_fill_grid_matches_linspace(points, lower, upper):
-    if isinstance(upper, int):       # upper a few ulps above lower
+# (points, block): one block below the block size, and blocks that do not divide the points
+@given(st.sampled_from([(2, GRID_BLOCK), (3, 7), (2_001, 7), (2_001, GRID_BLOCK), (100_000, GRID_BLOCK),
+                        (100_000, 4_099)]), finite, finite | st.integers(0, 4))
+@example((100_000, GRID_BLOCK), 0.0, 0)   # lower == upper
+@example((2_001, 7), 0.0, 3)              # a span of denormals: linspace's zero-step branch
+@example((100_000, 4_099), -3.25, 4)      # a span a few ulps wide
+def test_fill_grid_matches_linspace(shape, lower, upper):
+    points, block = shape
+    if isinstance(upper, int):            # upper a few ulps above lower
         ulps, upper = upper, lower
         for _ in range(ulps):
             upper = float(np.nextafter(upper, np.inf))
     lower, upper = min(lower, upper), max(lower, upper)
-    grid = np.full(points, np.nan)
-    _fill_grid(grid, np.arange(points, dtype=float), lower, upper)
-    assert np.array_equal(grid, np.linspace(lower, upper, points))
+    ramp = np.arange(points, dtype=float)
+    blocks = []
+    for first in range(0, points, block):
+        blocks.append(np.full(min(block, points - first), np.nan))
+        _fill_grid(blocks[-1], ramp, lower, upper, first)
+    assert np.concatenate(blocks).tobytes() == np.linspace(lower, upper, points).tobytes()
+
+
+def grid_instances():
+    """(w, w_benign, lam, lower, upper, points): the solver suite's own draws,
+    then coarse values on which grid points tie, then objectives with NaNs."""
+    gen = Rng(0).stream(13)
+    for lam in LAMBDA_CHOICES:
+        for _ in range(50):
+            w, w_benign = float(gen.normal(0.0, 5.0)), float(gen.normal(0.0, 5.0))
+            lower, upper = np.sort(gen.normal(0.0, 5.0, size=2))
+            yield w, w_benign, lam, float(lower), float(upper), 1_000
+    coarse = np.random.default_rng(5)
+    for lam in LAMBDA_CHOICES:
+        for _ in range(100):
+            w, w_benign = coarse.integers(-8, 9, size=2) / 4.0
+            lower, upper = np.sort(coarse.integers(-4, 5, size=2)).astype(float)
+            yield w, w_benign, lam, lower, upper, int(coarse.choice([2, 9, 17, 100]))
+    # (x - 0)**2 - (x - 0)**2 is 0 up to about 1.3e154 and inf - inf = NaN above
+    yield 0.0, 0.0, 1.0, 0.0, 1e156, 1_000                   # the first NaN, at point 14 (block 2)
+    yield 0.0, 0.0, 1.0, -1e156, 1e156, 1_000                # NaN from the first point on
+    yield float("inf"), float("inf"), 0.5, -1.0, 1.0, 100    # NaN everywhere
+
+
+def test_grid_search_in_blocks_of_7_picks_the_whole_grid_argmin():
+    ties = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, w_benign, lam, lower, upper, points in grid_instances():
+            got = _grid_best(w, w_benign, lam, lower, upper, np.arange(points, dtype=float), np.empty((3, 7)))
+            expected = grid_argmin(w, w_benign, lower, upper, lam, points)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (w, w_benign, lam, lower, upper, points)
+            grid = np.linspace(lower, upper, points)
+            objective = (grid - w) ** 2 - lam * (grid - w_benign) ** 2
+            ties += np.count_nonzero(objective == objective.min()) > 1
+    assert ties > 50  # the first of several equal minima is the one picked
 
 
 # The values below were recorded from the suites as they stand and are
