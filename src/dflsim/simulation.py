@@ -9,6 +9,7 @@ with its own rule.  Selfish clients send their true models to each other and
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -115,27 +116,29 @@ def generate_synthetic(
 def load_csv(path: str) -> Dataset:
     """Load ``f0,...,fk,label`` rows; labels must be non-negative integers."""
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:  # a missing file or a directory: the config names a bad path
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1].strip() != "label":
-            raise ConfigError(f"{path}: expected a header ending in 'label'")
-        rows = []
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise ConfigError(f"{path}: rows do not match the header width")
-            for j, cell in enumerate(row):
-                try:
-                    row[j] = float(cell)
-                except ValueError:
-                    row[j] = None
-                if row[j] is None or not math.isfinite(row[j]):  # float() also reads nan and inf
-                    what = "a number" if row[j] is None else "a finite number"
-                    raise ConfigError(f"{path}:{reader.line_num}: column {header[j].strip()!r}: {cell!r} is not {what}")
-            rows.append(row)
+    except UnicodeDecodeError as exc:  # decoded whole, so exc.start is the byte's offset in the file
+        raise ConfigError(f"{path}: byte {exc.start} ({exc.object[exc.start]:#04x}) is not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if not header or header[-1].strip() != "label":
+        raise ConfigError(f"{path}: expected a header ending in 'label'")
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: rows do not match the header width")
+        for j, cell in enumerate(row):
+            try:
+                row[j] = float(cell)
+            except ValueError:
+                row[j] = None
+            if row[j] is None or not math.isfinite(row[j]):  # float() also reads nan and inf
+                what = "a number" if row[j] is None else "a finite number"
+                raise ConfigError(f"{path}:{reader.line_num}: column {header[j].strip()!r}: {cell!r} is not {what}")
+        rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)

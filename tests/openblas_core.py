@@ -3,7 +3,7 @@
 OpenBLAS picks its kernels from the CPU when it loads, unless
 ``OPENBLAS_CORETYPE`` names a core.  Each kernel family rounds the partial
 sums of a matrix product its own way, so the final-model digests in
-``test_regression.py`` are pinned per core.  Print the name with
+``digests.json`` are pinned per core.  Print the name with
 
     python tests/openblas_core.py
 """

@@ -394,18 +394,19 @@ def test_bad_csv_header_is_a_config_error_for_run_and_sweep(tmp_path, capsys):
     assert "expected a header ending in 'label'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, message", [
-    ("f0,f1,label\n0.5,1.0,0\n\n1.5,x,1\n", ":4: column 'f1': 'x' is not a number"),  # line 4, after a blank one
-    ("f0,f1,label\n0.5,1.0,0\n1.5,2.0\n", ": rows do not match the header width"),
-    ("f0,f1,label\n0.5,1.0,0\n1.5,2.0,0\n", ": the labels give 1 class, need at least 2"),
-    ("f0,f1,label\n0.5,1.0,0\nnan,2.0,1\n", ":3: column 'f0': 'nan' is not a finite number"),
-    ("f0,f1,label\n0.5,inf,0\n1.5,2.0,1\n", ":2: column 'f1': 'inf' is not a finite number"),
-    ("f0,f1,label\n0.5,1.0,0\n1.5,-Infinity,1\n", ":3: column 'f1': '-Infinity' is not a finite number"),
-    ("f0,f1,label\n0.5,1.0,0\n1.5,2.0,inf\n", ":3: column 'label': 'inf' is not a finite number"),
-], ids=["cell", "width", "one_class", "nan", "inf", "minus_inf", "inf_label"])
-def test_run_rejects_a_csv_data_fault_as_a_config_error(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("content, message", [
+    (b"f0,f1,label\n0.5,1.0,0\n\n1.5,x,1\n", ":4: column 'f1': 'x' is not a number"),  # line 4, after a blank one
+    (b"f0,f1,label\n0.5,1.0,0\n1.5,2.0\n", ": rows do not match the header width"),
+    (b"f0,f1,label\n0.5,1.0,0\n1.5,2.0,0\n", ": the labels give 1 class, need at least 2"),
+    (b"f0,f1,label\n0.5,1.0,0\nnan,2.0,1\n", ":3: column 'f0': 'nan' is not a finite number"),
+    (b"f0,f1,label\n0.5,inf,0\n1.5,2.0,1\n", ":2: column 'f1': 'inf' is not a finite number"),
+    (b"f0,f1,label\n0.5,1.0,0\n1.5,-Infinity,1\n", ":3: column 'f1': '-Infinity' is not a finite number"),
+    (b"f0,f1,label\n0.5,1.0,0\n1.5,2.0,inf\n", ":3: column 'label': 'inf' is not a finite number"),
+    (b"f0,f1,label\n0.5,1.0,0\n1.5,\xff\xfe,1\n", ": byte 26 (0xff) is not UTF-8 text"),
+], ids=["cell", "width", "one_class", "nan", "inf", "minus_inf", "inf_label", "not_utf8"])
+def test_run_rejects_a_csv_data_fault_as_a_config_error(tmp_path, capsys, content, message):
     data = tmp_path / "data.csv"
-    data.write_text(text)
+    data.write_bytes(content)
     doc = tiny_doc(data={"csv": {"path": str(data)}})
     assert main(["run", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"config error: {data}{message}\n"
