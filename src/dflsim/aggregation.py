@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DimensionMismatch, EmptyAfterTrim, EmptyInput, TooFewModels, ZeroReference
-
 
 @dataclass(frozen=True)
 class AggregationRule:
@@ -56,11 +54,11 @@ def _stack(models, ndims=(2,)) -> np.ndarray:
     try:
         mat = np.ascontiguousarray(models, dtype=np.float64)
     except ValueError as exc:  # rows of different lengths
-        raise DimensionMismatch(f"mixed model dimensions: {exc}") from None
+        raise ValueError(f"mixed model dimensions: {exc}") from None
     if 0 in mat.shape[: max(1, mat.ndim - 1)]:  # no receiver or no model
-        raise EmptyInput("cannot aggregate zero models")
+        raise ValueError("cannot aggregate zero models")
     if mat.ndim not in ndims:
-        raise DimensionMismatch(f"expected k models of one dimension d, got shape {mat.shape}")
+        raise ValueError(f"expected k models of one dimension d, got shape {mat.shape}")
     return mat
 
 
@@ -85,7 +83,7 @@ def agg_trimmed_mean(models, trim: int) -> np.ndarray:
     if trim < 0:
         raise ValueError(f"trim must be >= 0, got {trim}")
     if count <= 2 * trim:
-        raise EmptyAfterTrim(f"trimming {trim} per side leaves nothing of {count} models")
+        raise ValueError(f"trimming {trim} per side leaves nothing of {count} models")
     mat = np.sort(mat, axis=-2)
     return mat[..., trim:count - trim, :].mean(axis=-2)
 
@@ -99,9 +97,7 @@ def agg_krum(models, assumed_attackers: int) -> np.ndarray:
     mat = _stack(models)
     count = mat.shape[0]
     if count < assumed_attackers + 3:
-        raise TooFewModels(
-            f"krum needs at least assumed_attackers + 3 = {assumed_attackers + 3} models, got {count}"
-        )
+        raise ValueError(f"krum needs at least assumed_attackers + 3 = {assumed_attackers + 3} models, got {count}")
     diff = mat[:, None, :] - mat[None, :, :]
     sq = np.einsum("ijk,ijk->ij", diff, diff)  # squared distances between rows
     np.fill_diagonal(sq, np.inf)
@@ -135,12 +131,10 @@ def agg_fltrust(models, reference: np.ndarray) -> np.ndarray:
     mat = _stack(models)
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape != mat.shape[1:]:
-        raise DimensionMismatch(
-            f"reference has dimension {reference.shape}, models have {mat.shape[1:]}"
-        )
+        raise ValueError(f"reference has dimension {reference.shape}, models have {mat.shape[1:]}")
     ref_norm = float(np.linalg.norm(reference))
     if ref_norm == 0.0:
-        raise ZeroReference("reference model has zero norm")
+        raise ValueError("reference model has zero norm")
     cos = _cosines(_row_dots(mat, reference), np.sqrt(_row_dots(mat, mat)), ref_norm)
     trusts = np.where(cos > 0.0, cos, 0.0)  # max(0, cos), NaN included
     total = trusts.sum()

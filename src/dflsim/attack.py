@@ -22,14 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .aggregation import AggregationRule, _cosines, _row_dots, agg_fedavg, agg_median, agg_trimmed_mean
-from .core import (
-    DegenerateDenominator,
-    IndexOutOfRange,
-    InvalidBounds,
-    NonMonotonicRound,
-    NotSorted,
-    OutOfBounds,
-)
 
 # treat lam this close to 1 as exactly 1 (the objective degenerates to linear)
 LAMBDA_ONE_TOLERANCE = 1e-9
@@ -49,9 +41,9 @@ class CoordinateBounds:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise InvalidBounds(f"bounds must be finite, got [{self.lower}, {self.upper}]")
+            raise ValueError(f"bounds must be finite, got [{self.lower}, {self.upper}]")
         if self.lower > self.upper:
-            raise InvalidBounds(f"lower {self.lower} exceeds upper {self.upper}")
+            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
@@ -102,9 +94,9 @@ def _check_descending(q: np.ndarray) -> np.ndarray:
     if q.ndim != 1 or q.size == 0:
         raise ValueError("benign coordinates must be a non-empty 1-D sequence")
     if not np.isfinite(q).all():
-        raise InvalidBounds("benign coordinates must be finite")
+        raise ValueError("benign coordinates must be finite")
     if (q[1:] > q[:-1]).any():
-        raise NotSorted("benign coordinates must be sorted in descending order")
+        raise ValueError("benign coordinates must be sorted in descending order")
     return q
 
 
@@ -133,7 +125,7 @@ def _median_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     in either direction, which gives the endpoints."""
     n = q.shape[0]
     if n < m + 1:
-        raise IndexOutOfRange(f"median bounds need n >= m + 1, got n={n}, m={m}")
+        raise ValueError(f"median bounds need n >= m + 1, got n={n}, m={m}")
     return 0.5 * (q[(n + m - 1) // 2] + q[(n + m) // 2]), 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
 
 
@@ -143,7 +135,7 @@ def _trimmed_mean_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
     :func:`_median_interval`: the means of the bottom and top n - m values."""
     n = q.shape[0]
     if n <= m:
-        raise IndexOutOfRange(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
+        raise ValueError(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
     return _column_sums(q, m, n) / (n - m), _column_sums(q, 0, n - m) / (n - m)
 
 
@@ -175,7 +167,7 @@ def craft_fedavg(q: Sequence[float], target: float, m: int) -> np.ndarray:
     _check_m(m)
     bounds = fedavg_bounds(q)
     if not bounds.contains(target):
-        raise OutOfBounds(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
+        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
     crafted = np.full(m, target, dtype=np.float64)
     crafted[0] = (n + 1) * target - q.sum()
     return crafted
@@ -195,7 +187,7 @@ def craft_median(q: Sequence[float], target: float, m: int, b: float = 1.0) -> n
     q = np.asarray(q, dtype=np.float64)
     n = q.size
     if not bounds.contains(target):
-        raise OutOfBounds(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
+        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
     upper_pivot = q[(n - m) // 2]
     lower_pivot = q[(n + m - 1) // 2]
     crafted = np.empty(m, dtype=np.float64)
@@ -224,9 +216,9 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
     q = np.asarray(q, dtype=np.float64)
     n = q.size
     if n < 2 * m + 1:
-        raise IndexOutOfRange(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
+        raise ValueError(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
     if not bounds.contains(target):
-        raise OutOfBounds(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
+        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
     benign_trimmed = float(q[m:n - m].mean())
     crafted = np.empty(m, dtype=np.float64)
 
@@ -288,9 +280,7 @@ class AttackStartDetector:
 
     def update(self, mean_selfish_loss: float, round_t: int) -> "AttackStartDetector":
         if self.last_round is not None and round_t != self.last_round + 1:
-            raise NonMonotonicRound(
-                f"rounds must advance by one, got {round_t} after {self.last_round}"
-            )
+            raise ValueError(f"rounds must advance by one, got {round_t} after {self.last_round}")
         previous_best = self.best_loss_history[-1] if self.best_loss_history else np.inf
         best = min(previous_best, float(mean_selfish_loss))
         history = self.best_loss_history + (best,)
@@ -333,11 +323,11 @@ def _targets(receivers, benign, benign_agg, lower, upper, lam) -> np.ndarray:
     target outside them: each fault raises at its first coordinate."""
     finite = np.isfinite(benign).all(axis=0) & np.isfinite(lower) & np.isfinite(upper)
     if not finite.all():
-        raise InvalidBounds(f"coordinate {finite.argmin()}: benign shares or reachable bounds not finite")
+        raise ValueError(f"coordinate {finite.argmin()}: benign shares or reachable bounds not finite")
     target = _solve_optimal(receivers, benign_agg, lower, upper, lam)
     if np.isnan(target).any():
         r, k = np.argwhere(np.isnan(target))[0]
-        raise OutOfBounds(f"receiver {r}, coordinate {k}: target outside the reachable bounds")
+        raise ValueError(f"receiver {r}, coordinate {k}: target outside the reachable bounds")
     return target
 
 
@@ -380,7 +370,7 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     """
     n = benign.shape[0]
     if n < 2 * m + 1:
-        raise IndexOutOfRange(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
+        raise ValueError(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
     q = -np.sort(-benign, axis=0)
     lower, upper = _trimmed_mean_interval(q, m)
     target = _targets(receivers, q, agg_trimmed_mean(benign, m), lower, upper, lam)
@@ -421,7 +411,7 @@ def _craft_flame_all(receivers, benign, m, lam, b) -> np.ndarray:
     take = (n - m) // 2
     denom = take + FLAME_ALPHA - FLAME_BETA * n
     if abs(denom) < FLAME_DENOM_EPS:
-        raise DegenerateDenominator(f"crafting denominator {denom} too close to zero")
+        raise ValueError(f"crafting denominator {denom} too close to zero")
     norms = np.sqrt(_row_dots(receivers, receivers))[:, None], np.sqrt(_row_dots(benign, benign))
     dists = 1.0 - _cosines(_row_dots(receivers[:, None, :], benign), *norms)
     selected = np.argsort(dists, axis=1, kind="stable")[:, :take]

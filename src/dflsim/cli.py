@@ -15,8 +15,8 @@ import sys
 import typing
 
 from .core import ConfigError, check_seed
-from .reporting import SWEEP_PARAMETERS, SweepSpec, run_sweep, write_records
-from .simulation import CsvDataConfig, ExperimentConfig, SyntheticDataConfig, run_experiment
+from .reporting import SWEEP_PARAMETERS, SweepSpec, make_output_dir, run_sweep, write_records
+from .simulation import CsvDataConfig, Engine, ExperimentConfig, SyntheticDataConfig
 from .verify import run_all
 
 if typing.TYPE_CHECKING:
@@ -113,6 +113,8 @@ def load_config(path: str, seed_flag: int | None = None) -> tuple[ExperimentConf
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: arrays or objects nested too deeply to parse") from None
     output = _parse(str | None, doc.get("output") if isinstance(doc, dict) else None, "output")
     cfg = config_from_dict(doc)
     env_seed = os.environ.get("DFL_SEED")
@@ -130,8 +132,9 @@ def load_config(path: str, seed_flag: int | None = None) -> tuple[ExperimentConf
 def cmd_run(args) -> int:
     cfg, output = load_config(args.config, args.seed)
     out_dir = args.out or output or "out"
-    records = run_experiment(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    engine = Engine(cfg)  # loads and checks the data first: a faulty config leaves no directory behind
+    make_output_dir(out_dir)  # before round 1, so a bad --out costs no training
+    records = engine.run()
     write_records(records, os.path.join(out_dir, "records.csv"))
     final = records[-1]
     summary = {

@@ -1,7 +1,9 @@
 """Core types shared across the simulator.
 
 Everything here is deliberately small: the error types, a role table
-describing who is selfish, and a counter-based deterministic RNG.
+describing who is selfish, and a counter-based deterministic RNG.  A bad
+config raises ConfigError, a run that cannot go on NumericalDivergence or
+EmptyDataset, and any other bad argument a plain ValueError.
 """
 
 from __future__ import annotations
@@ -16,72 +18,16 @@ import numpy as np
 # errors
 # ---------------------------------------------------------------------------
 
-class ThreatModelViolation(ValueError):
-    """Role counts that break the colluding-minority assumption."""
-
-
-class EmptyGroup(ValueError):
-    """A role group that must be populated is empty."""
-
-
-class EmptyInput(ValueError):
-    """An aggregation call received no models."""
-
-
-class DimensionMismatch(ValueError):
-    """Model vectors of different lengths were mixed."""
-
-
-class EmptyAfterTrim(ValueError):
-    """Trimming removed every value."""
-
-
-class TooFewModels(ValueError):
-    """Not enough models for the requested selection rule."""
-
-
-class ZeroReference(ValueError):
-    """A reference model with zero norm cannot anchor trust scores."""
-
-
-class InvalidBounds(ValueError):
-    """Interval with lower > upper."""
-
-
-class NotSorted(ValueError):
-    """A sequence that must be sorted in descending order is not."""
-
-
-class IndexOutOfRange(ValueError):
-    """Too few benign values for the requested selfish count."""
-
-
-class OutOfBounds(ValueError):
-    """A crafting target outside the reachable interval."""
+class ConfigError(ValueError):
+    """A configuration document failed validation."""
 
 
 class NumericalDivergence(RuntimeError):
     """Local training produced a non-finite loss or model."""
 
 
-class DegenerateDenominator(ValueError):
-    """A crafting denominator too close to zero to divide by."""
-
-
-class NonMonotonicRound(ValueError):
-    """Detector rounds must advance one at a time."""
-
-
 class EmptyDataset(ValueError):
     """A training shard with no examples."""
-
-
-class EmptyTestSet(ValueError):
-    """An evaluation set with no examples."""
-
-
-class ConfigError(ValueError):
-    """A configuration document failed validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +51,11 @@ class RoleConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise EmptyGroup("need at least one non-selfish client")
+            raise ValueError("need at least one non-selfish client")
         if self.m < 1:
-            raise EmptyGroup("need at least one selfish client")
+            raise ValueError("need at least one selfish client")
         if self.total < 3 * self.m + 1:
-            raise ThreatModelViolation(
-                f"n + m = {self.total} violates n + m >= 3m + 1 for m = {self.m}"
-            )
+            raise ValueError(f"n + m = {self.total} violates n + m >= 3m + 1 for m = {self.m}")
 
     @property
     def total(self) -> int:

@@ -57,6 +57,14 @@ def write_records(records, path: str) -> None:
         writer.writerows([fmt(getattr(rec, name)) for name, fmt, _ in _CSV_COLUMNS] for rec in records)
 
 
+def make_output_dir(path: str) -> None:
+    """Create directory ``path`` and its parents; a ConfigError naming it if that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+
+
 def read_records(path: str) -> list[ExperimentRecord]:
     """Parse a records CSV written by :func:`write_records`."""
     with open(path, newline="") as fh:
@@ -94,6 +102,8 @@ def apply_parameter(cfg, parameter: str, value):
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     value = SWEEP_PARAMETERS[parameter](value)
+    if parameter == "selfish_fraction" and not 0.0 < value < 1.0:  # NaN fails too
+        raise ValueError(f"selfish_fraction must lie in (0, 1), got {value}")
     if parameter in ("lambda", "epsilon", "interval"):
         field = "lam" if parameter == "lambda" else parameter
         return dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, **{field: value}))
@@ -146,7 +156,7 @@ def run_sweep(
     last = spec.repeats - 1  # the last repeat runs with the largest seed
     check_seed(cfg.seed + last, f"--repeats {spec.repeats}: sweep seed seed + repeat = {cfg.seed} + {last}")
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        make_output_dir(out_dir)
     finals = {value: [None] * spec.repeats for value in spec.values}  # final record per repeat
 
     def finish(value, repeat, records) -> None:

@@ -34,8 +34,6 @@ from .core import (
     STREAM_TRAIN,
     ConfigError,
     EmptyDataset,
-    EmptyGroup,
-    EmptyTestSet,
     NumericalDivergence,
     RoleConfig,
     Rng,
@@ -358,7 +356,7 @@ def predict(model: np.ndarray, x: np.ndarray, num_classes: int) -> np.ndarray:
 
 def correct_count(model: np.ndarray, data: Dataset) -> int:
     if data.size == 0:
-        raise EmptyTestSet("cannot evaluate on an empty set")
+        raise ValueError("cannot evaluate on an empty set")
     return int(np.count_nonzero(predict(model, data.features, data.num_classes) == data.labels))
 
 
@@ -372,7 +370,7 @@ def group_accuracy(models, data: Dataset, counts=None) -> float:
     """
     models = list(models)
     if not models:
-        raise EmptyGroup("cannot average accuracy over an empty group")
+        raise ValueError("cannot average accuracy over an empty group")
     counts = [1] * len(models) if counts is None else list(counts)
     return sum(c * correct_count(model, data) for model, c in zip(models, counts)) / (sum(counts) * data.size)
 

@@ -14,6 +14,7 @@ from dflsim.simulation import (
     ATTACK_KINDS,
     AttackConfig,
     CsvDataConfig,
+    Engine,
     ExperimentConfig,
     PartitionConfig,
     SyntheticDataConfig,
@@ -211,6 +212,15 @@ def test_run_rejects_a_repeated_json_key(tmp_path, capsys, old, new, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("opening", ["[", '{"a": '], ids=["arrays", "objects"])
+def test_run_rejects_a_config_nested_too_deeply_to_parse(tmp_path, capsys, opening):
+    path = tmp_path / "deep.json"
+    path.write_text(opening * 100_000)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {path}: arrays or objects nested too deeply to parse\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_seed_precedence(tmp_path, monkeypatch):
     path = write_doc(tmp_path, tiny_doc())
     monkeypatch.delenv("DFL_SEED", raising=False)
@@ -318,6 +328,26 @@ def test_run_out_dir_precedence(tmp_path, monkeypatch):
     assert (tmp_path / "flag_wins" / "records.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("out, error", [
+    ("afile", "[Errno 17] File exists"),
+    ("afile/sub", "[Errno 20] Not a directory"),
+], ids=["file", "under_a_file"])
+def test_an_output_directory_that_cannot_be_made_is_a_config_error_before_any_round(
+    tmp_path, monkeypatch, capsys, command, out, error
+):
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr(Engine, "run_round", lambda self: pytest.fail("a round ran"))
+    out = str(tmp_path / out)
+    argv = {
+        "run": ["run", write_doc(tmp_path, tiny_doc()), "--out", out],
+        "sweep": ["sweep", write_doc(tmp_path, tiny_doc()), "--param", "lambda", "--values", "0", "--repeats", "1",
+                  "--out", out],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: cannot create output directory {out}: {error}: '{out}'\n"
+
+
 def test_run_seed_flag_changes_results(tmp_path):
     path = write_doc(tmp_path, tiny_doc())
     assert main(["run", path, "--out", str(tmp_path / "a"), "--seed", "1"]) == 0
@@ -371,7 +401,7 @@ def test_each_command_maps_errors_to_exit_codes(tmp_path, monkeypatch, capsys, c
     def fail(*args, **kwargs):
         raise error
 
-    for name in ("run_experiment", "run_sweep", "run_all"):
+    for name in ("Engine", "run_sweep", "run_all"):
         monkeypatch.setattr(cli, name, fail)
     path = write_doc(tmp_path, tiny_doc())
     argv = {

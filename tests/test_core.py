@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsim.core import STREAM_ATTACK, STREAM_TRAIN, EmptyGroup, RoleConfig, Rng, ThreatModelViolation
+from dflsim.core import STREAM_ATTACK, STREAM_TRAIN, RoleConfig, Rng
 
 
 # ---------------------------------------------------------------------------
@@ -17,16 +17,16 @@ def test_roles_accepts_default_experiment_setup():
 
 def test_roles_boundary_of_threat_model():
     RoleConfig(n=3, m=1)  # 4 == 3*1 + 1, allowed
-    with pytest.raises(ThreatModelViolation):
+    with pytest.raises(ValueError, match=r"^n \+ m = 3 violates n \+ m >= 3m \+ 1 for m = 1$"):
         RoleConfig(n=2, m=1)
-    with pytest.raises(ThreatModelViolation):
+    with pytest.raises(ValueError, match=r"^n \+ m = 19 violates n \+ m >= 3m \+ 1 for m = 7$"):
         RoleConfig(n=12, m=7)
 
 
 def test_roles_rejects_empty_groups():
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(ValueError, match=r"^need at least one non-selfish client$"):
         RoleConfig(n=0, m=1)
-    with pytest.raises(EmptyGroup):
+    with pytest.raises(ValueError, match=r"^need at least one selfish client$"):
         RoleConfig(n=5, m=0)
 
 

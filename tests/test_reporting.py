@@ -219,6 +219,17 @@ def test_run_sweep_rejects_rho_outside_its_range_before_running(tmp_path, monkey
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("fraction", [0.0, -0.5, -3.0, 1.0, float("nan")])
+def test_run_sweep_rejects_a_selfish_fraction_outside_0_1_before_running(tmp_path, monkeypatch, fraction):
+    # a fraction <= 0 must not round up to one selfish client
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    spec = SweepSpec("selfish_fraction", (0.25, fraction), repeats=1)
+    message = rf"^--param selfish_fraction={fraction}: selfish_fraction must lie in \(0, 1\), got {fraction}$"
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"))
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_run_sweep_rejects_fewer_clients_than_partition_groups_before_running(tmp_path, monkeypatch):
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
     cfg = tiny_config(roles=RoleConfig(n=5, m=1), partition=PartitionConfig(rho=0.5, groups=5))

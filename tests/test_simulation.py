@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dflsim import simulation
 from dflsim.aggregation import RULE_KINDS, AggregationRule, agg_fedavg, agg_median
 from dflsim.cli import load_config
-from dflsim.core import ConfigError, EmptyDataset, EmptyTestSet, NumericalDivergence, RoleConfig, Rng
+from dflsim.core import ConfigError, EmptyDataset, NumericalDivergence, RoleConfig, Rng
 from dflsim.simulation import (
     AttackConfig,
     CsvDataConfig,
@@ -294,8 +294,14 @@ def test_class_slice_max_matches_a_row_max_on_special_values():
 
 def test_accuracy_empty_test_set():
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
-    with pytest.raises(EmptyTestSet):
+    with pytest.raises(ValueError, match=r"^cannot evaluate on an empty set$"):
         correct_count(np.zeros(model_dim(2, 4)), empty)
+
+
+def test_group_accuracy_of_an_empty_group_raises():
+    data = generate_synthetic(2, 3, 5, 1.0, Rng(0).stream(0))
+    with pytest.raises(ValueError, match=r"^cannot average accuracy over an empty group$"):
+        group_accuracy([], data)
 
 
 def test_predict_and_correct_count_match_the_plain_argmax():
