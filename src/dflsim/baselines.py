@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 # default sampling interval of the directed-deviation attack
@@ -24,38 +22,37 @@ def check_deltas(delta_lo: float, delta_hi: float) -> None:
         raise ValueError(f"need 0 < delta_lo < delta_hi < inf, got delta_lo {delta_lo}, delta_hi {delta_hi}")
 
 
-def craft_gaussian(dim: int, m: int, gen: np.random.Generator, sigma: float = GAUSSIAN_SIGMA) -> np.ndarray:
-    """(m, dim) noise shares drawn i.i.d. from N(0, sigma^2)."""
+def craft_gaussian(dim: int, m: int, gens, sigma: float = GAUSSIAN_SIGMA) -> np.ndarray:
+    """(R, m, dim) noise shares for R receivers, receiver r's drawn i.i.d.
+    from N(0, sigma^2) with ``gens[r]``."""
     check_sigma(sigma)
-    return gen.normal(0.0, sigma, size=(m, dim))
+    return np.stack([gen.normal(0.0, sigma, size=(m, dim)) for gen in gens])
 
 
 def craft_directed_deviation(
-    benign_shares: Sequence[np.ndarray],
-    prev_aggregate: np.ndarray,
+    benign: np.ndarray,
+    previous: np.ndarray,
     m: int,
-    gen: np.random.Generator,
+    gens,
     delta_lo: float = TRIM_ATTACK_DELTA_LO,
     delta_hi: float = TRIM_ATTACK_DELTA_HI,
 ) -> np.ndarray:
-    """Shares placed strictly outside the benign range, against the benign trend.
+    """(R, m, d) shares placed strictly outside the range of the (n, d)
+    ``benign`` shares, against the benign trend seen by each of R receivers.
 
-    Per coordinate, if the benign mean moved up relative to the receiver's
-    previous aggregate, the crafted values sample below the benign minimum;
-    otherwise above the benign maximum.  Offsets scale with the magnitude of
-    the extreme value, falling back to an absolute offset when it is zero.
+    Per coordinate, if the benign mean moved up relative to receiver r's
+    previous aggregate ``previous[r]``, its crafted values sample below the
+    benign minimum; otherwise above the benign maximum.  Offsets scale with
+    the magnitude of the extreme value, falling back to an absolute offset
+    when it is zero; receiver r draws its scales from ``gens[r]``.
     """
     check_deltas(delta_lo, delta_hi)
-    benign = np.stack([np.asarray(s, dtype=np.float64) for s in benign_shares])
-    prev_aggregate = np.asarray(prev_aggregate, dtype=np.float64)
-    q_min = benign.min(axis=0)
-    q_max = benign.max(axis=0)
-    rising = benign.mean(axis=0) > prev_aggregate
+    if len(gens) != len(previous):
+        raise ValueError(f"need one generator per receiver, got {len(gens)} for {len(previous)} previous aggregates")
+    q_min, q_max = benign.min(axis=0), benign.max(axis=0)
+    rising = benign.mean(axis=0) > previous
 
     scale_min = np.where(q_min != 0.0, np.abs(q_min), 1.0)
     scale_max = np.where(q_max != 0.0, np.abs(q_max), 1.0)
-    u = gen.uniform(delta_lo, delta_hi, size=(m, benign.shape[1]))
-    below = q_min - u * scale_min
-    above = q_max + u * scale_max
-    return np.where(rising, below, above)
-
+    u = np.stack([gen.uniform(delta_lo, delta_hi, size=(m, benign.shape[1])) for gen in gens])
+    return np.where(rising[:, None], q_min - u * scale_min, q_max + u * scale_max)

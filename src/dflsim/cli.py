@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
     cfg, output = load_config(args.config, args.seed)
     out_dir = args.out or output or "out"
     engine = Engine(cfg)  # loads and checks the data first: a faulty config leaves no directory behind
-    make_output_dir(out_dir)  # before round 1, so a bad --out costs no training
+    make_output_dir(out_dir, ("records.csv", "summary.json"))  # before round 1, so a bad --out costs no training
     records = engine.run()
     write_records(records, os.path.join(out_dir, "records.csv"))
     final = records[-1]

@@ -24,7 +24,9 @@ class ExperimentRecord:
     """Metrics of one round.
 
     ``mtas``/``mtans`` are the mean test accuracies of the selfish and
-    non-selfish clients on the shared test set; ``gap`` is their difference.
+    non-selfish clients on the shared test set; ``gap`` is their difference,
+    exactly ``mtas - mtans`` in a record the engine builds.  A record read
+    back from a CSV keeps the stored gap, which :func:`read_records` checks.
     """
 
     round: int
@@ -33,10 +35,6 @@ class ExperimentRecord:
     gap: float
     mean_selfish_loss: float
     attack_started: bool
-
-    def __post_init__(self) -> None:
-        if abs(self.gap - (self.mtas - self.mtans)) > 1e-12:
-            raise ValueError("gap must equal mtas - mtans")
 
 
 # type of a record field -> (how write_records formats its value, how read_records parses it)
@@ -47,6 +45,9 @@ _CSV_CODECS = {
 }
 _CSV_COLUMNS = [(name, *_CSV_CODECS[kind]) for name, kind in typing.get_type_hints(ExperimentRecord).items()]
 CSV_FIELDS = tuple(name for name, _, _ in _CSV_COLUMNS)
+# mtas, mtans and gap are each written to half a unit of the sixth decimal, so
+# a file's gap may differ from its mtas - mtans by three half-units (and binary rounding)
+_GAP_TOLERANCE = 1.5e-6 + 1e-12
 
 
 def write_records(records, path: str) -> None:
@@ -57,21 +58,42 @@ def write_records(records, path: str) -> None:
         writer.writerows([fmt(getattr(rec, name)) for name, fmt, _ in _CSV_COLUMNS] for rec in records)
 
 
-def make_output_dir(path: str) -> None:
-    """Create directory ``path`` and its parents; a ConfigError naming it if that fails."""
+def make_output_dir(path: str, files=()) -> None:
+    """Create directory ``path`` and its parents, and check that each of
+    ``files`` can be written in it; a ConfigError naming the directory or
+    file if not.  A checked file that did not exist is removed again."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+    for file in (os.path.join(path, name) for name in files):
+        existed = os.path.lexists(file)
+        try:
+            open(file, "a").close()  # appends nothing to a file that exists
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {file}: {exc}") from None
+        if not existed:
+            os.remove(file)
 
 
 def read_records(path: str) -> list[ExperimentRecord]:
-    """Parse a records CSV written by :func:`write_records`."""
+    """Parse a records CSV written by :func:`write_records`, keeping each
+    stored gap, so writing the records again gives the same bytes.  A gap
+    farther from ``mtas - mtans`` than the six-decimal rounding of the
+    three values allows raises ValueError naming the file and line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_FIELDS:
             raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        return [ExperimentRecord(**{name: parse(row[name]) for name, _, parse in _CSV_COLUMNS}) for row in reader]
+        records = []
+        for row in reader:
+            rec = ExperimentRecord(**{name: parse(row[name]) for name, _, parse in _CSV_COLUMNS})
+            if not abs(rec.gap - (rec.mtas - rec.mtans)) <= _GAP_TOLERANCE:  # NaN fails too
+                raise ValueError(
+                    f"{path}:{reader.line_num}: gap {row['gap']} is not mtas - mtans = {row['mtas']} - {row['mtans']}"
+                )
+            records.append(rec)
+        return records
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +141,8 @@ def apply_parameter(cfg, parameter: str, value):
 def _sweep_cell(args):
     from .simulation import run_experiment
 
-    cfg, parameter, value, repeat = args
-    cell_cfg = apply_parameter(cfg, parameter, value)
-    cell_cfg = dataclasses.replace(cell_cfg, seed=cfg.seed + repeat)
-    return value, repeat, run_experiment(cell_cfg)
+    cfg, value, repeat = args
+    return value, repeat, run_experiment(dataclasses.replace(cfg, seed=cfg.seed + repeat))
 
 
 def run_sweep(
@@ -134,8 +154,10 @@ def run_sweep(
 ) -> dict:
     """Run the sweep and return its summary.
 
-    Every value is applied to ``cfg`` before any cell runs, and one that
-    gives an invalid config, or is repeated, raises :class:`ConfigError`.
+    Every value is applied to ``cfg`` once, before any cell runs, and one
+    that gives an invalid config, is repeated, or gives the same config as
+    an earlier value, raises :class:`ConfigError`; so does an output file
+    that cannot be written.
     Per value, ``spec.repeats`` experiments run with seeds ``cfg.seed + 0
     .. cfg.seed + repeats - 1`` (a ConfigError if one reaches 2**64); the
     summary averages the final-round metrics over repeats.  With
@@ -145,26 +167,31 @@ def run_sweep(
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    configs = {}  # value -> its config; cells, their files and the summary are keyed by value
     for value in spec.values:
+        if value in configs:
+            raise ConfigError(f"--values: {value} repeated")
         try:
-            apply_parameter(cfg, spec.parameter, value)
+            config = apply_parameter(cfg, spec.parameter, value)
         except ValueError as exc:
             raise ConfigError(f"--param {spec.parameter}={value}: {exc}") from None
-    repeated = [value for i, value in enumerate(spec.values) if value in spec.values[:i]]
-    if repeated:  # cells, their files and the summary are keyed by value
-        raise ConfigError(f"--values: {repeated[0]} repeated")
+        same = [earlier for earlier, other in configs.items() if other == config]
+        if same:
+            raise ConfigError(f"--values: {spec.parameter}={value} gives the same config as {same[0]}")
+        configs[value] = config
     last = spec.repeats - 1  # the last repeat runs with the largest seed
     check_seed(cfg.seed + last, f"--repeats {spec.repeats}: sweep seed seed + repeat = {cfg.seed} + {last}")
+    cells = {(v, k): f"{spec.parameter}_{v}_rep{k}.csv" for v in configs for k in range(spec.repeats)}  # cell -> its CSV
     if out_dir is not None:
-        make_output_dir(out_dir)
+        make_output_dir(out_dir, [*cells.values(), "sweep_summary.json"])
     finals = {value: [None] * spec.repeats for value in spec.values}  # final record per repeat
 
     def finish(value, repeat, records) -> None:
         finals[value][repeat] = records[-1]
         if out_dir is not None:
-            write_records(records, os.path.join(out_dir, f"{spec.parameter}_{value}_rep{repeat}.csv"))
+            write_records(records, os.path.join(out_dir, cells[value, repeat]))
 
-    tasks = [(cfg, spec.parameter, value, repeat) for value in spec.values for repeat in range(spec.repeats)]
+    tasks = [(configs[value], value, repeat) for value, repeat in cells]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed  # only here: a run need not load it
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -99,16 +99,12 @@ def _sample_blobs(means: np.ndarray, per_class: int, gen: np.random.Generator) -
     return Dataset(points[perm], labels[perm], classes)
 
 
-def generate_synthetic(
-    classes: int,
-    features: int,
-    per_class: int,
-    separation: float,
-    gen: np.random.Generator,
-) -> Dataset:
-    """Balanced Gaussian blobs with unit covariance."""
-    SyntheticDataConfig(classes, features, per_class, separation)  # checks the arguments
-    return _sample_blobs(_class_means(classes, features, separation, gen), per_class, gen)
+def generate_synthetic(cfg: SyntheticDataConfig, gen: np.random.Generator, test_gen: np.random.Generator):
+    """The (train, test) pair of balanced Gaussian blobs with unit covariance:
+    the class centres and the training set from ``gen``, the test set around
+    the same centres from ``test_gen``."""
+    means = _class_means(cfg.classes, cfg.features, cfg.separation, gen)
+    return _sample_blobs(means, cfg.per_class, gen), _sample_blobs(means, cfg.test_per_class, test_gen)
 
 
 def load_csv(path: str) -> Dataset:
@@ -477,17 +473,14 @@ def _craft_selfish(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray | N
 def _craft_gaussian(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
     attack, roles = eng.cfg.attack, eng.roles
     gens = eng.rng.reset(eng.gens[: roles.n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
-    return np.stack([craft_gaussian(pre_agg.shape[1], roles.m, gen, attack.sigma) for gen in gens])
+    return craft_gaussian(pre_agg.shape[1], roles.m, gens, attack.sigma)
 
 
 def _craft_trim(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
     # eng.models still holds every receiver's aggregate of the previous round
-    attack, roles = eng.cfg.attack, eng.roles
-    gens = eng.rng.reset(eng.gens[: roles.n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
-    return np.stack([
-        craft_directed_deviation(pre_agg[: roles.n], model, roles.m, gen, attack.delta_lo, attack.delta_hi)
-        for model, gen in zip(eng.models, gens)
-    ])
+    attack, n = eng.cfg.attack, eng.roles.n
+    gens = eng.rng.reset(eng.gens[:n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
+    return craft_directed_deviation(pre_agg[:n], eng.models[:n], eng.roles.m, gens, attack.delta_lo, attack.delta_hi)
 
 
 # attack kind -> (crafter of the (n, m, d) shares the selfish senders send to
@@ -582,11 +575,7 @@ class Engine:
     def _build_datasets(self) -> tuple[Dataset, Dataset]:
         data = self.cfg.data
         if isinstance(data, SyntheticDataConfig):
-            gen = self.rng.stream(STREAM_DATA)
-            means = _class_means(data.classes, data.features, data.separation, gen)
-            train = _sample_blobs(means, data.per_class, gen)
-            test = _sample_blobs(means, data.test_per_class, self.rng.stream(STREAM_TEST))
-            return train, test
+            return generate_synthetic(data, self.rng.stream(STREAM_DATA), self.rng.stream(STREAM_TEST))
         full = load_csv(data.path)
         perm = self.rng.stream(STREAM_TEST).permutation(full.size)
         cut = max(1, int(round(data.test_fraction * full.size)))

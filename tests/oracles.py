@@ -200,3 +200,26 @@ def flame_of(mat: np.ndarray) -> np.ndarray:
     mask = norms > clip_to
     scale[mask] = clip_to / norms[mask]
     return (kept * scale[:, None]).mean(axis=0)
+
+
+def gaussian_shares_of(dim: int, m: int, gen, sigma: float) -> np.ndarray:
+    """One receiver's (m, dim) noise shares, drawn alone from its ``gen``."""
+    return gen.normal(0.0, sigma, size=(m, dim))
+
+
+def directed_deviation_of(benign_shares, prev_aggregate, m: int, gen, delta_lo: float, delta_hi: float) -> np.ndarray:
+    """One receiver's (m, d) directed-deviation shares from a list of benign
+    rows and its previous aggregate: per coordinate, below the benign minimum
+    if the benign mean rose above ``prev_aggregate``, else above the maximum,
+    offset by a draw from ``gen`` times the extreme's magnitude (1 at zero)."""
+    benign = np.stack([np.asarray(s, dtype=np.float64) for s in benign_shares])
+    prev_aggregate = np.asarray(prev_aggregate, dtype=np.float64)
+    q_min = benign.min(axis=0)
+    q_max = benign.max(axis=0)
+    rising = benign.mean(axis=0) > prev_aggregate
+    scale_min = np.where(q_min != 0.0, np.abs(q_min), 1.0)
+    scale_max = np.where(q_max != 0.0, np.abs(q_max), 1.0)
+    u = gen.uniform(delta_lo, delta_hi, size=(m, benign.shape[1]))
+    below = q_min - u * scale_min
+    above = q_max + u * scale_max
+    return np.where(rising, below, above)

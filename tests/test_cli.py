@@ -348,6 +348,37 @@ def test_an_output_directory_that_cannot_be_made_is_a_config_error_before_any_ro
     assert capsys.readouterr().err == f"config error: cannot create output directory {out}: {error}: '{out}'\n"
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("run", "records.csv"), ("run", "summary.json"), ("sweep", "lambda_0.5_rep1.csv"), ("sweep", "sweep_summary.json"),
+])
+def test_an_output_file_that_cannot_be_written_is_a_config_error_before_any_round(
+    tmp_path, monkeypatch, capsys, command, blocked
+):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    monkeypatch.setattr(Engine, "run_round", lambda self: pytest.fail("a round ran"))
+    argv = {
+        "run": ["run", write_doc(tmp_path, tiny_doc()), "--out", str(out)],
+        "sweep": ["sweep", write_doc(tmp_path, tiny_doc()), "--param", "lambda", "--values", "0,0.5", "--repeats", "2",
+                  "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    path = out / blocked
+    assert capsys.readouterr().err == f"config error: cannot write output file {path}: [Errno 21] Is a directory: '{path}'\n"
+    assert [p.name for p in out.iterdir()] == [blocked]  # the checks leave no file behind
+
+
+def test_a_run_over_old_outputs_writes_the_same_bytes_as_a_fresh_run(tmp_path):
+    path = write_doc(tmp_path, tiny_doc())
+    assert main(["run", path, "--out", str(tmp_path / "fresh")]) == 0
+    for name in ("records.csv", "summary.json"):
+        (tmp_path / "old" / name).parent.mkdir(exist_ok=True)
+        (tmp_path / "old" / name).write_text("stale\n" * 100)
+    assert main(["run", path, "--out", str(tmp_path / "old")]) == 0
+    for name in ("records.csv", "summary.json"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_run_seed_flag_changes_results(tmp_path):
     path = write_doc(tmp_path, tiny_doc())
     assert main(["run", path, "--out", str(tmp_path / "a"), "--seed", "1"]) == 0
@@ -670,6 +701,16 @@ def test_sweep_rejects_bad_values_or_repeats_before_any_run(tmp_path, capsys, fl
     code = main(["sweep", write_doc(tmp_path, tiny_doc()), "--param", "lambda", *flags, "--out", str(out)])
     assert code == 1
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_fractions_that_give_the_same_roles_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(Engine, "run_round", lambda self: pytest.fail("a round ran"))
+    out = tmp_path / "dup"
+    code = main(["sweep", write_doc(tmp_path, tiny_doc(roles={"n": 19, "m": 1})), "--param", "selfish_fraction",
+                 "--values", "0.01,0.02", "--repeats", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: --values: selfish_fraction=0.02 gives the same config as 0.01\n"
     assert not out.exists()
 
 

@@ -41,7 +41,7 @@ from oracles import median_of, trimmed_mean_of
 from dflsim.aggregation import AggregationRule
 from dflsim.attack import fedavg_bounds, median_bounds, solve_optimal_coordinate, trimmed_mean_bounds
 from dflsim.core import RoleConfig
-from dflsim.reporting import write_records
+from dflsim.reporting import read_records, write_records
 from dflsim.simulation import (
     AttackConfig, Engine, ExperimentConfig, PartitionConfig, SyntheticDataConfig, TrainerConfig,
 )
@@ -144,6 +144,24 @@ def test_regression_matrix(matrix, cell, digests, tmp_path):
     sets = digests["models"]
     assert CORE in sets, f"OpenBLAS core {core} has no pinned final models; pinned cores: {', '.join(sets)}"
     assert models == sets[CORE][matrix][cell], f"final models differ from the digest pinned for OpenBLAS core {core}"
+
+
+def test_every_matrix_csv_reads_back(tmp_path):
+    """``read_records`` parses every cell's records CSV, though its rounded
+    gap may differ from its rounded mtas - mtans, and writing what it read
+    gives the same bytes."""
+    unread = []
+    for matrix, cell in MATRIX_CELLS:
+        run_cell(matrix, cell, str(tmp_path))
+        path, again = tmp_path / f"{cell}.csv", tmp_path / "again.csv"
+        try:
+            write_records(read_records(str(path)), str(again))
+        except ValueError as exc:
+            unread.append(f"{matrix} {exc}")
+            continue
+        if again.read_bytes() != path.read_bytes():
+            unread.append(f"{matrix} {cell}: rewriting the parsed records changes the bytes")
+    assert not unread, f"{len(unread)} of {len(MATRIX_CELLS)} CSVs do not read back; first: {unread[0]}"
 
 
 @pytest.mark.parametrize(

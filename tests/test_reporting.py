@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -53,9 +54,27 @@ def sample_records():
 # records + CSV
 # ---------------------------------------------------------------------------
 
-def test_record_gap_consistency_enforced():
-    with pytest.raises(ValueError):
-        ExperimentRecord(1, 0.5, 0.4, 0.2, 1.0, False)
+def test_read_records_rejects_a_gap_beyond_rounding(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(
+        "round,mtas,mtans,gap,mean_selfish_loss,attack_started\n"
+        "1,0.500000,0.250000,0.250000,1.250000,false\n"
+        "2,0.500000,0.400000,0.100002,1.000000,true\n"
+    )
+    message = rf"^{re.escape(str(path))}:3: gap 0.100002 is not mtas - mtans = 0.500000 - 0.400000$"
+    with pytest.raises(ValueError, match=message):
+        read_records(str(path))
+
+
+def test_read_records_keeps_a_gap_rounded_apart_from_mtas_minus_mtans(tmp_path):
+    # 0.983333 - 0.961905 = 0.021428, while the gap rounded from the unrounded accuracies is 0.021429
+    path = tmp_path / "records.csv"
+    text = "round,mtas,mtans,gap,mean_selfish_loss,attack_started\n1,0.983333,0.961905,0.021429,0.500000,true\n"
+    path.write_text(text)
+    (record,) = read_records(str(path))
+    assert (record.mtas, record.mtans, record.gap) == (0.983333, 0.961905, 0.021429)
+    write_records([record], str(tmp_path / "again.csv"))
+    assert (tmp_path / "again.csv").read_text() == text
 
 
 def test_csv_round_trip_is_lossless(tmp_path):
@@ -245,6 +264,25 @@ def test_run_sweep_rejects_a_repeated_value_before_running(tmp_path, monkeypatch
     with pytest.raises(ConfigError, match=r"^--values: 0.5 repeated$"):
         run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"))
     assert not (tmp_path / "sweep").exists()
+
+
+def test_run_sweep_rejects_a_value_that_repeats_an_earlier_config(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    cfg = tiny_config(roles=RoleConfig(n=19, m=1))
+    assert apply_parameter(cfg, "selfish_fraction", 0.02) == apply_parameter(cfg, "selfish_fraction", 0.01)
+    spec = SweepSpec("selfish_fraction", (0.01, 0.25, 0.02), repeats=1)
+    with pytest.raises(ConfigError, match=r"^--values: selfish_fraction=0.02 gives the same config as 0.01$"):
+        run_sweep(cfg, spec, out_dir=str(tmp_path / "sweep"))
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_run_sweep_applies_each_value_once(tmp_path, monkeypatch):
+    import dflsim.reporting as reporting
+
+    calls = []
+    monkeypatch.setattr(reporting, "apply_parameter", lambda *args: calls.append(args) or apply_parameter(*args))
+    run_sweep(tiny_config(), SweepSpec("lambda", (0.0, 0.5), repeats=2))
+    assert [value for _, _, value in calls] == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dflsim import simulation
 from dflsim.aggregation import RULE_KINDS, AggregationRule, agg_fedavg, agg_median
 from dflsim.cli import load_config
-from dflsim.core import ConfigError, EmptyDataset, NumericalDivergence, RoleConfig, Rng
+from dflsim.core import STREAM_DATA, STREAM_TEST, ConfigError, EmptyDataset, NumericalDivergence, RoleConfig, Rng
 from dflsim.simulation import (
     AttackConfig,
     CsvDataConfig,
@@ -66,18 +66,36 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1]), num_classes=2)
 
 
+def blobs(classes, features, per_class, separation, gen) -> Dataset:
+    """The training set of ``generate_synthetic``; its test set, one example
+    per class, is drawn after it from the same generator."""
+    cfg = SyntheticDataConfig(classes, features, per_class, separation, test_per_class=1)
+    return generate_synthetic(cfg, gen, gen)[0]
+
+
 def test_generate_synthetic_shapes_and_balance():
-    data = generate_synthetic(4, 20, 50, 3.0, Rng(0).stream(0))
-    assert data.features.shape == (200, 20)
-    assert data.num_classes == 4
-    counts = np.bincount(data.labels, minlength=4)
-    assert counts.tolist() == [50, 50, 50, 50]
+    train, test = generate_synthetic(SyntheticDataConfig(4, 20, 50, 3.0, 30), Rng(0).stream(0), Rng(0).stream(1))
+    for data, per_class in ((train, 50), (test, 30)):
+        assert data.features.shape == (4 * per_class, 20)
+        assert data.num_classes == 4
+        counts = np.bincount(data.labels, minlength=4)
+        assert counts.tolist() == [per_class] * 4
+
+
+def test_generate_synthetic_gives_the_engines_datasets():
+    cfg = small_config()
+    engine, rng = Engine(cfg), Rng(cfg.seed)
+    train, test = generate_synthetic(cfg.data, rng.stream(STREAM_DATA), rng.stream(STREAM_TEST))
+    for built, used in ((train, engine.train_set), (test, engine.test_set)):
+        assert built.features.tobytes() == used.features.tobytes()
+        assert built.labels.tobytes() == used.labels.tobytes()
+        assert built.num_classes == used.num_classes
 
 
 def test_generate_synthetic_separation_controls_difficulty():
     gen = Rng(1).stream(0)
-    easy = generate_synthetic(3, 10, 200, 10.0, gen)
-    hard = generate_synthetic(3, 10, 200, 0.0, Rng(1).stream(1))
+    easy = blobs(3, 10, 200, 10.0, gen)
+    hard = blobs(3, 10, 200, 0.0, Rng(1).stream(1))
 
     def fit(data, steps=300):
         model = np.zeros(model_dim(data.num_classes, data.num_features))
@@ -183,7 +201,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_local_update_zero_learning_rate_is_identity():
-    data = generate_synthetic(2, 4, 30, 2.0, Rng(5).stream(0))
+    data = blobs(2, 4, 30, 2.0, Rng(5).stream(0))
     model = np.ones(model_dim(2, 4))
     cfg = TrainerConfig(learning_rate=0.0, local_epochs=2, batch_size=64, weight_decay=0.0)
     updated, mean_loss = train_clients(model[None], data, TrainingPlan([data.size], cfg), [Rng(5).stream(1)])
@@ -193,7 +211,7 @@ def test_local_update_zero_learning_rate_is_identity():
 
 
 def test_local_update_decreases_loss_on_separable_data():
-    data = generate_synthetic(2, 4, 100, 5.0, Rng(6).stream(0))
+    data = blobs(2, 4, 100, 5.0, Rng(6).stream(0))
     model = np.zeros(model_dim(2, 4))
     cfg = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=200, weight_decay=0.0)
     updated, _ = train_clients(model[None], data, TrainingPlan([data.size], cfg), [Rng(6).stream(1)])
@@ -203,7 +221,7 @@ def test_local_update_decreases_loss_on_separable_data():
 
 
 def test_local_update_applies_weight_decay():
-    data = generate_synthetic(2, 4, 30, 2.0, Rng(7).stream(0))
+    data = blobs(2, 4, 30, 2.0, Rng(7).stream(0))
     model = np.full(model_dim(2, 4), 10.0)
     no_decay = TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=64, weight_decay=0.0)
     decay = TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=64, weight_decay=0.1)
@@ -299,13 +317,13 @@ def test_accuracy_empty_test_set():
 
 
 def test_group_accuracy_of_an_empty_group_raises():
-    data = generate_synthetic(2, 3, 5, 1.0, Rng(0).stream(0))
+    data = blobs(2, 3, 5, 1.0, Rng(0).stream(0))
     with pytest.raises(ValueError, match=r"^cannot average accuracy over an empty group$"):
         group_accuracy([], data)
 
 
 def test_predict_and_correct_count_match_the_plain_argmax():
-    data = generate_synthetic(4, 5, 60, 2.0, Rng(1).stream(0))
+    data = blobs(4, 5, 60, 2.0, Rng(1).stream(0))
     models = [np.zeros(model_dim(4, 5)), *Rng(2).stream(0).normal(size=(20, model_dim(4, 5)))]  # zeros: all ties
     for model in models:
         weights, bias = model[:20].reshape(4, 5), model[20:]
@@ -316,7 +334,7 @@ def test_predict_and_correct_count_match_the_plain_argmax():
 
 def test_group_accuracy_split():
     roles = RoleConfig(n=3, m=1)
-    data = generate_synthetic(2, 3, 50, 8.0, Rng(0).stream(0))
+    data = blobs(2, 3, 50, 8.0, Rng(0).stream(0))
     good = np.zeros(model_dim(2, 3))
     for _ in range(200):
         _, grad = loss_and_grad(good, data.features, data.labels, 2)
@@ -689,7 +707,14 @@ def test_run_experiment_record_shape():
     assert [r.round for r in records] == [1, 2, 3]
     for rec in records:
         assert 0.0 <= rec.mtas <= 1.0 and 0.0 <= rec.mtans <= 1.0
-        assert np.isclose(rec.gap, rec.mtas - rec.mtans)
+        assert rec.gap == rec.mtas - rec.mtans
+
+
+def test_engine_records_hold_the_gap_exactly():
+    cfg = small_config(attack=AttackConfig(kind="selfish", lam=0.5, interval=1, epsilon=0.5), rounds=6)
+    records = run_experiment(cfg)
+    assert records[-1].attack_started and any(rec.gap != 0.0 for rec in records)
+    assert all(rec.gap == rec.mtas - rec.mtans for rec in records)
 
 
 def test_csv_backed_experiment(tmp_path):
