@@ -24,7 +24,7 @@ from .attack import (
     trimmed_mean_bounds,
 )
 from .core import RoleConfig, Rng
-from .reporting import ExperimentRecord, SweepSpec, read_records, run_sweep, write_records
+from .reporting import ExperimentRecord, read_records, run_sweep, write_records
 from .simulation import (
     AttackConfig,
     CsvDataConfig,

@@ -1,8 +1,8 @@
 """Command-line entry points: run one experiment, sweep a parameter, or
 run the randomized self-checks.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 failed
-self-check.  The ``DFL_SEED`` environment variable overrides the config
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime error,
+3 failed self-check.  The ``DFL_SEED`` environment variable overrides the config
 seed unless it is empty; a ``--seed`` flag overrides both.
 """
 
@@ -15,7 +15,7 @@ import sys
 import typing
 
 from .core import ConfigError, check_seed
-from .reporting import SWEEP_PARAMETERS, SweepSpec, make_output_dir, run_sweep, write_records
+from .reporting import SWEEP_PARAMETERS, make_output_dir, run_sweep, write_records
 from .simulation import CsvDataConfig, Engine, ExperimentConfig, SyntheticDataConfig
 from .verify import run_all
 
@@ -157,22 +157,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_values(parameter: str, text: str) -> tuple:
-    try:
-        return tuple(SWEEP_PARAMETERS[parameter](part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"--values: {exc}") from None
-
-
 def cmd_sweep(args) -> int:
     cfg, output = load_config(args.config, args.seed)
-    values = _parse_values(args.param, args.values)
-    try:
-        spec = SweepSpec(parameter=args.param, values=values, repeats=args.repeats)
-    except ValueError as exc:  # a check on --values or --repeats
-        raise ConfigError(str(exc)) from None
     out_dir = args.out or output or "sweep"
-    summary = run_sweep(cfg, spec, out_dir=out_dir, jobs=args.jobs, config_doc=config_to_dict(cfg))
+    values = [part for part in args.values.split(",") if part.strip() != ""]
+    summary = run_sweep(cfg, args.param, values, args.repeats, out_dir, args.jobs, config_to_dict(cfg))
     for value, gap, mtas, mtans in zip(
         summary["values"], summary["mean_gap"], summary["mean_mtas"], summary["mean_mtans"]
     ):
@@ -196,7 +185,11 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # here, not at the top: a run that only reads configs does not need it
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a bad flag exits 1 as a config error, not with argparse's 2
+            raise ConfigError(message)
+
+    parser = Parser(
         prog="dflsim",
         description="Decentralized federated learning simulator with selfish model-crafting attacks.",
     )
@@ -227,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; the only place that maps an error to an exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:  # also raised while a csv data file loads
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,20 +3,14 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import os
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ConfigError, RoleConfig, check_seed
-
-# sweep parameter -> the type of its values
-SWEEP_PARAMETERS = {
-    "lambda": float, "rho": float, "selfish_fraction": float, "epsilon": float, "interval": int, "num_clients": int,
-}
 
 
 @dataclass(frozen=True)
@@ -100,91 +94,97 @@ def read_records(path: str) -> list[ExperimentRecord]:
 # sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter, the values to try, and repeats per value."""
+def _selfish_attack_field(parameter: str, field: str, unread_under: str | None = None):
+    """The setter of attack field ``field``, which only the selfish attack reads, and not its
+    crafting against rule ``unread_under``: under any other, every value would run one experiment."""
 
-    parameter: str
-    values: tuple
-    repeats: int = 3
+    def apply(cfg, value):
+        if cfg.attack.kind != "selfish":
+            raise ValueError(f"attack.kind {cfg.attack.kind!r} never reads {parameter}, only 'selfish' does")
+        if cfg.rule.kind == unread_under:
+            raise ValueError(f"the selfish crafting against rule {unread_under!r} never reads {parameter}")
+        return replace(cfg, attack=replace(cfg.attack, **{field: value}))
 
-    def __post_init__(self) -> None:
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}, expected one of {tuple(SWEEP_PARAMETERS)}"
-            )
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+    return apply
 
 
-def apply_parameter(cfg, parameter: str, value):
-    """Return a copy of ``cfg`` with one swept parameter applied."""
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
-    value = SWEEP_PARAMETERS[parameter](value)
-    if parameter == "selfish_fraction" and not 0.0 < value < 1.0:  # NaN fails too
-        raise ValueError(f"selfish_fraction must lie in (0, 1), got {value}")
-    if parameter in ("lambda", "epsilon", "interval"):
-        field = "lam" if parameter == "lambda" else parameter
-        return dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, **{field: value}))
-    if parameter == "rho":
-        return dataclasses.replace(cfg, partition=dataclasses.replace(cfg.partition, rho=value))
-    # selfish_fraction keeps the client count, num_clients the selfish fraction
-    total = value if parameter == "num_clients" else cfg.roles.total
-    fraction = value if parameter == "selfish_fraction" else cfg.roles.m / cfg.roles.total
+def _set_roles(cfg, total: int, fraction: float):
+    if not 0.0 < fraction < 1.0:  # NaN fails too
+        raise ValueError(f"selfish_fraction must lie in (0, 1), got {fraction}")
     m = max(1, int(round(fraction * total)))
-    return dataclasses.replace(cfg, roles=RoleConfig(n=total - m, m=m))
+    return replace(cfg, roles=RoleConfig(n=total - m, m=m))
+
+
+# sweep parameter -> (the type of its values, the copy of a config with one value applied);
+# selfish_fraction keeps the client count, num_clients the selfish fraction
+SWEEP_PARAMETERS = {
+    "lambda": (float, _selfish_attack_field("lambda", "lam", unread_under="flame")),
+    "rho": (float, lambda cfg, value: replace(cfg, partition=replace(cfg.partition, rho=value))),
+    "selfish_fraction": (float, lambda cfg, value: _set_roles(cfg, cfg.roles.total, value)),
+    "epsilon": (float, _selfish_attack_field("epsilon", "epsilon")),
+    "interval": (int, _selfish_attack_field("interval", "interval")),
+    "num_clients": (int, lambda cfg, value: _set_roles(cfg, value, cfg.roles.m / cfg.roles.total)),
+}
 
 
 def _sweep_cell(args):
     from .simulation import run_experiment
 
     cfg, value, repeat = args
-    return value, repeat, run_experiment(dataclasses.replace(cfg, seed=cfg.seed + repeat))
+    return value, repeat, run_experiment(replace(cfg, seed=cfg.seed + repeat))
 
 
 def run_sweep(
     cfg,
-    spec: SweepSpec,
+    parameter: str,
+    values,
+    repeats: int = 3,
     out_dir: str | None = None,
     jobs: int = 1,
     config_doc: dict | None = None,
 ) -> dict:
-    """Run the sweep and return its summary.
+    """Sweep ``parameter`` of ``cfg`` over ``values`` and return the summary.
 
-    Every value is applied to ``cfg`` once, before any cell runs, and one
-    that gives an invalid config, is repeated, or gives the same config as
-    an earlier value, raises :class:`ConfigError`; so does an output file
-    that cannot be written.
-    Per value, ``spec.repeats`` experiments run with seeds ``cfg.seed + 0
-    .. cfg.seed + repeats - 1`` (a ConfigError if one reaches 2**64); the
+    Each value is converted to the parameter's type and applied to ``cfg``
+    once, before any cell runs; a ConfigError names the first bad argument.
+    Per value, ``repeats`` experiments run with seeds ``cfg.seed + 0 ..
+    cfg.seed + repeats - 1`` (a ConfigError if one reaches 2**64); the
     summary averages the final-round metrics over repeats.  With
     ``out_dir`` set, each cell's records land in
     ``<parameter>_<value>_rep<k>.csv`` as soon as the cell finishes.
     ``config_doc`` is echoed into the summary so results stay reproducible.
     """
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}, expected one of {tuple(SWEEP_PARAMETERS)}")
+    kind, apply = SWEEP_PARAMETERS[parameter]
+    try:
+        values = [kind(value) for value in values]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from None
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     configs = {}  # value -> its config; cells, their files and the summary are keyed by value
-    for value in spec.values:
+    for value in values:
         if value in configs:
             raise ConfigError(f"--values: {value} repeated")
         try:
-            config = apply_parameter(cfg, spec.parameter, value)
+            config = apply(cfg, value)
         except ValueError as exc:
-            raise ConfigError(f"--param {spec.parameter}={value}: {exc}") from None
+            raise ConfigError(f"--param {parameter}={value}: {exc}") from None
         same = [earlier for earlier, other in configs.items() if other == config]
         if same:
-            raise ConfigError(f"--values: {spec.parameter}={value} gives the same config as {same[0]}")
+            raise ConfigError(f"--values: {parameter}={value} gives the same config as {same[0]}")
         configs[value] = config
-    last = spec.repeats - 1  # the last repeat runs with the largest seed
-    check_seed(cfg.seed + last, f"--repeats {spec.repeats}: sweep seed seed + repeat = {cfg.seed} + {last}")
-    cells = {(v, k): f"{spec.parameter}_{v}_rep{k}.csv" for v in configs for k in range(spec.repeats)}  # cell -> its CSV
+    last = repeats - 1  # the last repeat runs with the largest seed
+    check_seed(cfg.seed + last, f"--repeats {repeats}: sweep seed seed + repeat = {cfg.seed} + {last}")
+    cells = {(v, k): f"{parameter}_{v}_rep{k}.csv" for v in configs for k in range(repeats)}  # cell -> its CSV
     if out_dir is not None:
         make_output_dir(out_dir, [*cells.values(), "sweep_summary.json"])
-    finals = {value: [None] * spec.repeats for value in spec.values}  # final record per repeat
+    finals = {value: [None] * repeats for value in values}  # final record per repeat
 
     def finish(value, repeat, records) -> None:
         finals[value][repeat] = records[-1]
@@ -206,11 +206,11 @@ def run_sweep(
             finish(*_sweep_cell(task))
 
     summary = {
-        "parameter": spec.parameter,
-        "values": list(spec.values),
-        "mean_gap": [float(np.mean([r.gap for r in finals[v]])) for v in spec.values],
-        "mean_mtas": [float(np.mean([r.mtas for r in finals[v]])) for v in spec.values],
-        "mean_mtans": [float(np.mean([r.mtans for r in finals[v]])) for v in spec.values],
+        "parameter": parameter,
+        "values": values,
+        "mean_gap": [float(np.mean([r.gap for r in finals[v]])) for v in values],
+        "mean_mtas": [float(np.mean([r.mtas for r in finals[v]])) for v in values],
+        "mean_mtans": [float(np.mean([r.mtans for r in finals[v]])) for v in values],
     }
     if config_doc is not None:
         summary["config"] = config_doc

@@ -506,7 +506,8 @@ def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule],
     ``reads`` (receiver ``i`` aggregates the senders in ``reads[i]`` every
     round), each receiver's rule and the attack's lambda.  Raises
     ValueError, naming the config path, when a rule cannot aggregate the
-    models its receivers read; every receiver of one role reads as many.
+    models its receivers read (every receiver of one role reads as many), or
+    when the defenders' trimmed mean trims other than the m the selfish crafting assumes.
     """
     roles, attack = cfg.roles, cfg.attack
     selfish = np.arange(roles.total) >= roles.n
@@ -533,6 +534,9 @@ def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule],
             raise ValueError(f"{path}.assumed_attackers = {rule.assumed_attackers}: {fault} krum needs N >= f + 3")
         if rule.kind == "fltrust" and cfg.trainer.learning_rate == 0.0:
             raise ValueError("trainer.learning_rate 0 keeps every model at zero, and fltrust needs a nonzero own model")
+    trim, m = rules[0].trim, roles.m  # rules[0] is the defenders' rule, which the selfish crafting reads
+    if attack.kind == "selfish" and rules[0].kind == "trimmed_mean" and trim != m:
+        raise ValueError(f"rule.trim = {trim}: the selfish attack crafts for a trim of m = {m}, so set {m} or null")
     return reads, rules, DEFAULT_LAMBDA.get(cfg.rule.kind, 0.0) if attack.lam is None else attack.lam
 
 

@@ -714,10 +714,61 @@ def test_sweep_rejects_fractions_that_give_the_same_roles_before_any_run(tmp_pat
     assert not out.exists()
 
 
-def test_sweep_unknown_param_rejected_by_parser(tmp_path):
+def test_sweep_unknown_param_rejected_by_parser(tmp_path, capsys):
     path = write_doc(tmp_path, tiny_doc())
-    with pytest.raises(SystemExit):
-        main(["sweep", path, "--param", "gamma", "--values", "1"])
+    out = tmp_path / "sweep"
+    assert main(["sweep", path, "--param", "gamma", "--values", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: argument --param: invalid choice: 'gamma' (choose from ")
+    assert not out.exists()
+
+
+def test_sweep_pins_the_message_of_a_value_that_does_not_convert(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", write_doc(tmp_path, tiny_doc()), "--param", "lambda", "--values", "0.5,x", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: --values: could not convert string to float: 'x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rule, attack, param, message", [
+    ("median", "gaussian", "lambda", "attack.kind 'gaussian' never reads lambda, only 'selfish' does"),
+    ("median", "none", "epsilon", "attack.kind 'none' never reads epsilon, only 'selfish' does"),
+    ("median", "trim", "interval", "attack.kind 'trim' never reads interval, only 'selfish' does"),
+    ("flame", "selfish", "lambda", "the selfish crafting against rule 'flame' never reads lambda"),
+], ids=["gaussian-lambda", "none-epsilon", "trim-interval", "flame-lambda"])
+def test_sweep_rejects_a_parameter_that_no_run_reads_before_any_run(tmp_path, monkeypatch, capsys,
+                                                                  rule, attack, param, message):
+    # every value would run the same experiment: the cells' CSVs would be byte-identical
+    monkeypatch.setattr(Engine, "run_round", lambda self: pytest.fail("a round ran"))
+    doc = json.loads((CONFIG_DIR / "quick_smoke.json").read_text())
+    doc["rule"], doc["attack"]["kind"] = {"kind": rule}, attack
+    out = tmp_path / "sweep"
+    code = main(["sweep", write_doc(tmp_path, doc), "--param", param, "--values", "3,4", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: --param {param}=3{'' if param == 'interval' else '.0'}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "{cfg}", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["run"], "the following arguments are required: config"),
+    (["sweep", "{cfg}", "--param", "lambda"], "the following arguments are required: --values"),
+    (["sweep", "{cfg}", "--param", "lambda", "--values", "1", "--repeats", "two"], "argument --repeats: invalid int"),
+    (["verify", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    (["verify", "--trails", "5"], "unrecognized arguments: --trails 5"),
+    ([], "the following arguments are required: command"),
+], ids=["seed", "no-config", "no-values", "repeats", "trials", "unknown-flag", "no-command"])
+def test_a_usage_error_exits_1_naming_the_flag(tmp_path, capsys, argv, flag):
+    cfg = write_doc(tmp_path, tiny_doc())
+    assert main([arg.format(cfg=cfg) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flag}")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--help"])
+    assert exit_.value.code == 0
+    assert "--param" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

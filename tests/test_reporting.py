@@ -11,14 +11,7 @@ from dflsim import simulation
 from dflsim.aggregation import AggregationRule
 from dflsim.cli import config_to_dict
 from dflsim.core import ConfigError, EmptyDataset, RoleConfig
-from dflsim.reporting import (
-    ExperimentRecord,
-    SweepSpec,
-    apply_parameter,
-    read_records,
-    run_sweep,
-    write_records,
-)
+from dflsim.reporting import SWEEP_PARAMETERS, ExperimentRecord, read_records, run_sweep, write_records
 from dflsim.simulation import (
     AttackConfig,
     ExperimentConfig,
@@ -102,14 +95,23 @@ def test_read_records_rejects_foreign_header(tmp_path):
 # sweeps
 # ---------------------------------------------------------------------------
 
-def test_sweep_spec_validation():
-    SweepSpec("lambda", (0.0, 0.5))
-    with pytest.raises(ValueError):
-        SweepSpec("gamma", (1.0,))
-    with pytest.raises(ValueError):
-        SweepSpec("lambda", ())
-    with pytest.raises(ValueError):
-        SweepSpec("lambda", (1.0,), repeats=0)
+def apply_parameter(cfg, parameter, value):
+    """Apply one value through its SWEEP_PARAMETERS table entry."""
+    return SWEEP_PARAMETERS[parameter][1](cfg, value)
+
+
+def test_run_sweep_rejects_bad_arguments_before_running(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    for parameter, values, repeats, message in [
+        ("gamma", [1.0], 1, r"unknown sweep parameter 'gamma', expected one of \('lambda', 'rho', "),
+        ("lambda", [], 1, r"sweep needs at least one value$"),
+        ("lambda", [1.0], 0, r"repeats must be >= 1, got 0$"),
+        ("lambda", ["0.5", "x"], 1, r"--values: could not convert string to float: 'x'$"),
+        ("interval", ["4", "4.5"], 1, r"--values: invalid literal for int\(\) with base 10: '4.5'$"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            run_sweep(tiny_config(), parameter, values, repeats, out_dir=str(tmp_path / "sweep"))
+        assert not (tmp_path / "sweep").exists()
 
 
 def test_apply_parameter_each_kind():
@@ -125,14 +127,13 @@ def test_apply_parameter_each_kind():
 
 
 def test_apply_parameter_rejects_broken_roles():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="violates"):  # 2 + 2 clients break n >= 2m + 1
         apply_parameter(tiny_config(), "selfish_fraction", 0.5)
 
 
 def test_run_sweep_summary_and_files(tmp_path):
     cfg = tiny_config()
-    spec = SweepSpec("lambda", (0.0, 0.5), repeats=2)
-    summary = run_sweep(cfg, spec, out_dir=str(tmp_path), config_doc={"seed": 5})
+    summary = run_sweep(cfg, "lambda", (0.0, 0.5), repeats=2, out_dir=str(tmp_path), config_doc={"seed": 5})
     assert summary["parameter"] == "lambda"
     assert summary["values"] == [0.0, 0.5]
     assert len(summary["mean_gap"]) == 2
@@ -146,8 +147,7 @@ def test_run_sweep_summary_and_files(tmp_path):
 
 def test_run_sweep_repeats_use_distinct_seeds(tmp_path):
     cfg = tiny_config()
-    spec = SweepSpec("lambda", (0.5,), repeats=2)
-    run_sweep(cfg, spec, out_dir=str(tmp_path))
+    run_sweep(cfg, "lambda", (0.5,), repeats=2, out_dir=str(tmp_path))
     a = (tmp_path / "lambda_0.5_rep0.csv").read_bytes()
     b = (tmp_path / "lambda_0.5_rep1.csv").read_bytes()
     assert a != b
@@ -155,18 +155,16 @@ def test_run_sweep_repeats_use_distinct_seeds(tmp_path):
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
     cfg = tiny_config()
-    spec = SweepSpec("lambda", (0.0, 0.5), repeats=1)
-    serial = run_sweep(cfg, spec)
-    parallel = run_sweep(cfg, spec, jobs=2)
+    serial = run_sweep(cfg, "lambda", (0.0, 0.5), repeats=1)
+    parallel = run_sweep(cfg, "lambda", (0.0, 0.5), repeats=1, jobs=2)
     assert serial == parallel
 
 
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_run_sweep_rejects_jobs_below_one_before_running(tmp_path, monkeypatch, jobs):
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
-    spec = SweepSpec("lambda", (0.5,), repeats=1)
     with pytest.raises(ConfigError, match=rf"^--jobs must be >= 1, got {jobs}$"):
-        run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"), jobs=jobs)
+        run_sweep(tiny_config(), "lambda", (0.5,), repeats=1, out_dir=str(tmp_path / "sweep"), jobs=jobs)
     assert not (tmp_path / "sweep").exists()
 
 
@@ -199,9 +197,8 @@ loaded = sorted(m for m in set(sys.modules) - preloaded if any(m == u or m.start
 assert not loaded, f"a run loaded {loaded}"
 
 tiny, _ = cli.load_config(sys.argv[2])
-spec = reporting.SweepSpec("lambda", (0.0, 0.5), repeats=1)
-serial = reporting.run_sweep(tiny, spec, out_dir=os.path.join(sys.argv[3], "serial"))
-parallel = reporting.run_sweep(tiny, spec, out_dir=os.path.join(sys.argv[3], "parallel"), jobs=2)
+serial = reporting.run_sweep(tiny, "lambda", (0.0, 0.5), 1, out_dir=os.path.join(sys.argv[3], "serial"))
+parallel = reporting.run_sweep(tiny, "lambda", (0.0, 0.5), 1, out_dir=os.path.join(sys.argv[3], "parallel"), jobs=2)
 assert serial == parallel
 assert "concurrent.futures.process" in sys.modules
 """
@@ -223,18 +220,16 @@ def test_a_fresh_run_loads_no_process_pool_and_a_sweep_still_uses_one(tmp_path):
 def test_run_sweep_validates_every_cell_before_running(tmp_path, monkeypatch):
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
     cfg = tiny_config(roles=RoleConfig(n=14, m=6))
-    spec = SweepSpec("selfish_fraction", (0.1, 0.5), repeats=1)
     with pytest.raises(ConfigError, match=r"--param selfish_fraction=0.5: .*violates"):
-        run_sweep(cfg, spec, out_dir=str(tmp_path / "sweep"))
+        run_sweep(cfg, "selfish_fraction", (0.1, 0.5), repeats=1, out_dir=str(tmp_path / "sweep"))
     assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize("rho", [1.5, 0.25, float("nan")])
 def test_run_sweep_rejects_rho_outside_its_range_before_running(tmp_path, monkeypatch, rho):
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
-    spec = SweepSpec("rho", (0.5, rho), repeats=1)
     with pytest.raises(ConfigError, match=rf"^--param rho={rho}: partition\.rho = {rho}: must lie in \[1/groups, 1\]"):
-        run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"))
+        run_sweep(tiny_config(), "rho", (0.5, rho), repeats=1, out_dir=str(tmp_path / "sweep"))
     assert not (tmp_path / "sweep").exists()
 
 
@@ -242,27 +237,24 @@ def test_run_sweep_rejects_rho_outside_its_range_before_running(tmp_path, monkey
 def test_run_sweep_rejects_a_selfish_fraction_outside_0_1_before_running(tmp_path, monkeypatch, fraction):
     # a fraction <= 0 must not round up to one selfish client
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
-    spec = SweepSpec("selfish_fraction", (0.25, fraction), repeats=1)
     message = rf"^--param selfish_fraction={fraction}: selfish_fraction must lie in \(0, 1\), got {fraction}$"
     with pytest.raises(ConfigError, match=message):
-        run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"))
+        run_sweep(tiny_config(), "selfish_fraction", (0.25, fraction), repeats=1, out_dir=str(tmp_path / "sweep"))
     assert not (tmp_path / "sweep").exists()
 
 
 def test_run_sweep_rejects_fewer_clients_than_partition_groups_before_running(tmp_path, monkeypatch):
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
     cfg = tiny_config(roles=RoleConfig(n=5, m=1), partition=PartitionConfig(rho=0.5, groups=5))
-    spec = SweepSpec("num_clients", (6, 4), repeats=1)
     with pytest.raises(ConfigError, match=r"^--param num_clients=4: partition\.groups = 5: cannot spread 5 groups over 4"):
-        run_sweep(cfg, spec, out_dir=str(tmp_path / "sweep"))
+        run_sweep(cfg, "num_clients", (6, 4), repeats=1, out_dir=str(tmp_path / "sweep"))
     assert not (tmp_path / "sweep").exists()
 
 
 def test_run_sweep_rejects_a_repeated_value_before_running(tmp_path, monkeypatch):
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
-    spec = SweepSpec("lambda", (0.0, 0.5, 0.5), repeats=1)
     with pytest.raises(ConfigError, match=r"^--values: 0.5 repeated$"):
-        run_sweep(tiny_config(), spec, out_dir=str(tmp_path / "sweep"))
+        run_sweep(tiny_config(), "lambda", (0.0, 0.5, 0.5), repeats=1, out_dir=str(tmp_path / "sweep"))
     assert not (tmp_path / "sweep").exists()
 
 
@@ -270,25 +262,22 @@ def test_run_sweep_rejects_a_value_that_repeats_an_earlier_config(tmp_path, monk
     monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
     cfg = tiny_config(roles=RoleConfig(n=19, m=1))
     assert apply_parameter(cfg, "selfish_fraction", 0.02) == apply_parameter(cfg, "selfish_fraction", 0.01)
-    spec = SweepSpec("selfish_fraction", (0.01, 0.25, 0.02), repeats=1)
     with pytest.raises(ConfigError, match=r"^--values: selfish_fraction=0.02 gives the same config as 0.01$"):
-        run_sweep(cfg, spec, out_dir=str(tmp_path / "sweep"))
+        run_sweep(cfg, "selfish_fraction", (0.01, 0.25, 0.02), repeats=1, out_dir=str(tmp_path / "sweep"))
     assert not (tmp_path / "sweep").exists()
 
 
 def test_run_sweep_applies_each_value_once(tmp_path, monkeypatch):
-    import dflsim.reporting as reporting
-
+    kind, apply = SWEEP_PARAMETERS["lambda"]
     calls = []
-    monkeypatch.setattr(reporting, "apply_parameter", lambda *args: calls.append(args) or apply_parameter(*args))
-    run_sweep(tiny_config(), SweepSpec("lambda", (0.0, 0.5), repeats=2))
-    assert [value for _, _, value in calls] == [0.0, 0.5]
+    monkeypatch.setitem(SWEEP_PARAMETERS, "lambda", (kind, lambda cfg, value: calls.append(value) or apply(cfg, value)))
+    run_sweep(tiny_config(), "lambda", (0.0, 0.5), repeats=2)
+    assert calls == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_sweep_writes_each_cell_as_it_finishes(tmp_path, jobs):
     # 80 examples leave some of 60 clients without a shard, which fails that cell when it starts
-    spec = SweepSpec("num_clients", (4, 60), repeats=1)
     with pytest.raises(EmptyDataset, match="has an empty shard"):
-        run_sweep(tiny_config(), spec, out_dir=str(tmp_path), jobs=jobs)
+        run_sweep(tiny_config(), "num_clients", (4, 60), repeats=1, out_dir=str(tmp_path), jobs=jobs)
     assert [p.name for p in tmp_path.iterdir()] == ["num_clients_4_rep0.csv"]

@@ -456,6 +456,19 @@ def test_rule_that_cannot_aggregate_what_its_receivers_read_is_rejected(kind, pa
         config(2, attack_kind)
 
 
+def test_selfish_attack_rejects_a_defenders_trim_other_than_m():
+    # the crafting trims m per side: against trim 1 of 7 + 2 clients, attacked receivers missed their optimum
+    roles = RoleConfig(n=7, m=2)
+    for trim in (0, 1, 3):
+        with pytest.raises(ValueError, match=rf"^rule\.trim = {trim}: the selfish attack crafts for a trim of m = 2, "):
+            small_config(roles=roles, rule=AggregationRule("trimmed_mean", trim), attack=AttackConfig(kind="selfish"))
+    for trim in (None, 2):
+        small_config(roles=roles, rule=AggregationRule("trimmed_mean", trim), attack=AttackConfig(kind="selfish"))
+    small_config(roles=roles, rule=AggregationRule("trimmed_mean", 1), attack=AttackConfig(kind="gaussian"))
+    # the crafting never reads the attackers' own rule
+    small_config(roles=roles, attack=AttackConfig(kind="selfish", selfish_rule=AggregationRule("trimmed_mean", 1)))
+
+
 @pytest.mark.parametrize("kind", [kind for kind in simulation.ATTACK_KINDS if kind != "selfish"])
 def test_selfish_only_needs_the_selfish_attack(kind):
     with pytest.raises(ValueError, match=rf"^attack\.info_mode 'selfish_only' needs attack\.kind 'selfish', got '{kind}'"):
