@@ -12,8 +12,8 @@ from .aggregation import (
     aggregate,
 )
 from .attack import (
-    AttackStartDetector,
     CoordinateBounds,
+    attack_start_round,
     craft_fedavg,
     craft_median,
     craft_shared_model,

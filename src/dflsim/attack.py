@@ -16,7 +16,7 @@ coordinate-wise median and trimmed mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -251,53 +251,31 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
 
 
 # ---------------------------------------------------------------------------
-# attack-start detection
+# attack start
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AttackStartDetector:
-    """Detects the training plateau at which crafting should begin.
+def check_plateau(epsilon: float, interval: int) -> None:
+    if not (0.0 < epsilon < 1.0):  # NaN fails too
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if interval < 1:
+        raise ValueError(f"interval must be >= 1, got {interval}")
 
-    Tracks the running minimum of the coalition's mean training loss; once
-    the drop over the last ``interval`` rounds is positive but below
-    ``epsilon`` times the largest drop seen so far, ``started`` latches True.
-    Rounds must be fed consecutively; the detector is an immutable value and
-    ``update`` returns the successor state.
-    """
 
-    epsilon: float = 0.1
-    interval: int = 50
-    best_loss_history: tuple[float, ...] = ()
-    max_gap: float = 0.0
-    started: bool = False
-    last_round: int | None = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-
-    def update(self, mean_selfish_loss: float, round_t: int) -> "AttackStartDetector":
-        if self.last_round is not None and round_t != self.last_round + 1:
-            raise ValueError(f"rounds must advance by one, got {round_t} after {self.last_round}")
-        previous_best = self.best_loss_history[-1] if self.best_loss_history else np.inf
-        best = min(previous_best, float(mean_selfish_loss))
-        history = self.best_loss_history + (best,)
-        max_gap = self.max_gap
-        started = self.started
-        if not started and len(history) > self.interval:
-            gap = history[-1 - self.interval] - history[-1]
-            max_gap = max(max_gap, gap)
-            if 0.0 < gap < self.epsilon * max_gap:
-                started = True
-        return replace(
-            self,
-            best_loss_history=history,
-            max_gap=max_gap,
-            started=started,
-            last_round=round_t,
-        )
+def attack_start_round(losses: Sequence[float], epsilon: float, interval: int) -> int | None:
+    """The round at which crafting begins, from the coalition's mean training
+    loss of rounds 1, 2, ...: the first round t > ``interval`` at which the
+    running minimum of the losses fell over the last ``interval`` rounds by a
+    gap that is positive but below ``epsilon`` times the largest such gap up
+    to t, or None.  Losses after that round never change it."""
+    check_plateau(epsilon, interval)
+    losses = np.asarray(losses, dtype=np.float64)
+    finite = np.isfinite(losses)
+    if not finite.all():
+        raise ValueError(f"round {finite.argmin() + 1}: loss {losses[finite.argmin()]} is not finite")
+    best = np.minimum.accumulate(losses)
+    gaps = best[:-interval] - best[interval:]  # gaps[j] closes round j + interval + 1
+    hits = np.flatnonzero((gaps > 0.0) & (gaps < epsilon * np.maximum.accumulate(gaps)))
+    return int(hits[0]) + interval + 1 if hits.size else None
 
 
 # ---------------------------------------------------------------------------

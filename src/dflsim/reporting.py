@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import typing
 from dataclasses import dataclass, replace
@@ -127,6 +128,15 @@ SWEEP_PARAMETERS = {
 }
 
 
+def _convert(kind, value):
+    """A sweep value as its parameter's type ``kind``: a string (the CLI's) is
+    parsed, and a number must be one already, not a bool or a fraction for int."""
+    converted = kind(value)
+    if isinstance(value, bool) or (kind is int and not isinstance(value, str) and converted != value):
+        raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
+    return converted
+
+
 def _sweep_cell(args):
     from .simulation import run_experiment
 
@@ -158,11 +168,14 @@ def run_sweep(
         raise ConfigError(f"unknown sweep parameter {parameter!r}, expected one of {tuple(SWEEP_PARAMETERS)}")
     kind, apply = SWEEP_PARAMETERS[parameter]
     try:
-        values = [kind(value) for value in values]
-    except ValueError as exc:
+        values = [_convert(kind, value) for value in values]
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"--values: {exc}") from None
     if not values:
         raise ConfigError("sweep needs at least one value")
+    for flag, count in (("--repeats", repeats), ("--jobs", jobs)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ConfigError(f"{flag} must be an integer, got {count!r}")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if jobs < 1:

@@ -3,7 +3,7 @@
 A round has three steps: every client trains locally on its own shard,
 clients exchange shared models, and every client aggregates what it received
 with its own rule.  Selfish clients send their true models to each other and
-— once their plateau detector fires — crafted models to everyone else.
+— once co-training plateaus — crafted models to everyone else.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import AggregationRule, aggregate
-from .attack import AttackStartDetector, check_offset, craft_shared_model
+from .attack import attack_start_round, check_offset, check_plateau, craft_shared_model
 from .baselines import (
     GAUSSIAN_SIGMA,
     TRIM_ATTACK_DELTA_HI,
@@ -427,7 +427,7 @@ class AttackConfig:
         if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be a finite value >= 0, got {self.lam}")
         check_offset(self.b)
-        AttackStartDetector(self.epsilon, self.interval)  # checks both
+        check_plateau(self.epsilon, self.interval)
         check_sigma(self.sigma)
         check_deltas(self.delta_lo, self.delta_hi)
         if self.info_mode not in ("all", "selfish_only"):
@@ -462,31 +462,33 @@ class ExperimentConfig:
 # round engine
 # ---------------------------------------------------------------------------
 
-def _craft_selfish(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray | None:
-    if not eng.detector.started:
-        return None
+def _craft_selfish(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> np.ndarray | None:
+    attack = eng.cfg.attack
+    if not (eng.records and eng.records[-1].attack_started):  # a start round, once returned, stays
+        if attack_start_round([r.mean_selfish_loss for r in eng.records] + [loss], attack.epsilon, attack.interval) is None:
+            return None
     # the receivers are the non-selfish clients, whose models are the benign shares
     benign = pre_agg[: eng.roles.n]
-    return craft_shared_model(eng.rules[0], benign, benign, eng.roles.m, eng.lam, eng.cfg.attack.b)
+    return craft_shared_model(eng.rules[0], benign, benign, eng.roles.m, eng.lam, attack.b)
 
 
-def _craft_gaussian(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
+def _craft_gaussian(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> np.ndarray:
     attack, roles = eng.cfg.attack, eng.roles
     gens = eng.rng.reset(eng.gens[: roles.n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
     return craft_gaussian(pre_agg.shape[1], roles.m, gens, attack.sigma)
 
 
-def _craft_trim(eng: "Engine", t: int, pre_agg: np.ndarray) -> np.ndarray:
+def _craft_trim(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> np.ndarray:
     # eng.models still holds every receiver's aggregate of the previous round
     attack, n = eng.cfg.attack, eng.roles.n
     gens = eng.rng.reset(eng.gens[:n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
     return craft_directed_deviation(pre_agg[:n], eng.models[:n], eng.roles.m, gens, attack.delta_lo, attack.delta_hi)
 
 
-# attack kind -> (crafter of the (n, m, d) shares the selfish senders send to
-# each non-selfish receiver in a round (None while nothing is crafted), or None
-# for kinds that exchange true models only; read mask, from the (N,) selfish
-# flags, of a baseline whose clients all aggregate with fedavg, or None when
+# attack kind -> (crafter, from the engine, round, trained models and mean selfish loss, of the
+# (n, m, d) shares the selfish senders send to each non-selfish receiver in a round (None while
+# nothing is crafted), or None for kinds that exchange true models only; read mask, from the
+# (N,) selfish flags, of a baseline whose clients all aggregate with fedavg, or None when
 # everyone reads everyone)
 ATTACKS = {
     "none": (None, None),
@@ -543,11 +545,12 @@ def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule],
 class Engine:
     """Drives one experiment round by round.
 
-    The state of a round is the (N, d) matrix of client models.  Who reads
-    whom is fixed for the whole run by ``read_plan``: receiver ``i``
-    aggregates the models of the senders in ``reads[i]`` with ``rules[i]``,
-    after the shares crafted for it replace the selfish senders' models.  Each of ``groups`` (one
-    rule, read mask and role) aggregates in one call a round.
+    Only the (N, d) client ``models`` and the ``records`` carry over from
+    round to round; the round number and the attack start derive from the
+    records.  Who reads whom is fixed for the whole run by ``read_plan``:
+    receiver ``i`` aggregates the models of the senders in ``reads[i]`` with
+    ``rules[i]``, after the shares crafted for it replace the selfish senders'
+    models.  Each of ``groups`` (one rule, read mask and role) aggregates in one call a round.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -565,15 +568,11 @@ class Engine:
         # stream: a round's training draws all end before its crafting draws start
         self.gens = [np.random.Generator(np.random.Philox(0)) for _ in range(roles.total)]
         self.crafter = ATTACKS[cfg.attack.kind][0]
-        self.detector: AttackStartDetector | None = (
-            AttackStartDetector(cfg.attack.epsilon, cfg.attack.interval) if cfg.attack.kind == "selfish" else None
-        )
         self.reads, self.rules, self.lam = read_plan(cfg)
         # receivers of one rule and read mask aggregate in one call; shares are
         # crafted for non-selfish receivers only, so no group holds both roles
         keys = [(rule, reads.tobytes(), i < roles.n) for i, (rule, reads) in enumerate(zip(self.rules, self.reads))]
         self.groups = [[i for i, key in enumerate(keys) if key == group] for group in dict.fromkeys(keys)]
-        self.round = 0
         self.records: list[ExperimentRecord] = []
 
     def _build_datasets(self) -> tuple[Dataset, Dataset]:
@@ -595,8 +594,7 @@ class Engine:
         Returns the (N, d) models after local training and the (n, m, d)
         crafted shares, or None when nothing was crafted this round.
         """
-        self.round += 1
-        t = self.round
+        t = len(self.records) + 1
         roles = self.roles
 
         # --- step I: local training -------------------------------------
@@ -611,11 +609,9 @@ class Engine:
                 f"(loss {losses[cid]}, ceiling {ceiling:.4g}: a loss above it, or a non-finite loss or model)"
             )
         mean_selfish_loss = float(np.mean(losses[roles.n:]))
-        if self.detector is not None:
-            self.detector = self.detector.update(mean_selfish_loss, t)
 
         # --- step II: crafting ---------------------------------------------
-        crafted = self.crafter(self, t, pre_agg) if self.crafter is not None else None
+        crafted = self.crafter(self, t, pre_agg, mean_selfish_loss) if self.crafter is not None else None
 
         # --- step III: aggregation, one call per group --------------------
         held = ([], []), ([], [])  # non-selfish, selfish: (distinct aggregates, receivers holding each)

@@ -223,3 +223,18 @@ def directed_deviation_of(benign_shares, prev_aggregate, m: int, gen, delta_lo: 
     below = q_min - u * scale_min
     above = q_max + u * scale_max
     return np.where(rising, below, above)
+
+
+def attack_start_of(losses, epsilon: float, interval: int):
+    """First round (from 1) at which the plateau rule fires, fed one loss a
+    round: the running minimum's drop over the last ``interval`` rounds is
+    positive but below ``epsilon`` times the largest such drop so far."""
+    history, max_gap = [], 0.0
+    for t, loss in enumerate(losses, start=1):
+        history.append(min(history[-1], float(loss)) if history else float(loss))
+        if len(history) > interval:
+            gap = history[-1 - interval] - history[-1]
+            max_gap = max(max_gap, gap)
+            if 0.0 < gap < epsilon * max_gap:
+                return t
+    return None

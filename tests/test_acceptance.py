@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from dflsim.aggregation import AggregationRule
-from dflsim.attack import AttackStartDetector
+from dflsim.attack import attack_start_round
 from dflsim.cli import main
 from dflsim.reporting import ExperimentRecord
 from dflsim.simulation import (
@@ -198,14 +198,9 @@ def test_criterion_10_detector_fires_at_hand_computed_round():
     # losses 10,9,...,1 over rounds 1-10 (window gap 2.0 throughout), then a
     # plateau losing 0.01/round; with interval=2 and epsilon=0.1 the first
     # round with 0 < gap < 0.1 * max_gap is round 12 (gap 0.02 < 0.2).
-    detector = AttackStartDetector(epsilon=0.1, interval=2)
-    fired_at = None
-    for t in range(1, 16):
-        loss = float(11 - t) if t <= 10 else 1.0 - 0.01 * (t - 10)
-        detector = detector.update(loss, t)
-        if detector.started and fired_at is None:
-            fired_at = t
-    ok = fired_at == 12 and detector.started
+    losses = [float(11 - t) if t <= 10 else 1.0 - 0.01 * (t - 10) for t in range(1, 16)]
+    fired_at = attack_start_round(losses, epsilon=0.1, interval=2)
+    ok = fired_at == 12 and attack_start_round(losses[:11], epsilon=0.1, interval=2) is None
     _report(10, "attack start flips exactly at the first round inside the loss-plateau window",
             ok, f"fired at round {fired_at}, expected 12")
 

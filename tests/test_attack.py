@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +9,8 @@ from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median, agg_trim
 from dflsim.attack import (
     FLAME_ALPHA,
     FLAME_BETA,
-    AttackStartDetector,
     CoordinateBounds,
+    attack_start_round,
     craft_fedavg,
     craft_median,
     craft_shared_model,
@@ -21,6 +23,7 @@ from dflsim.attack import (
 from dflsim.simulation import AttackConfig, ExperimentConfig, read_plan
 
 from oracles import (
+    attack_start_of,
     brute_median_interval,
     brute_trimmed_interval,
     craft_flame_of,
@@ -370,62 +373,85 @@ def test_craft_flame_degenerate_denominator():
 
 
 # ---------------------------------------------------------------------------
-# attack-start detector
+# attack start
 # ---------------------------------------------------------------------------
 
-def _feed(det, losses, start_round=1):
-    for offset, loss in enumerate(losses):
-        det = det.update(loss, start_round + offset)
-    return det
+def _first_rounds(losses, epsilon, interval):
+    """The start round returned for every prefix of ``losses``."""
+    return [attack_start_round(losses[:t], epsilon, interval) for t in range(len(losses) + 1)]
 
 
 def test_detector_fires_at_plateau():
-    det = AttackStartDetector(epsilon=0.1, interval=2)
     losses = [10.0 - t for t in range(10)] + [0.99, 0.98, 0.97]
-    fired_at = None
-    for t, loss in enumerate(losses, start=1):
-        det = det.update(loss, t)
-        if det.started and fired_at is None:
-            fired_at = t
-    assert fired_at == 12
+    assert _first_rounds(losses, 0.1, 2) == [None] * 12 + [12, 12]
 
 
 def test_detector_never_fires_on_constant_decrease():
-    det = _feed(AttackStartDetector(epsilon=0.1, interval=2), [10.0 - 0.5 * t for t in range(40)])
-    assert not det.started
+    assert attack_start_round([10.0 - 0.5 * t for t in range(40)], 0.1, 2) is None
 
 
 def test_detector_ignores_exact_plateau():
     # a hard plateau gives a zero gap, which must not count as "slowed down"
-    det = _feed(AttackStartDetector(epsilon=0.5, interval=2), [5.0, 4.0, 3.0] + [3.0] * 20)
-    assert not det.started
+    assert attack_start_round([5.0, 4.0, 3.0] + [3.0] * 20, 0.5, 2) is None
 
 
 def test_detector_latches_once_started():
-    det = AttackStartDetector(epsilon=0.1, interval=2)
     losses = [10.0 - t for t in range(10)] + [0.99, 0.98]
-    det = _feed(det, losses)
-    assert det.started
-    det = det.update(500.0, len(losses) + 1)  # loss spike must not reset it
-    assert det.started
+    assert attack_start_round(losses, 0.1, 2) == 12
+    # a loss spike, or a later fall, never moves the start round
+    assert attack_start_round(losses + [500.0], 0.1, 2) == 12
+    assert attack_start_round(losses + [500.0, -100.0, 0.5], 0.1, 2) == 12
 
 
 def test_detector_history_is_running_minimum():
-    det = _feed(AttackStartDetector(interval=3), [5.0, 7.0, 4.0, 6.0])
-    assert det.best_loss_history == (5.0, 5.0, 4.0, 4.0)
-
-
-def test_detector_requires_consecutive_rounds():
-    det = AttackStartDetector(interval=2).update(1.0, 1)
-    with pytest.raises(ValueError, match=r"^rounds must advance by one, got 1 after 1$"):
-        det.update(0.9, 1)
-    with pytest.raises(ValueError, match=r"^rounds must advance by one, got 3 after 1$"):
-        det.update(0.9, 3)
+    # the gaps are those of the running minimum 10, 8, 8, 7.9: the spike to 9
+    # is no drop, and round 4's gap 0.1 < 0.5 * 2.0 fires (the raw losses' would be 1.1)
+    assert _first_rounds([10.0, 8.0, 9.0, 7.9], 0.5, 1) == [None] * 4 + [4]
 
 
 def test_detector_waits_for_full_window():
-    det = _feed(AttackStartDetector(epsilon=0.9, interval=10), [1.0, 0.999, 0.998])
-    assert not det.started and det.max_gap == 0.0
+    assert attack_start_round([1.0, 0.999, 0.998], 0.9, 10) is None
+    assert attack_start_round([], 0.9, 1) is None
+
+
+@pytest.mark.parametrize("epsilon, interval, message", [
+    (0.0, 2, "epsilon must lie in (0, 1), got 0.0"),
+    (1.0, 2, "epsilon must lie in (0, 1), got 1.0"),
+    (float("nan"), 2, "epsilon must lie in (0, 1), got nan"),
+    (0.5, 0, "interval must be >= 1, got 0"),
+])
+def test_attack_start_checks_its_settings(epsilon, interval, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        attack_start_round([1.0, 0.5], epsilon, interval)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AttackConfig(epsilon=epsilon, interval=interval)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_attack_start_rejects_a_non_finite_loss(bad):
+    with pytest.raises(ValueError, match=rf"^round 3: loss {bad} is not finite$"):
+        attack_start_round([3.0, 2.0, bad, 1.0], 0.5, 1)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    losses=st.one_of(
+        # falls of 0-4 (plateaus and exact ties) between rises, or any finite floats
+        st.lists(st.integers(0, 4) | st.integers(-20, -1), max_size=30).map(lambda falls: list(100.0 - np.cumsum(falls))),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=30),
+    ),
+    epsilon=st.sampled_from([0.25, 0.5]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    interval=st.integers(1, 4) | st.integers(5, 35),
+)
+@example(losses=[4.0, 2.0, 1.0], epsilon=0.5, interval=1)  # a gap of exactly epsilon times the largest
+def test_attack_start_matches_the_incremental_rule_on_every_prefix(losses, epsilon, interval):
+    """Ties, plateaus, spikes and windows longer than the trace: the start
+    round of every prefix is the plain loop's, and a round once returned
+    stays for every longer prefix."""
+    rounds = _first_rounds(losses, epsilon, interval)
+    assert rounds == [attack_start_of(losses[:t], epsilon, interval) for t in range(len(losses) + 1)]
+    started = [r for r in rounds if r is not None]
+    assert len(set(started)) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,14 @@ OPTIMUM_TERMS = {
     "trimmed_mean": (trimmed_mean_bounds, trimmed_mean_of),
 }
 # the selfish cells whose rule has a closed-form crafting: (rule, roles, lambda)
-OPTIMUM_CELLS = [(rule, roles, lam) for cells, roles, lam in MATRICES.values() for rule, attack, info_mode in cells
+OPTIMUM_CELLS = [pytest.param(rule, roles, lam, id=f"{rule}-{roles.n}+{roles.m}")
+                 for cells, roles, lam in MATRICES.values() for rule, attack, info_mode in cells
                  if rule in OPTIMUM_TERMS and (attack, info_mode) == ("selfish", "all")]
+# and off the matrix, with no digests: 11+3 at lambda 0, where many median and
+# trimmed-mean targets are interior, and at lambda 2, the only cells where the
+# concave objective's far-endpoint rule runs (fedavg at lambda 0 is its matrix cell)
+OPTIMUM_CELLS += [pytest.param(rule, RoleConfig(n=11, m=3), lam, id=f"{rule}-11+3-lam{lam:g}")
+                  for lam in (0.0, 2.0) for rule in OPTIMUM_TERMS if (rule, lam) != ("fedavg", 0.0)]
 # the kernel each writer child forces -> the core numpy's OpenBLAS then
 # reports.  numpy 2.4.6's OpenBLAS reports its Prescott (SSE3) kernels as
 # 'Katmai'; forced to Zen it reports 'Haswell', to Cooperlake or
@@ -164,9 +170,7 @@ def test_every_matrix_csv_reads_back(tmp_path):
     assert not unread, f"{len(unread)} of {len(MATRIX_CELLS)} CSVs do not read back; first: {unread[0]}"
 
 
-@pytest.mark.parametrize(
-    "rule, roles, lam", OPTIMUM_CELLS, ids=[f"{rule}-{roles.n}+{roles.m}" for rule, roles, _ in OPTIMUM_CELLS]
-)
+@pytest.mark.parametrize("rule, roles, lam", OPTIMUM_CELLS)
 def test_crafted_aggregates_sit_on_the_optimum(rule, roles, lam):
     """On every crafted round each attacked receiver's aggregate equals, per
     coordinate, the optimum of (x - w)^2 - lam * (x - w_benign)^2 over the

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dflsim import simulation
@@ -112,6 +113,33 @@ def test_run_sweep_rejects_bad_arguments_before_running(tmp_path, monkeypatch):
         with pytest.raises(ConfigError, match=f"^{message}"):
             run_sweep(tiny_config(), parameter, values, repeats, out_dir=str(tmp_path / "sweep"))
         assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("parameter, values, repeats, jobs, message", [
+    ("interval", [4.7, 9.2], 1, 1, "--values: 4.7 is not an integer"),
+    ("interval", [True, 3], 1, 1, "--values: True is not an integer"),
+    ("lambda", [0.5, False], 1, 1, "--values: False is not a number"),
+    ("interval", [float("inf")], 1, 1, "--values: cannot convert float infinity to integer"),
+    ("interval", [None], 1, 1, "--values: int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
+    ("lambda", [0.5], 2.5, 1, "--repeats must be an integer, got 2.5"),
+    ("lambda", [0.5], True, 1, "--repeats must be an integer, got True"),
+    ("lambda", [0.5], 1, 1.5, "--jobs must be an integer, got 1.5"),
+], ids=["fraction", "bool-int", "bool-float", "inf", "none", "repeats-fraction", "repeats-bool", "jobs-fraction"])
+def test_run_sweep_rejects_library_values_no_cli_string_gives(tmp_path, monkeypatch, parameter, values, repeats, jobs, message):
+    """Numbers a library caller passes are checked, not truncated: each of
+    these used to run cells (4.7 as 4, True as 1) or raise a bare TypeError
+    or OverflowError."""
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: pytest.fail("a cell ran"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_sweep(tiny_config(), parameter, values, repeats, out_dir=str(tmp_path / "sweep"), jobs=jobs)
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_run_sweep_takes_whole_numbers_of_any_numeric_type(monkeypatch):
+    ran = []
+    monkeypatch.setattr(simulation, "run_experiment", lambda cfg: ran.append(cfg.attack.interval) or sample_records())
+    summary = run_sweep(tiny_config(), "interval", [np.int64(4), 9.0], np.int64(1))
+    assert ran == [4, 9] and summary["values"] == [4, 9]
 
 
 def test_apply_parameter_each_kind():

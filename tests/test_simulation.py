@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dflsim import simulation
 from dflsim.aggregation import RULE_KINDS, AggregationRule, agg_fedavg, agg_median
+from dflsim.attack import attack_start_round
 from dflsim.cli import load_config
 from dflsim.core import STREAM_DATA, STREAM_TEST, ConfigError, EmptyDataset, NumericalDivergence, RoleConfig, Rng
 from dflsim.simulation import (
@@ -52,6 +53,11 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def start_the_attack(monkeypatch):
+    """Make the selfish attack start at round 1, whatever the losses."""
+    monkeypatch.setattr(simulation, "attack_start_round", lambda losses, epsilon, interval: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +368,12 @@ def test_no_attack_reaches_exact_consensus():
         assert eng.records[-1].gap == 0.0
 
 
-def test_selfish_shares_honest_among_coalition_crafted_to_others():
+def test_selfish_shares_honest_among_coalition_crafted_to_others(monkeypatch):
     eng = Engine(small_config(
         roles=RoleConfig(n=6, m=2),
         attack=AttackConfig(kind="selfish", lam=0.5),
     ))
-    eng.detector = dataclasses.replace(eng.detector, started=True)
+    start_the_attack(monkeypatch)
     pre_agg, crafted = eng.run_round()
     roles = eng.roles
     assert crafted.shape == (roles.n, roles.m, pre_agg.shape[1])
@@ -381,12 +387,12 @@ def test_selfish_shares_honest_among_coalition_crafted_to_others():
         assert np.array_equal(eng.models[receiver], agg_median(pre_agg))
 
 
-def test_selfish_attack_steers_receiver_to_per_coordinate_optimum():
+def test_selfish_attack_steers_receiver_to_per_coordinate_optimum(monkeypatch):
     eng = Engine(small_config(
         roles=RoleConfig(n=6, m=2),
         attack=AttackConfig(kind="selfish", lam=0.5),
     ))
-    eng.detector = dataclasses.replace(eng.detector, started=True)
+    start_the_attack(monkeypatch)
     pre_agg, _ = eng.run_round()
     roles = eng.roles
     benign = pre_agg[: roles.n]
@@ -411,6 +417,14 @@ def test_attack_waits_for_detector():
     assert crafted is None  # nothing crafted before the plateau
     for model in eng.models:  # every client read every true model
         assert np.array_equal(model, agg_median(pre_agg))
+
+
+def test_attack_starts_at_the_round_its_recorded_losses_give():
+    cfg = small_config(attack=AttackConfig(kind="selfish", lam=0.5, interval=3, epsilon=0.3), rounds=12)
+    records = run_experiment(cfg)
+    start = attack_start_round([rec.mean_selfish_loss for rec in records], 0.3, 3)
+    assert start == 7  # inside the run, after the first full window
+    assert [rec.attack_started for rec in records] == [rec.round >= start for rec in records]
 
 
 def test_selfish_only_info_mode():
@@ -513,9 +527,9 @@ def test_a_config_runs_its_read_plan_or_is_rejected_naming_a_config_path(
         assert re.match(r"[a-z_]+(\.[a-z_]+)+ ", str(exc)), str(exc)
         return
     eng = Engine(cfg)
-    if kind == "selfish":
-        eng.detector = dataclasses.replace(eng.detector, started=True)
-    _, crafted = eng.run_round()
+    with pytest.MonkeyPatch.context() as patch:
+        start_the_attack(patch)  # only the selfish crafter asks
+        _, crafted = eng.run_round()
     assert (crafted is not None) == (kind in ("selfish", "gaussian", "trim"))
 
 
@@ -593,7 +607,7 @@ def test_receivers_reading_the_same_input_aggregate_it_once(monkeypatch, rule, k
     (k, d) input."""
     eng = Engine(small_config(roles=RoleConfig(n=7, m=2), rule=AggregationRule(rule), attack=AttackConfig(kind=kind)))
     if started:
-        eng.detector = dataclasses.replace(eng.detector, started=True)
+        start_the_attack(monkeypatch)
     seen = []
     aggregate = simulation.aggregate
 
@@ -612,7 +626,7 @@ def test_receivers_reading_the_same_input_aggregate_it_once(monkeypatch, rule, k
 def test_receivers_sharing_an_aggregate_share_its_evaluation(monkeypatch, kind, started, evaluations):
     eng = Engine(small_config(roles=RoleConfig(n=7, m=2), attack=AttackConfig(kind=kind)))
     if started:
-        eng.detector = dataclasses.replace(eng.detector, started=True)
+        start_the_attack(monkeypatch)
     seen = []
 
     def counting_correct_count(model, data):
@@ -670,7 +684,7 @@ def test_rounds_build_no_per_client_stream(monkeypatch, kind):
     # each round re-keys the engine's own generators; Rng.stream serves set-up only
     eng = Engine(small_config(attack=AttackConfig(kind=kind)))
     if kind == "selfish":
-        eng.detector = dataclasses.replace(eng.detector, started=True)
+        start_the_attack(monkeypatch)
     stream, calls = Rng.stream, []
     monkeypatch.setattr(Rng, "stream", lambda self, *path: calls.append(path) or stream(self, *path))
     crafted = [eng.run_round()[1] is not None for _ in range(3)]
