@@ -115,7 +115,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cosines(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
     """Cosine similarities from :func:`_row_dots` dots and ``sqrt`` of
     :func:`_row_dots` norms, 0 where either norm is 0.  Equal bit for bit to
-    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))`` per pair."""
+    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))`` per pair at
+    equal operand alignment (OpenBLAS's Prescott kernels round by it)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = dots / (norms_a * norms_b)
     return np.where((norms_a != 0.0) & (norms_b != 0.0), cos, 0.0)

@@ -356,19 +356,14 @@ def correct_count(model: np.ndarray, data: Dataset) -> int:
     return int(np.count_nonzero(predict(model, data.features, data.num_classes) == data.labels))
 
 
-def group_accuracy(models, data: Dataset, counts=None) -> float:
-    """Mean accuracy of a group on a shared test set.
-
-    ``counts[j]`` clients of the group hold ``models[j]`` (one each when
-    omitted), so a model the group shares is evaluated once.  Computed as
-    total correct over total predictions, so identical models give identical
-    group means regardless of group size.
-    """
+def group_accuracy(models, data: Dataset) -> float:
+    """Mean accuracy of a group on a shared test set: total correct over
+    total predictions, so identical models give identical group means
+    regardless of group size."""
     models = list(models)
     if not models:
         raise ValueError("cannot average accuracy over an empty group")
-    counts = [1] * len(models) if counts is None else list(counts)
-    return sum(c * correct_count(model, data) for model, c in zip(models, counts)) / (sum(counts) * data.size)
+    return sum(correct_count(model, data) for model in models) / (len(models) * data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +464,7 @@ def _craft_selfish(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> n
             return None
     # the receivers are the non-selfish clients, whose models are the benign shares
     benign = pre_agg[: eng.roles.n]
-    return craft_shared_model(eng.rules[0], benign, benign, eng.roles.m, eng.lam, attack.b)
+    return craft_shared_model(eng.groups[0][2], benign, benign, eng.roles.m, eng.lam, attack.b)
 
 
 def _craft_gaussian(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> np.ndarray:
@@ -487,48 +482,48 @@ def _craft_trim(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> np.n
 
 # attack kind -> (crafter, from the engine, round, trained models and mean selfish loss, of the
 # (n, m, d) shares the selfish senders send to each non-selfish receiver in a round (None while
-# nothing is crafted), or None for kinds that exchange true models only; read mask, from the
-# (N,) selfish flags, of a baseline whose clients all aggregate with fedavg, or None when
-# everyone reads everyone)
+# nothing is crafted), or None for kinds that exchange true models only; senders, from the
+# non-selfish and the selfish ids, of each role of a baseline whose clients all aggregate with
+# fedavg (None: each client reads only its own model), or None when everyone reads everyone)
 ATTACKS = {
     "none": (None, None),
     "selfish": (_craft_selfish, None),
     "gaussian": (_craft_gaussian, None),
     "trim": (_craft_trim, None),
-    "independent": (None, lambda selfish: np.eye(selfish.size, dtype=bool)),
-    "two_coalitions": (None, lambda selfish: selfish[:, None] == selfish),
+    "independent": (None, lambda benign, selfish: (None, None)),
+    "two_coalitions": (None, lambda benign, selfish: (benign, selfish)),
 }
 ATTACK_KINDS = tuple(ATTACKS)
 DEFAULT_LAMBDA = {"median": 0.5, "trimmed_mean": 1.0}  # the defenders' rule -> lambda when null; 0 for any other
 DIVERGENCE_LOSS_FACTOR = 1e6  # a run stops at a mean batch loss above this times ln C, the zero model's loss
 
 
-def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule], float]:
-    """What a run makes of ``cfg``, its null fields resolved: the (N, N) mask
-    ``reads`` (receiver ``i`` aggregates the senders in ``reads[i]`` every
-    round), each receiver's rule and the attack's lambda.  Raises
-    ValueError, naming the config path, when a rule cannot aggregate the
-    models its receivers read (every receiver of one role reads as many), or
-    when the defenders' trimmed mean trims other than the m the selfish crafting assumes.
+def read_plan(cfg: ExperimentConfig) -> tuple[tuple, float]:
+    """What a run makes of ``cfg``, its null fields resolved: the receiver
+    ``groups``, non-selfish then selfish, each ``(members, senders, rule)``
+    (every member aggregates the models of the ``senders`` ids with ``rule``
+    every round, or keeps its own model when ``senders`` is None), and the
+    attack's lambda.  Raises ValueError, naming the config path, when a rule
+    cannot aggregate the models its receivers read, or when the defenders'
+    trimmed mean trims other than the m the selfish crafting assumes.
     """
     roles, attack = cfg.roles, cfg.attack
-    selfish = np.arange(roles.total) >= roles.n
-    mask = ATTACKS[attack.kind][1]
-    selfish_reads = "each selfish client reads"
-    if mask is not None:
-        reads, rules = mask(selfish), [AggregationRule("fedavg")] * roles.total
+    benign, selfish, everyone = np.arange(roles.n), np.arange(roles.n, roles.total), np.arange(roles.total)
+    baseline = ATTACKS[attack.kind][1]
+    if baseline is not None:
+        senders, rules = baseline(benign, selfish), (AggregationRule("fedavg"),) * 2
     else:
-        reads = np.ones((roles.total, roles.total), dtype=bool)
-        if attack.info_mode == "selfish_only":
-            reads[selfish] = selfish
-            selfish_reads = "attack.info_mode 'selfish_only' leaves each selfish client"
+        senders = everyone, selfish if attack.info_mode == "selfish_only" else everyone
         selfish_rule = attack.selfish_rule or (AggregationRule("median") if cfg.rule.kind == "flame" else cfg.rule)
-        rules = [cfg.rule.resolved(roles.m)] * roles.n + [selfish_rule.resolved(roles.m)] * roles.m
-    for receiver, path, reader in (
-        (0, "rule", "each non-selfish client reads"),
-        (-1, "rule" if attack.selfish_rule is None else "attack.selfish_rule", selfish_reads),
-    ):
-        rule, count = rules[receiver], int(reads[receiver].sum())
+        rules = cfg.rule.resolved(roles.m), selfish_rule.resolved(roles.m)
+    groups = tuple(zip((benign, selfish), senders, rules))
+    paths = "rule", "rule" if attack.selfish_rule is None else "attack.selfish_rule"
+    readers = "each non-selfish client reads", (
+        "attack.info_mode 'selfish_only' leaves each selfish client" if attack.info_mode == "selfish_only"
+        else "each selfish client reads"
+    )
+    for (_, reads, rule), path, reader in zip(groups, paths, readers):
+        count = 1 if reads is None else reads.size
         fault = f"{reader} N = {count} models, but"
         if rule.kind == "trimmed_mean" and count <= 2 * rule.trim:
             raise ValueError(f"{path}.trim = {rule.trim}: {fault} trimmed_mean needs N > 2 * trim")
@@ -539,7 +534,7 @@ def read_plan(cfg: ExperimentConfig) -> tuple[np.ndarray, list[AggregationRule],
     trim, m = rules[0].trim, roles.m  # rules[0] is the defenders' rule, which the selfish crafting reads
     if attack.kind == "selfish" and rules[0].kind == "trimmed_mean" and trim != m:
         raise ValueError(f"rule.trim = {trim}: the selfish attack crafts for a trim of m = {m}, so set {m} or null")
-    return reads, rules, DEFAULT_LAMBDA.get(cfg.rule.kind, 0.0) if attack.lam is None else attack.lam
+    return groups, DEFAULT_LAMBDA.get(cfg.rule.kind, 0.0) if attack.lam is None else attack.lam
 
 
 class Engine:
@@ -547,10 +542,10 @@ class Engine:
 
     Only the (N, d) client ``models`` and the ``records`` carry over from
     round to round; the round number and the attack start derive from the
-    records.  Who reads whom is fixed for the whole run by ``read_plan``:
-    receiver ``i`` aggregates the models of the senders in ``reads[i]`` with
-    ``rules[i]``, after the shares crafted for it replace the selfish senders'
-    models.  Each of ``groups`` (one rule, read mask and role) aggregates in one call a round.
+    records.  Who reads whom is fixed for the whole run by the two
+    ``groups`` of ``read_plan``, and each group aggregates in one call a
+    round.  The shares crafted for a non-selfish receiver replace the
+    selfish senders' models in what it reads.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -568,11 +563,7 @@ class Engine:
         # stream: a round's training draws all end before its crafting draws start
         self.gens = [np.random.Generator(np.random.Philox(0)) for _ in range(roles.total)]
         self.crafter = ATTACKS[cfg.attack.kind][0]
-        self.reads, self.rules, self.lam = read_plan(cfg)
-        # receivers of one rule and read mask aggregate in one call; shares are
-        # crafted for non-selfish receivers only, so no group holds both roles
-        keys = [(rule, reads.tobytes(), i < roles.n) for i, (rule, reads) in enumerate(zip(self.rules, self.reads))]
-        self.groups = [[i for i, key in enumerate(keys) if key == group] for group in dict.fromkeys(keys)]
+        self.groups, self.lam = read_plan(cfg)
         self.records: list[ExperimentRecord] = []
 
     def _build_datasets(self) -> tuple[Dataset, Dataset]:
@@ -614,24 +605,24 @@ class Engine:
         crafted = self.crafter(self, t, pre_agg, mean_selfish_loss) if self.crafter is not None else None
 
         # --- step III: aggregation, one call per group --------------------
-        held = ([], []), ([], [])  # non-selfish, selfish: (distinct aggregates, receivers holding each)
-        for members in self.groups:
-            i, rule, rows = members[0], self.rules[members[0]], len(members)
-            shares = pre_agg[self.reads[i]]
-            if crafted is not None and i < roles.n:  # assigned: np.stack of broadcasts can lay out in Fortran order
-                stack = np.empty((rows, *shares.shape))
-                stack[:] = shares
-                stack[:, roles.n:] = crafted[members]
-                shares = stack
-            elif rule.kind == "fltrust":  # each member anchors at its own model
-                shares = np.broadcast_to(shares, (rows, *shares.shape))
+        accuracies = []  # of the non-selfish group, then the selfish one
+        for members, senders, rule in self.groups:
+            if senders is None:  # each member keeps its own model: a (R, 1, d) stack
+                shares = pre_agg[members][:, None]
+            elif crafted is not None and members[0] < roles.n:
+                # assigned: np.stack of broadcasts can lay out in Fortran order
+                shares = np.empty((members.size, senders.size, pre_agg.shape[1]))
+                shares[:] = pre_agg[senders]
+                shares[:, roles.n:] = crafted  # the members are receivers 0 .. n-1, crafted's rows
+            else:
+                shares = pre_agg[senders]
+                if rule.kind == "fltrust":  # each member anchors at its own model
+                    shares = np.broadcast_to(shares, (members.size, *shares.shape))
+            # pre_agg[members] is a copy, not a view: under Prescott kernels fltrust's dots round by alignment
             self.models[members] = out = aggregate(rule, shares, receiver_pre_agg=pre_agg[members])
-            aggregates, counts = held[i >= roles.n]
-            aggregates.extend(out if out.ndim == 2 else [out])  # one per member, or one they share
-            counts.extend([1] * rows if out.ndim == 2 else [rows])
-
-        # --- metrics: receivers that share an aggregate share its correct count
-        mtans, mtas = (group_accuracy(aggregates, self.test_set, counts) for aggregates, counts in held)
+            # one aggregate the members share is evaluated once: c / size is rows * c / (rows * size)
+            accuracies.append(group_accuracy(out if out.ndim == 2 else [out], self.test_set))
+        mtans, mtas = accuracies
         self.records.append(
             ExperimentRecord(
                 round=t,

@@ -1,10 +1,30 @@
 """Independent oracles used by the tests.
 
 Everything here checks results by brute force or numerics only — none of it
-shares code with the library's closed-form implementations.
+shares code with the library's closed-form implementations.  The exceptions
+are :func:`scalar_crafting`, which composes the library's per-coordinate
+crafting functions, and :func:`reference_run`, which shares the config
+types, the seeded streams, the datasets, the partition, the scalar crafting
+and ``agg_krum`` with the library, and nothing of its round engine.
 """
 
 import numpy as np
+
+from dflsim.aggregation import AggregationRule, agg_fedavg, agg_krum, agg_median, agg_trimmed_mean
+from dflsim.attack import (
+    FLAME_ALPHA,
+    FLAME_BETA,
+    craft_fedavg,
+    craft_median,
+    craft_trimmed_mean,
+    fedavg_bounds,
+    median_bounds,
+    solve_optimal_coordinate,
+    trimmed_mean_bounds,
+)
+from dflsim.core import STREAM_ATTACK, STREAM_DATA, STREAM_PARTITION, STREAM_TEST, STREAM_TRAIN, Rng
+from dflsim.reporting import ExperimentRecord
+from dflsim.simulation import generate_synthetic, partition_non_iid
 
 
 def median_of(values) -> float:
@@ -238,3 +258,107 @@ def attack_start_of(losses, epsilon: float, interval: int):
             if 0.0 < gap < epsilon * max_gap:
                 return t
     return None
+
+
+def scalar_crafting(kind, receiver, benign, m, lam, b=1.0):
+    """The (m, d) shares for one receiver, coordinate by coordinate, from the
+    scalar bounds, solver and crafting functions."""
+    benign = np.stack(benign)
+    desc = -np.sort(-benign, axis=0)
+    columns = []
+    for k in range(benign.shape[1]):
+        if kind == "median":
+            bounds = median_bounds(desc[:, k], m)
+            target = solve_optimal_coordinate(receiver[k], agg_median(benign)[k], bounds, lam)
+            columns.append(craft_median(desc[:, k], target, m, b))
+        elif kind == "trimmed_mean":
+            bounds = trimmed_mean_bounds(desc[:, k], m)
+            target = solve_optimal_coordinate(receiver[k], agg_trimmed_mean(benign, m)[k], bounds, lam)
+            columns.append(craft_trimmed_mean(desc[:, k], target, m, b))
+        else:
+            bounds = fedavg_bounds(benign[:, k])
+            target = solve_optimal_coordinate(receiver[k], agg_fedavg(benign)[k], bounds, lam)
+            columns.append(craft_fedavg(benign[:, k], target, m))
+    return np.stack(columns, axis=1)
+
+
+def aggregate_of(rule, shares, own) -> np.ndarray:
+    """One receiver's aggregate of its (k, d) ``shares``; fltrust anchors at
+    ``own``, the receiver's trained model."""
+    if rule.kind == "fedavg":
+        return np.mean(shares, axis=0)
+    if rule.kind == "median":
+        return median_rows_of(shares)
+    if rule.kind == "trimmed_mean":
+        return trimmed_mean_rows_of(shares, rule.trim)
+    if rule.kind == "krum":
+        return agg_krum(shares, rule.assumed_attackers)
+    if rule.kind == "fltrust":
+        return fltrust_of(shares, own)
+    return flame_of(shares)
+
+
+def reference_run(cfg):
+    """One experiment on synthetic data, the plain way: every client trains
+    alone, every receiver builds its own list of shares and aggregates it
+    alone, and every model is evaluated alone.  Returns the records and the
+    (N, d) final models."""
+    roles, attack = cfg.roles, cfg.attack
+    n, m, total = roles.n, roles.m, roles.total
+    defenders = cfg.rule.resolved(m)
+    attackers = attack.selfish_rule or (AggregationRule("median") if cfg.rule.kind == "flame" else cfg.rule)
+    attackers = attackers.resolved(m)
+    lam = attack.lam if attack.lam is not None else {"median": 0.5, "trimmed_mean": 1.0}.get(cfg.rule.kind, 0.0)
+
+    rng = Rng(cfg.seed)
+    train, test = generate_synthetic(cfg.data, rng.stream(STREAM_DATA), rng.stream(STREAM_TEST))
+    owner = partition_non_iid(train, total, cfg.partition, rng.stream(STREAM_PARTITION))
+    shards = [(train.features[owner == c], train.labels[owner == c]) for c in range(total)]
+    classes = train.num_classes
+    models = np.zeros((total, classes * train.num_features + classes))
+    records, selfish_losses = [], []
+    for t in range(1, cfg.rounds + 1):
+        trained = [
+            local_update_of(models[c], *shards[c], classes, cfg.trainer, rng.stream(STREAM_TRAIN, t, c))
+            for c in range(total)
+        ]
+        pre = np.array([model for model, _ in trained])
+        selfish_losses.append(float(np.mean([loss for _, loss in trained[n:]])))
+
+        crafted = None  # receiver -> the (m, d) shares the selfish senders send it
+        benign = list(pre[:n])
+        if attack.kind == "selfish" and attack_start_of(selfish_losses, attack.epsilon, attack.interval) is not None:
+            if defenders.kind == "flame":
+                crafted = [craft_flame_of(pre[r], benign, m, FLAME_ALPHA, FLAME_BETA) for r in range(n)]
+            else:
+                crafted = [scalar_crafting(defenders.kind, pre[r], benign, m, lam, attack.b) for r in range(n)]
+        elif attack.kind == "gaussian":
+            gens = [rng.stream(STREAM_ATTACK, t, r) for r in range(n)]
+            crafted = [gaussian_shares_of(pre.shape[1], m, gens[r], attack.sigma) for r in range(n)]
+        elif attack.kind == "trim":
+            gens = [rng.stream(STREAM_ATTACK, t, r) for r in range(n)]
+            crafted = [
+                directed_deviation_of(benign, models[r], m, gens[r], attack.delta_lo, attack.delta_hi) for r in range(n)
+            ]
+
+        aggregates = []
+        for i in range(total):
+            if attack.kind == "independent":
+                rule, shares = AggregationRule("fedavg"), [pre[i]]
+            elif attack.kind == "two_coalitions":
+                rule, shares = AggregationRule("fedavg"), list(pre[:n] if i < n else pre[n:])
+            elif i < n:
+                rule, shares = defenders, benign + list(crafted[i] if crafted is not None else pre[n:])
+            else:
+                rule, shares = attackers, list(pre[n:] if attack.info_mode == "selfish_only" else pre)
+            aggregates.append(aggregate_of(rule, np.array(shares), pre[i]))
+        models = np.array(aggregates)
+
+        correct = []
+        for model in models:
+            weights = model[: classes * train.num_features].reshape(classes, train.num_features)
+            predicted = np.argmax(test.features @ weights.T + model[classes * train.num_features:], axis=1)
+            correct.append(int(np.sum(predicted == test.labels)))
+        mtans, mtas = sum(correct[:n]) / (n * test.size), sum(correct[n:]) / (m * test.size)
+        records.append(ExperimentRecord(t, mtas, mtans, mtas - mtans, selfish_losses[-1], crafted is not None))
+    return records, models

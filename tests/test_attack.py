@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dflsim.aggregation import AggregationRule, agg_fedavg, agg_median, agg_trimmed_mean
+from dflsim.aggregation import AggregationRule
 from dflsim.attack import (
     FLAME_ALPHA,
     FLAME_BETA,
@@ -29,6 +29,7 @@ from oracles import (
     craft_flame_of,
     grid_argmin,
     median_of,
+    scalar_crafting,
     trimmed_mean_of,
 )
 
@@ -460,7 +461,7 @@ def test_attack_start_matches_the_incremental_rule_on_every_prefix(losses, epsil
 
 def test_default_lambda_per_rule():
     def lam(kind):
-        return read_plan(ExperimentConfig(rule=AggregationRule(kind), attack=AttackConfig(kind="selfish")))[2]
+        return read_plan(ExperimentConfig(rule=AggregationRule(kind), attack=AttackConfig(kind="selfish")))[1]
 
     assert lam("fedavg") == 0.0
     assert lam("median") == 0.5
@@ -532,28 +533,6 @@ def test_craft_shared_model_coordinate_independence():
 # ---------------------------------------------------------------------------
 # all receivers at once against the per-coordinate reference
 # ---------------------------------------------------------------------------
-
-def scalar_crafting(kind, receiver, benign, m, lam, b=1.0):
-    """The (m, d) shares for one receiver, coordinate by coordinate, from the
-    scalar bounds, solver and crafting functions."""
-    benign = np.stack(benign)
-    desc = -np.sort(-benign, axis=0)
-    columns = []
-    for k in range(benign.shape[1]):
-        if kind == "median":
-            bounds = median_bounds(desc[:, k], m)
-            target = solve_optimal_coordinate(receiver[k], agg_median(benign)[k], bounds, lam)
-            columns.append(craft_median(desc[:, k], target, m, b))
-        elif kind == "trimmed_mean":
-            bounds = trimmed_mean_bounds(desc[:, k], m)
-            target = solve_optimal_coordinate(receiver[k], agg_trimmed_mean(benign, m)[k], bounds, lam)
-            columns.append(craft_trimmed_mean(desc[:, k], target, m, b))
-        else:
-            bounds = fedavg_bounds(benign[:, k])
-            target = solve_optimal_coordinate(receiver[k], agg_fedavg(benign)[k], bounds, lam)
-            columns.append(craft_fedavg(benign[:, k], target, m))
-    return np.stack(columns, axis=1)
-
 
 LAMBDAS = (0.0, 0.5, 1.0, 2.0, 1.0 + 1e-10, 1.0 - 1e-10)
 

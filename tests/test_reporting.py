@@ -159,16 +159,23 @@ def test_apply_parameter_rejects_broken_roles():
         apply_parameter(tiny_config(), "selfish_fraction", 0.5)
 
 
+# Sweep values whose cells differ: tiny_config's 2 rounds never start the
+# attack (interval 50), so its lambda values would all write the same CSV,
+# and a sweep that swapped two cells would still look right.
+DISTINCT = ("rho", (0.5, 0.7))
+
+
 def test_run_sweep_summary_and_files(tmp_path):
     cfg = tiny_config()
-    summary = run_sweep(cfg, "lambda", (0.0, 0.5), repeats=2, out_dir=str(tmp_path), config_doc={"seed": 5})
-    assert summary["parameter"] == "lambda"
-    assert summary["values"] == [0.0, 0.5]
+    summary = run_sweep(cfg, *DISTINCT, repeats=2, out_dir=str(tmp_path), config_doc={"seed": 5})
+    assert summary["parameter"] == "rho"
+    assert summary["values"] == [0.5, 0.7]
     assert len(summary["mean_gap"]) == 2
+    assert summary["mean_mtas"][0] != summary["mean_mtas"][1]
     assert summary["config"] == {"seed": 5}
-    for value in (0.0, 0.5):
-        for repeat in (0, 1):
-            assert (tmp_path / f"lambda_{value}_rep{repeat}.csv").exists()
+    for repeat in (0, 1):
+        cells = [(tmp_path / f"rho_{value}_rep{repeat}.csv").read_bytes() for value in (0.5, 0.7)]
+        assert cells[0] != cells[1]
     on_disk = json.loads((tmp_path / "sweep_summary.json").read_text())
     assert on_disk["mean_gap"] == summary["mean_gap"]
 
@@ -183,9 +190,12 @@ def test_run_sweep_repeats_use_distinct_seeds(tmp_path):
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
     cfg = tiny_config()
-    serial = run_sweep(cfg, "lambda", (0.0, 0.5), repeats=1)
-    parallel = run_sweep(cfg, "lambda", (0.0, 0.5), repeats=1, jobs=2)
+    serial = run_sweep(cfg, *DISTINCT, repeats=1, out_dir=str(tmp_path / "serial"))
+    parallel = run_sweep(cfg, *DISTINCT, repeats=1, out_dir=str(tmp_path / "parallel"), jobs=2)
     assert serial == parallel
+    assert serial["mean_mtas"][0] != serial["mean_mtas"][1]  # so a swap of the two cells shows
+    for name in ("rho_0.5_rep0.csv", "rho_0.7_rep0.csv", "sweep_summary.json"):
+        assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 @pytest.mark.parametrize("jobs", [0, -2])
@@ -203,7 +213,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # until its selfish attack has started and one round more.  None of it may
 # load numpy.ma (np.median's NaN check imports it), argparse or the sweep's
 # process pool.  Then a two-job sweep imports the pool where it uses it and
-# writes the serial bytes.
+# writes the serial bytes, over two values whose cells differ.
 FRESH_RUN = """
 import json, os, sys
 import numpy
@@ -225,9 +235,10 @@ loaded = sorted(m for m in set(sys.modules) - preloaded if any(m == u or m.start
 assert not loaded, f"a run loaded {loaded}"
 
 tiny, _ = cli.load_config(sys.argv[2])
-serial = reporting.run_sweep(tiny, "lambda", (0.0, 0.5), 1, out_dir=os.path.join(sys.argv[3], "serial"))
-parallel = reporting.run_sweep(tiny, "lambda", (0.0, 0.5), 1, out_dir=os.path.join(sys.argv[3], "parallel"), jobs=2)
+serial = reporting.run_sweep(tiny, "rho", (0.5, 0.7), 1, out_dir=os.path.join(sys.argv[3], "serial"))
+parallel = reporting.run_sweep(tiny, "rho", (0.5, 0.7), 1, out_dir=os.path.join(sys.argv[3], "parallel"), jobs=2)
 assert serial == parallel
+assert serial["mean_mtas"][0] != serial["mean_mtas"][1], "the two cells ran alike"
 assert "concurrent.futures.process" in sys.modules
 """
 
@@ -241,8 +252,10 @@ def test_a_fresh_run_loads_no_process_pool_and_a_sweep_still_uses_one(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    for name in ("lambda_0.0_rep0.csv", "lambda_0.5_rep0.csv", "sweep_summary.json"):
+    for name in ("rho_0.5_rep0.csv", "rho_0.7_rep0.csv", "sweep_summary.json"):
         assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    cells = [(tmp_path / "serial" / name).read_bytes() for name in ("rho_0.5_rep0.csv", "rho_0.7_rep0.csv")]
+    assert cells[0] != cells[1]
 
 
 def test_run_sweep_validates_every_cell_before_running(tmp_path, monkeypatch):

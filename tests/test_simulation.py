@@ -353,6 +353,14 @@ def test_group_accuracy_split():
     assert mtas < 0.2
 
 
+def test_one_evaluation_of_a_shared_model_gives_its_groups_accuracy():
+    # the engine evaluates an aggregate its members share once: c / size is rows * c / (rows * size)
+    data = blobs(3, 4, 7, 1.0, Rng(3).stream(0))  # 21 examples, so the quotients round
+    for model in Rng(4).stream(0).normal(size=(30, model_dim(3, 4))):
+        for rows in (2, 7, 14, 100):
+            assert group_accuracy([model] * rows, data) == group_accuracy([model], data)
+
+
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
@@ -496,7 +504,7 @@ def test_fltrust_with_zero_learning_rate_runs_where_no_client_aggregates_with_it
         rule=fltrust, attack=AttackConfig(kind=kind, selfish_rule=fltrust), trainer=TrainerConfig(learning_rate=0.0),
     ))
     eng.run_round()
-    assert {rule.kind for rule in eng.rules} == {"fedavg"}
+    assert {rule.kind for _, _, rule in eng.groups} == {"fedavg"}
 
 
 RULES = st.builds(AggregationRule, st.sampled_from(RULE_KINDS), st.integers(0, 3), st.integers(0, 3))
@@ -564,29 +572,30 @@ def test_large_but_bounded_losses_run_to_the_end():
     assert [r.round for r in records] == list(range(1, 21))
 
 
-SELFISH = np.arange(7) >= 5  # 5 honest and 2 selfish clients
+BENIGN, SELFISH, EVERYONE = [0, 1, 2, 3, 4], [5, 6], list(range(7))  # 5 honest and 2 selfish clients
 
 
 @pytest.mark.parametrize(
-    "kind, info_mode, reads, rules",
+    "kind, info_mode, senders, rules",
     [
-        ("selfish", "all", np.ones((7, 7), dtype=bool), ["flame"] * 5 + ["median"] * 2),
-        ("selfish", "selfish_only", np.vstack([np.ones((5, 7), dtype=bool), [SELFISH, SELFISH]]),
-         ["flame"] * 5 + ["median"] * 2),
-        ("independent", "all", np.eye(7, dtype=bool), ["fedavg"] * 7),
-        ("two_coalitions", "all", SELFISH[:, None] == SELFISH[None, :], ["fedavg"] * 7),
+        ("selfish", "all", (EVERYONE, EVERYONE), ("flame", "median")),
+        ("selfish", "selfish_only", (EVERYONE, SELFISH), ("flame", "median")),
+        ("independent", "all", (None, None), ("fedavg", "fedavg")),  # each client reads only its own model
+        ("two_coalitions", "all", (BENIGN, SELFISH), ("fedavg", "fedavg")),
     ],
     ids=["collaborative", "selfish_only", "independent", "two_coalitions"],
 )
-def test_read_mask_and_rule_per_receiver(kind, info_mode, reads, rules):
+def test_read_mask_and_rule_per_receiver(kind, info_mode, senders, rules):
+    """The engine's two groups, non-selfish then selfish: the members, the
+    senders each member reads and the rule it aggregates them with."""
     eng = Engine(small_config(
         roles=RoleConfig(n=5, m=2),
         rule=AggregationRule("flame"),  # the selfish clients resolve it to median
         attack=AttackConfig(kind=kind, info_mode=info_mode),
     ))
-    assert eng.reads.dtype == bool
-    assert np.array_equal(eng.reads, reads)
-    assert [rule.kind for rule in eng.rules] == rules
+    assert [members.tolist() for members, _, _ in eng.groups] == [BENIGN, SELFISH]
+    assert [reads if reads is None else reads.tolist() for _, reads, _ in eng.groups] == list(senders)
+    assert tuple(rule.kind for _, _, rule in eng.groups) == rules
 
 
 @pytest.mark.parametrize(
@@ -597,14 +606,16 @@ def test_read_mask_and_rule_per_receiver(kind, info_mode, reads, rules):
         ("median", "selfish", False, [("median", 1), ("median", 1)]),
         ("median", "selfish", True, [("median", 7), ("median", 1)]),
         ("median", "two_coalitions", False, [("fedavg", 1), ("fedavg", 1)]),
+        ("median", "independent", False, [("fedavg", 7), ("fedavg", 2)]),
     ],
-    ids=["flame-none", "fltrust-none", "median-selfish-waiting", "median-selfish-started", "two_coalitions"],
+    ids=["flame-none", "fltrust-none", "median-selfish-waiting", "median-selfish-started", "two_coalitions",
+         "independent"],
 )
 def test_receivers_reading_the_same_input_aggregate_it_once(monkeypatch, rule, kind, started, calls):
-    """One call per group of receivers that share a rule, a read mask and a
-    role, as (rule kind, stack rows): one row per member when crafted shares
-    or fltrust's own-model reference set the members apart, else one shared
-    (k, d) input."""
+    """One call per group, non-selfish then selfish, as (rule kind, stack
+    rows): one row per member when crafted shares, fltrust's own-model
+    reference or reading only its own model set the members apart, else
+    one shared (k, d) input."""
     eng = Engine(small_config(roles=RoleConfig(n=7, m=2), rule=AggregationRule(rule), attack=AttackConfig(kind=kind)))
     if started:
         start_the_attack(monkeypatch)
@@ -706,20 +717,20 @@ def test_gaussian_attack_replaces_shares_to_non_selfish():
 
 
 def test_flame_defense_defaults_selfish_rule_to_median():
-    # the last client is selfish: its rule is the attackers' own
+    # the second group is the selfish one: its rule is the attackers' own
     cfg = small_config(rule=AggregationRule("flame"))
-    assert read_plan(cfg)[1][-1].kind == "median"
+    assert read_plan(cfg)[0][1][2].kind == "median"
     cfg = small_config(rule=AggregationRule("trimmed_mean"))
-    resolved = read_plan(cfg)[1][-1]
+    resolved = read_plan(cfg)[0][1][2]
     assert resolved.kind == "trimmed_mean" and resolved.trim == cfg.roles.m
 
 
 def test_lambda_defaults_follow_rule():
-    assert read_plan(small_config(rule=AggregationRule("fedavg")))[2] == 0.0
-    assert read_plan(small_config(rule=AggregationRule("median")))[2] == 0.5
-    assert read_plan(small_config(rule=AggregationRule("trimmed_mean")))[2] == 1.0
+    assert read_plan(small_config(rule=AggregationRule("fedavg")))[1] == 0.0
+    assert read_plan(small_config(rule=AggregationRule("median")))[1] == 0.5
+    assert read_plan(small_config(rule=AggregationRule("trimmed_mean")))[1] == 1.0
     explicit = small_config(attack=AttackConfig(kind="selfish", lam=2.0))
-    assert read_plan(explicit)[2] == 2.0
+    assert read_plan(explicit)[1] == 2.0
 
 
 def test_run_experiment_is_deterministic():
