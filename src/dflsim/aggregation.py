@@ -22,13 +22,12 @@ class AggregationRule:
 
     ``trim`` is the per-side trim count for trimmed_mean, ``assumed_attackers``
     the f of krum; both default to the number of selfish clients when resolved
-    by the engine.  ``clip`` toggles norm clipping in flame.
+    by the engine.
     """
 
     kind: str
     trim: int | None = None
     assumed_attackers: int | None = None
-    clip: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:
@@ -183,7 +182,7 @@ def _admitted_by_clustering(mat: np.ndarray) -> list[int]:
     return [x for x in range(count) if find(x) == winner]
 
 
-def agg_flame(models, clip: bool = True) -> np.ndarray:
+def agg_flame(models) -> np.ndarray:
     """Cluster out directional outliers, clip norms, and average.
 
     Pairwise cosine distances feed a single-linkage clustering cut at the
@@ -195,14 +194,12 @@ def agg_flame(models, clip: bool = True) -> np.ndarray:
     mat = _stack(models)
     admitted = _admitted_by_clustering(mat)
     kept = mat[admitted]
-    if clip:
-        norms = np.linalg.norm(kept, axis=1)
-        clip_to = float(agg_median(norms[:, None])[0])  # np.median's value; its NaN check imports numpy.ma
-        scale = np.ones_like(norms)
-        mask = norms > clip_to
-        scale[mask] = clip_to / norms[mask]  # 0 where the median norm is 0
-        kept = kept * scale[:, None]
-    return kept.mean(axis=0)
+    norms = np.linalg.norm(kept, axis=1)
+    clip_to = float(agg_median(norms[:, None])[0])  # np.median's value; its NaN check imports numpy.ma
+    scale = np.ones_like(norms)
+    mask = norms > clip_to
+    scale[mask] = clip_to / norms[mask]  # 0 where the median norm is 0
+    return (kept * scale[:, None]).mean(axis=0)
 
 
 def _given(value, what: str):
@@ -218,7 +215,7 @@ _RULES = {
     "trimmed_mean": lambda models, rule, own: agg_trimmed_mean(models, _given(rule.trim, "its trim; call resolved()")),
     "krum": lambda models, rule, own: agg_krum(models, _given(rule.assumed_attackers, "its f; call resolved()")),
     "fltrust": lambda models, rule, own: agg_fltrust(models, _given(own, "the receiver's own model as reference")),
-    "flame": lambda models, rule, own: agg_flame(models, clip=rule.clip),
+    "flame": lambda models, rule, own: agg_flame(models),
 }
 RULE_KINDS = tuple(_RULES)
 

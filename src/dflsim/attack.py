@@ -69,9 +69,9 @@ def solve_optimal_coordinate(w: float, w_benign: float, bounds: CoordinateBounds
         raise ValueError(f"lam must be >= 0, got {lam}")
     if abs(lam - 1.0) <= LAMBDA_ONE_TOLERANCE:
         return bounds.upper if w > w_benign else bounds.lower
-    p = (w - lam * w_benign) / (1.0 - lam)
     if lam < 1.0:
-        return bounds.clamp(p)
+        return bounds.clamp((w - lam * w_benign) / (1.0 - lam))
+    p = w_benign + (w_benign - w) / (lam - 1.0)  # lam * w_benign would overflow for a huge lam
     return bounds.upper if abs(p - bounds.upper) > abs(p - bounds.lower) else bounds.lower
 
 
@@ -287,10 +287,11 @@ def _solve_optimal(w: np.ndarray, w_benign: np.ndarray, lower: np.ndarray, upper
     ``w`` of shape (R, d) against per-coordinate aggregates and bounds (d,)."""
     if abs(lam - 1.0) <= LAMBDA_ONE_TOLERANCE:
         return np.where(w > w_benign, upper, lower)
-    p = (w - lam * w_benign) / (1.0 - lam)
     if lam < 1.0:
+        p = (w - lam * w_benign) / (1.0 - lam)
         above_lower = np.where(lower > p, lower, p)
         return np.where(upper < above_lower, upper, above_lower)
+    p = w_benign + (w_benign - w) / (lam - 1.0)  # as in solve_optimal_coordinate
     return np.where(np.abs(p - upper) > np.abs(p - lower), upper, lower)
 
 

@@ -29,8 +29,8 @@ _SOURCES = {"synthetic": SyntheticDataConfig, "csv": CsvDataConfig}
 
 # type of a config field -> (what its JSON value must be, the JSON value types that fit)
 _JSON_TYPES = {
-    int: ("an integer", (int,)), float: ("a number", (int, float)), bool: ("true or false", (bool,)),
-    str: ("a string", (str,)), type(None): ("null", (type(None),)),
+    int: ("an integer", (int,)), float: ("a number", (int, float)), str: ("a string", (str,)),
+    type(None): ("null", (type(None),)),
 }
 
 

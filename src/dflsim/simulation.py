@@ -17,15 +17,7 @@ import numpy as np
 
 from .aggregation import AggregationRule, aggregate
 from .attack import attack_start_round, check_offset, check_plateau, craft_shared_model
-from .baselines import (
-    GAUSSIAN_SIGMA,
-    TRIM_ATTACK_DELTA_HI,
-    TRIM_ATTACK_DELTA_LO,
-    check_deltas,
-    check_sigma,
-    craft_directed_deviation,
-    craft_gaussian,
-)
+from .baselines import craft_directed_deviation, craft_gaussian
 from .core import (
     STREAM_ATTACK,
     STREAM_DATA,
@@ -412,9 +404,6 @@ class AttackConfig:
     interval: int = 50
     info_mode: str = "all"
     selfish_rule: AggregationRule | None = None
-    sigma: float = GAUSSIAN_SIGMA
-    delta_lo: float = TRIM_ATTACK_DELTA_LO
-    delta_hi: float = TRIM_ATTACK_DELTA_HI
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
@@ -423,8 +412,6 @@ class AttackConfig:
             raise ValueError(f"lam must be a finite value >= 0, got {self.lam}")
         check_offset(self.b)
         check_plateau(self.epsilon, self.interval)
-        check_sigma(self.sigma)
-        check_deltas(self.delta_lo, self.delta_hi)
         if self.info_mode not in ("all", "selfish_only"):
             raise ValueError(f"info_mode must be 'all' or 'selfish_only', got {self.info_mode!r}")
         if self.info_mode == "selfish_only" and self.kind != "selfish":
@@ -468,16 +455,15 @@ def _craft_selfish(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> n
 
 
 def _craft_gaussian(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> np.ndarray:
-    attack, roles = eng.cfg.attack, eng.roles
-    gens = eng.rng.reset(eng.gens[: roles.n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
-    return craft_gaussian(pre_agg.shape[1], roles.m, gens, attack.sigma)
+    gens = eng.rng.reset(eng.gens[: eng.roles.n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
+    return craft_gaussian(pre_agg.shape[1], eng.roles.m, gens)
 
 
 def _craft_trim(eng: "Engine", t: int, pre_agg: np.ndarray, loss: float) -> np.ndarray:
     # eng.models still holds every receiver's aggregate of the previous round
-    attack, n = eng.cfg.attack, eng.roles.n
+    n = eng.roles.n
     gens = eng.rng.reset(eng.gens[:n], STREAM_ATTACK, t)  # receiver i draws from gens[i]
-    return craft_directed_deviation(pre_agg[:n], eng.models[:n], eng.roles.m, gens, attack.delta_lo, attack.delta_hi)
+    return craft_directed_deviation(pre_agg[:n], eng.models[:n], eng.roles.m, gens)
 
 
 # attack kind -> (crafter, from the engine, round, trained models and mean selfish loss, of the

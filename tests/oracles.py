@@ -22,6 +22,7 @@ from dflsim.attack import (
     solve_optimal_coordinate,
     trimmed_mean_bounds,
 )
+from dflsim.baselines import GAUSSIAN_SIGMA, TRIM_ATTACK_DELTA_HI, TRIM_ATTACK_DELTA_LO
 from dflsim.core import STREAM_ATTACK, STREAM_DATA, STREAM_PARTITION, STREAM_TEST, STREAM_TRAIN, Rng
 from dflsim.reporting import ExperimentRecord
 from dflsim.simulation import generate_synthetic, partition_non_iid
@@ -334,11 +335,12 @@ def reference_run(cfg):
                 crafted = [scalar_crafting(defenders.kind, pre[r], benign, m, lam, attack.b) for r in range(n)]
         elif attack.kind == "gaussian":
             gens = [rng.stream(STREAM_ATTACK, t, r) for r in range(n)]
-            crafted = [gaussian_shares_of(pre.shape[1], m, gens[r], attack.sigma) for r in range(n)]
+            crafted = [gaussian_shares_of(pre.shape[1], m, gens[r], GAUSSIAN_SIGMA) for r in range(n)]
         elif attack.kind == "trim":
             gens = [rng.stream(STREAM_ATTACK, t, r) for r in range(n)]
             crafted = [
-                directed_deviation_of(benign, models[r], m, gens[r], attack.delta_lo, attack.delta_hi) for r in range(n)
+                directed_deviation_of(benign, models[r], m, gens[r], TRIM_ATTACK_DELTA_LO, TRIM_ATTACK_DELTA_HI)
+                for r in range(n)
             ]
 
         aggregates = []

@@ -208,12 +208,6 @@ def test_flame_identical_models_pass_through():
     assert np.allclose(agg_flame(models), [2.0, -1.0])
 
 
-def test_flame_clip_disabled():
-    same_dir = [np.array([100.0, 0.0])] + [np.array([1.0, 0.0])] * 5
-    out = agg_flame(same_dir, clip=False)
-    assert np.allclose(out, [105.0 / 6.0, 0.0])
-
-
 @st.composite
 def clustering_inputs(draw):
     """(k, d) models with values rounded to 0.1, so that distances tie, some
@@ -306,7 +300,7 @@ def one_receiver_of(rule: AggregationRule, mat: np.ndarray, own) -> np.ndarray:
         "trimmed_mean": lambda: trimmed_mean_rows_of(mat, rule.trim),
         "krum": lambda: agg_krum(mat, rule.assumed_attackers),
         "fltrust": lambda: fltrust_of(mat, own),
-        "flame": lambda: agg_flame(mat, clip=rule.clip),
+        "flame": lambda: agg_flame(mat),
     }[rule.kind]()
 
 
@@ -319,7 +313,7 @@ def receiver_stacks(draw):
     kind = draw(st.sampled_from(RULE_KINDS))
     trim = draw(st.integers(0, 4)) if kind == "trimmed_mean" else None
     attackers = draw(st.integers(0, 3)) if kind == "krum" else None
-    rule = AggregationRule(kind, trim, attackers, clip=draw(st.booleans()))
+    rule = AggregationRule(kind, trim, attackers)
     receivers, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     fewest = 2 * trim + 1 if kind == "trimmed_mean" else attackers + 3 if kind == "krum" else 1
     k = draw(st.integers(fewest, 20))

@@ -10,6 +10,7 @@ from dflsim.attack import (
     FLAME_ALPHA,
     FLAME_BETA,
     CoordinateBounds,
+    _solve_optimal,
     attack_start_round,
     craft_fedavg,
     craft_median,
@@ -80,10 +81,18 @@ def test_solver_near_one_treated_as_one():
 
 
 def test_solver_concave_picks_far_endpoint():
-    # p = (1 - 2*2)/(1 - 2) = 3; lower endpoint 0 is farther from p than 4
+    # p = w_benign + (w_benign - w)/(lam - 1) = 2 + 1/1 = 3; lower endpoint 0 is farther from p than 4
     assert solve_optimal_coordinate(1.0, 2.0, CoordinateBounds(0.0, 4.0), 2.0) == 0.0
     # equidistant tie goes to the lower endpoint
     assert solve_optimal_coordinate(2.0, 2.0, CoordinateBounds(0.0, 4.0), 2.0) == 0.0
+
+
+def test_solver_concave_far_endpoint_holds_at_a_huge_lam():
+    # lam * w_benign overflows at lam 1e308; p = 2 + 2/(lam - 1) = 2 leaves 5 the
+    # far endpoint, where the objective 25 - lam * 9 is below 3.61 - lam * 0.01
+    assert solve_optimal_coordinate(0.0, 2.0, CoordinateBounds(1.9, 5.0), 1e308) == 5.0
+    solved = _solve_optimal(np.array([[0.0]]), np.array([2.0]), np.array([1.9]), np.array([5.0]), 1e308)
+    assert solved.tolist() == [[5.0]]
 
 
 def test_solver_rejects_negative_lam():

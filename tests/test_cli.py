@@ -70,10 +70,9 @@ def experiment_configs(draw):
     """A valid config in which every field may leave its default."""
     m = draw(st.integers(1, 4))
     rules = st.builds(AggregationRule, st.sampled_from(RULE_KINDS), st.none() | st.integers(0, m),
-                      st.none() | st.integers(0, m), st.booleans())
+                      st.none() | st.integers(0, m))
     positive = _numbers(0.0, 10.0, exclude_min=True)
     fraction = _numbers(0.0, 1.0, exclude_min=True, exclude_max=True)
-    delta_lo, delta_hi = sorted(draw(st.lists(positive, min_size=2, max_size=2)))
     data = draw(st.builds(SyntheticDataConfig, st.integers(2, 4), st.integers(2, 30), st.integers(1, 500),
                           _numbers(0.0, 10.0), st.integers(1, 300))
                 | st.builds(CsvDataConfig, st.text(), fraction))
@@ -89,9 +88,6 @@ def experiment_configs(draw):
                 interval=draw(st.integers(1, 100)),
                 info_mode=draw(st.sampled_from(("all", "selfish_only"))),
                 selfish_rule=draw(st.none() | rules),
-                sigma=draw(_numbers(0.0, 1e3, exclude_min=True)),
-                delta_lo=delta_lo,
-                delta_hi=delta_hi,
             ),
             trainer=TrainerConfig(draw(_numbers(0.0, 1.0)), draw(st.integers(1, 5)), draw(st.integers(1, 64)),
                                   draw(_numbers(0.0, 1.0))),
@@ -113,11 +109,10 @@ def test_every_config_survives_a_round_trip_through_json(cfg):
 def test_config_to_dict_writes_each_field_as_given_in_a_fixed_key_order():
     cfg, _ = load_config(str(CONFIG_DIR / "median_selfish.json"))
     assert json.dumps(config_to_dict(dataclasses.replace(cfg, seed=0))) == (
-        '{"roles": {"n": 14, "m": 6}, "rule": {"kind": "median", "trim": null, "assumed_attackers": null, '
-        '"clip": true}, "attack": {"kind": "selfish", "b": 1.0, "epsilon": 0.1, "interval": 50, '
-        '"info_mode": "all", "selfish_rule": null, "sigma": 200.0, "delta_lo": 0.5, "delta_hi": 2.0, '
-        '"lambda": 0.5}, "trainer": {"learning_rate": 0.1, "local_epochs": 3, "batch_size": 32, '
-        '"weight_decay": 0.0005}, "partition": {"rho": 0.7, "groups": null}, "data": {"synthetic": '
+        '{"roles": {"n": 14, "m": 6}, "rule": {"kind": "median", "trim": null, "assumed_attackers": null}, '
+        '"attack": {"kind": "selfish", "b": 1.0, "epsilon": 0.1, "interval": 50, "info_mode": "all", '
+        '"selfish_rule": null, "lambda": 0.5}, "trainer": {"learning_rate": 0.1, "local_epochs": 3, '
+        '"batch_size": 32, "weight_decay": 0.0005}, "partition": {"rho": 0.7, "groups": null}, "data": {"synthetic": '
         '{"classes": 4, "features": 20, "per_class": 400, "separation": 3.0, "test_per_class": 250}}, '
         '"rounds": 300, "seed": 0}'
     )
@@ -143,10 +138,10 @@ def test_unknown_keys_are_rejected_with_path():
     ([], "top level: expected an object"),
     ({"rounds": 0}, "top level: rounds must be >= 1, got 0"),
     ({"extra": 1}, "extra: unknown top-level key"),
-    ({"attack": {"mode": 1}}, "attack.mode: unknown key (expected one of ['b', 'delta_hi', 'delta_lo', 'epsilon', "
-                              "'info_mode', 'interval', 'kind', 'lambda', 'selfish_rule', 'sigma'])"),
+    ({"attack": {"mode": 1}}, "attack.mode: unknown key (expected one of ['b', 'epsilon', 'info_mode', 'interval', "
+                              "'kind', 'lambda', 'selfish_rule'])"),
     ({"rule": {"kind": "median", "lambda": 1}},
-     "rule.lambda: unknown key (expected one of ['assumed_attackers', 'clip', 'kind', 'trim'])"),
+     "rule.lambda: unknown key (expected one of ['assumed_attackers', 'kind', 'trim'])"),
     ({"roles": {"n": 3}}, "roles: RoleConfig.__init__() missing 1 required positional argument: 'm'"),
     ({"rule": None}, "rule: expected an object, got NoneType"),
     ({"data": None}, "data: expected exactly one of 'synthetic' or 'csv'"),
@@ -154,6 +149,17 @@ def test_unknown_keys_are_rejected_with_path():
     ({"attack": {"selfish_rule": 3}}, "attack.selfish_rule: expected an object, got int"),
     ({"attack": {"selfish_rule": {"trim": "x"}}}, 'attack.selfish_rule.trim: expected an integer or null, got "x"'),
     ({"data": {"csv": {"test_fraction": "a"}}}, 'data.csv.test_fraction: expected a number, got "a"'),
+    # FLAME always clips and the baselines' noise ranges are constants, so no config sets them
+    ({"rule": {"kind": "flame", "clip": True}},
+     "rule.clip: unknown key (expected one of ['assumed_attackers', 'kind', 'trim'])"),
+    ({"attack": {"selfish_rule": {"kind": "flame", "clip": False}}},
+     "attack.selfish_rule.clip: unknown key (expected one of ['assumed_attackers', 'kind', 'trim'])"),
+    ({"attack": {"kind": "gaussian", "sigma": 200.0}}, "attack.sigma: unknown key (expected one of ['b', 'epsilon', "
+                                                       "'info_mode', 'interval', 'kind', 'lambda', 'selfish_rule'])"),
+    ({"attack": {"kind": "trim", "delta_lo": 0.5}}, "attack.delta_lo: unknown key (expected one of ['b', 'epsilon', "
+                                                    "'info_mode', 'interval', 'kind', 'lambda', 'selfish_rule'])"),
+    ({"attack": {"kind": "trim", "delta_hi": 2.0}}, "attack.delta_hi: unknown key (expected one of ['b', 'epsilon', "
+                                                    "'info_mode', 'interval', 'kind', 'lambda', 'selfish_rule'])"),
 ])
 def test_config_errors_name_the_config_path(doc, message):
     with pytest.raises(ConfigError) as info:
@@ -175,7 +181,6 @@ def test_invalid_values_are_path_tagged():
     ("roles.n", 7.0, "an integer"),
     ("rounds", "3", "an integer"),
     ("attack.lambda", True, "a number or null"),
-    ("rule.clip", 1, "true or false"),
     ("attack.kind", 3, "a string"),
     ("output", 3, "a string or null"),
 ])
@@ -546,17 +551,14 @@ def test_run_rejects_synthetic_data_faults_as_config_errors(tmp_path, capsys, sy
 
 
 @pytest.mark.parametrize("section, values, message", [
-    ("attack", {"kind": "gaussian", "sigma": 0}, "sigma must be a finite value > 0, got 0"),
-    ("attack", {"kind": "gaussian", "sigma": -1}, "sigma must be a finite value > 0, got -1"),
-    ("attack", {"kind": "gaussian", "sigma": float("inf")}, "sigma must be a finite value > 0, got inf"),
-    ("attack", {"kind": "gaussian", "sigma": float("nan")}, "sigma must be a finite value > 0, got nan"),
-    ("attack", {"kind": "selfish", "sigma": 0}, "sigma must be a finite value > 0, got 0"),
-    ("attack", {"kind": "trim", "delta_lo": 2, "delta_hi": 0.5},
-     "need 0 < delta_lo < delta_hi < inf, got delta_lo 2, delta_hi 0.5"),
-    ("attack", {"kind": "trim", "delta_hi": float("inf")},
-     "need 0 < delta_lo < delta_hi < inf, got delta_lo 0.5, delta_hi inf"),
-    ("attack", {"kind": "none", "delta_lo": float("inf"), "delta_hi": float("inf")},
-     "need 0 < delta_lo < delta_hi < inf, got delta_lo inf, delta_hi inf"),
+    ("attack", {"epsilon": 0}, "epsilon must lie in (0, 1), got 0"),
+    ("attack", {"epsilon": 1}, "epsilon must lie in (0, 1), got 1"),
+    ("attack", {"epsilon": float("nan")}, "epsilon must lie in (0, 1), got nan"),
+    ("attack", {"interval": 0}, "interval must be >= 1, got 0"),
+    ("attack", {"b": 0}, "b must be a finite value > 0, got 0"),
+    ("attack", {"b": float("inf")}, "b must be a finite value > 0, got inf"),
+    ("attack", {"lambda": -1}, "lam must be a finite value >= 0, got -1"),
+    ("attack", {"lambda": float("nan")}, "lam must be a finite value >= 0, got nan"),
     ("trainer", {"learning_rate": float("nan")}, "learning_rate must be a finite value >= 0, got nan"),
     ("trainer", {"learning_rate": float("inf")}, "learning_rate must be a finite value >= 0, got inf"),
     ("trainer", {"weight_decay": float("nan")}, "weight_decay must be a finite value >= 0, got nan"),

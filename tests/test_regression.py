@@ -7,7 +7,8 @@ sha256 digests against those in ``tests/digests.json``: the records CSV as
 order.  A change that keeps the numerics must reproduce both byte for byte.
 The selfish cells whose rule has a closed-form crafting also check the
 paper's optimality claim where it runs: each crafted round must put every
-attacked receiver on its constrained optimum, coordinate by coordinate.
+attacked receiver on its constrained optimum, coordinate by coordinate, and
+those cells together must reach every regime of the solver and the crafting.
 
 The records digests hold under every OpenBLAS kernel family, but each family
 rounds the partial sums of a matrix product its own way, so the final models
@@ -32,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,7 +41,9 @@ from openblas_core import core_name
 from oracles import median_of, trimmed_mean_of
 
 from dflsim.aggregation import AggregationRule
-from dflsim.attack import fedavg_bounds, median_bounds, solve_optimal_coordinate, trimmed_mean_bounds
+from dflsim.attack import (
+    LAMBDA_ONE_TOLERANCE, fedavg_bounds, median_bounds, solve_optimal_coordinate, trimmed_mean_bounds,
+)
 from dflsim.core import RoleConfig
 from dflsim.reporting import read_records, write_records
 from dflsim.simulation import (
@@ -88,10 +92,23 @@ OPTIMUM_CELLS = [pytest.param(rule, roles, lam, id=f"{rule}-{roles.n}+{roles.m}"
                  for cells, roles, lam in MATRICES.values() for rule, attack, info_mode in cells
                  if rule in OPTIMUM_TERMS and (attack, info_mode) == ("selfish", "all")]
 # and off the matrix, with no digests: 11+3 at lambda 0, where many median and
-# trimmed-mean targets are interior, and at lambda 2, the only cells where the
-# concave objective's far-endpoint rule runs (fedavg at lambda 0 is its matrix cell)
+# trimmed-mean targets are interior, at lambda 1, where the linear objective's
+# endpoint rule runs, and at lambda 2, the only cells where the concave
+# objective's far-endpoint rule runs (fedavg at lambda 0 and trimmed mean at
+# lambda 1 are their matrix cells)
 OPTIMUM_CELLS += [pytest.param(rule, RoleConfig(n=11, m=3), lam, id=f"{rule}-11+3-lam{lam:g}")
-                  for lam in (0.0, 2.0) for rule in OPTIMUM_TERMS if (rule, lam) != ("fedavg", 0.0)]
+                  for lam in (0.0, 1.0, 2.0) for rule in OPTIMUM_TERMS
+                  if (rule, lam) not in (("fedavg", 0.0), ("trimmed_mean", 1.0))]
+# where the solver puts a target, by the branch of the objective
+SOLVER_REGIMES = ("lower bound", "upper bound", "interior", "lambda = 1 endpoint", "lambda > 1 far endpoint")
+# rule -> every regime of its crafting, which the optimum cells must each reach:
+# the solver's, then the branch the crafting of the target takes
+CRAFTING_REGIMES = {
+    "fedavg": SOLVER_REGIMES,
+    "median": SOLVER_REGIMES + ("first share above the pivots", "first share below the pivots",
+                                "first share between the pivots"),
+    "trimmed_mean": SOLVER_REGIMES + ("split 0", "interior split", "split m"),
+}
 # the kernel each writer child forces -> the core numpy's OpenBLAS then
 # reports.  numpy 2.4.6's OpenBLAS reports its Prescott (SSE3) kernels as
 # 'Katmai'; forced to Zen it reports 'Haswell', to Cooperlake or
@@ -170,14 +187,14 @@ def test_every_matrix_csv_reads_back(tmp_path):
     assert not unread, f"{len(unread)} of {len(MATRIX_CELLS)} CSVs do not read back; first: {unread[0]}"
 
 
-@pytest.mark.parametrize("rule, roles, lam", OPTIMUM_CELLS)
-def test_crafted_aggregates_sit_on_the_optimum(rule, roles, lam):
-    """On every crafted round each attacked receiver's aggregate equals, per
-    coordinate, the optimum of (x - w)^2 - lam * (x - w_benign)^2 over the
-    reachable interval, from the scalar bounds and solver and the oracles."""
+def crafted_targets(rule: str, roles: RoleConfig, lam: float | None):
+    """Run the selfish cell and yield, for each crafted round t, coordinate k
+    and attacked receiver r, the values the optimum and regime tests read:
+    (t, r, k, the resolved lambda, the benign values q sorted descending,
+    the reachable bounds, the scalar solver's target, receiver r's crafted
+    shares and its aggregate)."""
     engine = Engine(regression_config(rule, "selfish", roles=roles, lam=lam))
     bounds_of, benign_of = OPTIMUM_TERMS[rule]
-    checks, mismatches = 0, []
     for t in range(1, engine.cfg.rounds + 1):
         pre_agg, crafted = engine.run_round()
         if crafted is None:
@@ -187,13 +204,55 @@ def test_crafted_aggregates_sit_on_the_optimum(rule, roles, lam):
             bounds, benign = bounds_of(q, roles.m), benign_of(q, roles.m)
             for r in range(roles.n):
                 target = solve_optimal_coordinate(pre_agg[r, k], benign, bounds, engine.lam)
-                checks += 1
-                if not math.isclose(engine.models[r, k], target, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-                    mismatches.append((t, r, k, engine.models[r, k], target))
+                yield t, r, k, engine.lam, q, bounds, target, crafted[r, :, k], engine.models[r, k]
+
+
+@pytest.mark.parametrize("rule, roles, lam", OPTIMUM_CELLS)
+def test_crafted_aggregates_sit_on_the_optimum(rule, roles, lam):
+    """On every crafted round each attacked receiver's aggregate equals, per
+    coordinate, the optimum of (x - w)^2 - lam * (x - w_benign)^2 over the
+    reachable interval, from the scalar bounds and solver and the oracles."""
+    checks, mismatches = 0, []
+    for t, r, k, _, _, _, target, _, got in crafted_targets(rule, roles, lam):
+        checks += 1
+        if not math.isclose(got, target, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+            mismatches.append((t, r, k, got, target))
     assert checks > 0
     assert not mismatches, (
         f"{len(mismatches)} of {checks} missed; first (round, receiver, coordinate, got, target): {mismatches[0]}"
     )
+
+
+def crafting_regimes(rule: str, m: int, lam: float, q: np.ndarray, bounds, target: float, shares: np.ndarray):
+    """The solver regime of one crafted target and, for median and trimmed
+    mean, the branch its crafted ``shares`` took (offset ``b`` is 1)."""
+    if abs(lam - 1.0) <= LAMBDA_ONE_TOLERANCE:
+        yield "lambda = 1 endpoint"
+    elif lam > 1.0:
+        yield "lambda > 1 far endpoint"
+    else:
+        yield "lower bound" if target == bounds.lower else "upper bound" if target == bounds.upper else "interior"
+    n = q.size
+    if rule == "median":
+        upper_pivot, lower_pivot = q[(n - m) // 2], q[(n + m - 1) // 2]
+        side = "above" if shares[0] > upper_pivot else "below" if shares[0] < lower_pivot else "between"
+        yield f"first share {side} the pivots"
+    elif rule == "trimmed_mean":
+        split = m - int(np.count_nonzero((shares == q[-1] - 1.0) | (shares == q[0] + 1.0)))  # parked shares
+        yield "split 0" if split == 0 else "split m" if split == m else "interior split"
+
+
+def test_the_optimum_cells_reach_every_crafting_regime():
+    """Each regime of each closed-form crafting occurs on some crafted target
+    of the optimum cells, so that the optimum test judges every branch."""
+    counts = {rule: Counter() for rule in CRAFTING_REGIMES}
+    for param in OPTIMUM_CELLS:
+        rule, roles, lam = param.values
+        for _, _, _, resolved, q, bounds, target, shares, _ in crafted_targets(rule, roles, lam):
+            counts[rule].update(crafting_regimes(rule, roles.m, resolved, q, bounds, target, shares))
+    unhit = [f"{rule}: {regime}" for rule, regimes in CRAFTING_REGIMES.items()
+             for regime in regimes if not counts[rule][regime]]
+    assert not unhit, f"no optimum cell reaches {'; '.join(unhit)}; targets per regime: {counts}"
 
 
 def matrix_digests() -> dict:

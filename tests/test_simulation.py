@@ -790,13 +790,6 @@ def test_attack_config_validation():
         AttackConfig(interval=0)
     with pytest.raises(ValueError):
         AttackConfig(info_mode="everyone")
-    for kind in ("gaussian", "trim", "selfish"):  # checked under every kind, as b is
-        for sigma in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match=r"^sigma must be a finite value > 0"):
-                AttackConfig(kind=kind, sigma=sigma)
-        for lo, hi in ((2.0, 0.5), (1.0, 1.0), (0.5, np.inf), (np.inf, np.inf), (0.5, np.nan), (np.nan, 2.0)):
-            with pytest.raises(ValueError, match=r"^need 0 < delta_lo < delta_hi < inf"):
-                AttackConfig(kind=kind, delta_lo=lo, delta_hi=hi)
 
 
 def test_config_validation_propagates():
