@@ -223,122 +223,120 @@ def model_dim(num_classes: int, num_features: int) -> int:
     return num_classes * num_features + num_classes
 
 
-def _unpack(models: np.ndarray, num_classes: int, num_features: int):
-    """Weights (..., C, F) and biases (..., C) of flat models (..., d)."""
-    weights = models[..., : num_classes * num_features].reshape(*models.shape[:-1], num_classes, num_features)
-    return weights, models[..., num_classes * num_features:]
+def _rows(models: np.ndarray, num_classes: int) -> np.ndarray:
+    """The (N, C, F+1) class rows ``[w_c | b_c]`` of flat (N, d) models."""
+    n, features = len(models), models.shape[1] // num_classes - 1
+    rows = np.empty((n, num_classes, features + 1))
+    rows[..., :-1] = models[:, : num_classes * features].reshape(n, num_classes, features)
+    rows[..., -1] = models[:, num_classes * features:]
+    return rows
 
 
-class _Step:
-    """Step j of an epoch: active clients (a basic slice if all are), slot
-    columns, (k, 1, 1) counts, short (row, count)s, pad mask or None, (k, B) flat cells."""
-
-    def __init__(self, j, width, sizes, batches):
-        self.act = slice(None) if batches.min() > j else np.flatnonzero(batches > j)
-        self.cols = slice(j * width, (j + 1) * width)
-        counts = np.minimum(sizes[self.act] - j * width, width)
-        self.counts = counts[:, None, None]
-        self.short = [(i, int(n)) for i, n in enumerate(counts) if n < width]
-        self.pad = np.arange(width) >= counts[:, None] if self.short else None
-        self.cells = np.arange(counts.size * width).reshape(-1, width)
+def _flat(rows: np.ndarray) -> np.ndarray:
+    """The flat (N, d) models of (N, C, F+1) class rows: weights, then biases."""
+    return np.concatenate([rows[..., :-1].reshape(len(rows), -1), rows[..., -1]], axis=1)
 
 
 class TrainingPlan:
-    """What local training reads that depends only on the shard sizes and
-    the trainer config, built once per run: the ``steps`` of an epoch, each
-    client's pool rows broadcast to one row per epoch for its draw to
-    permute, and the clients grouped by batch count for the loss means."""
+    """What local training reads that depends only on the data, its
+    ``owner`` client per row and the trainer config, built once per run:
+    the rows as ``[x | 1]`` with an all-zero padding row last, each
+    client's rows (in data order) broadcast to one row per epoch for its
+    draw to permute, the clients grouped by batch count for the loss means,
+    and the ``steps`` of an epoch.  Step j holds the active clients (a basic
+    slice if all are), its slot columns, the (k,) batch row counts, their
+    (k, W) loss mask and the (k, W) flat offsets of each slot's class
+    log-probabilities, W the run's batch width."""
 
-    def __init__(self, sizes, cfg: TrainerConfig):
-        self.cfg, self.sizes = cfg, np.asarray(sizes)
+    def __init__(self, data: Dataset, owner: np.ndarray, cfg: TrainerConfig):
+        self.cfg, self.sizes, self.num_classes = cfg, np.bincount(owner), data.num_classes
+        self.features = np.zeros((data.size + 1, data.num_features + 1))
+        self.features[:-1, :-1], self.features[:-1, -1] = data.features, 1.0
+        self.labels = np.append(data.labels, 0)
         batches = -(-self.sizes // cfg.batch_size)
         width = min(cfg.batch_size, int(self.sizes.max()))  # no batch is wider than the largest shard
-        offsets = np.cumsum(self.sizes) - self.sizes
+        order, ends = np.argsort(owner, kind="stable"), np.cumsum(self.sizes)  # each client's rows, in client order
         self.slot_width = batches.max() * width
-        self.pool_rows = [np.broadcast_to(o + np.arange(n), (cfg.local_epochs, n)) for o, n in zip(offsets, self.sizes)]
-        self.steps = [_Step(j, width, self.sizes, batches) for j in range(batches.max())]
+        self.client_rows = [np.broadcast_to(order[e - n:e], (cfg.local_epochs, n)) for e, n in zip(ends, self.sizes)]
         self.means = [(batches == n, n) for n in set(batches.tolist())]  # np.unique's first call adds ~1 MB of peak RSS
+        self.steps = []
+        for j in range(batches.max()):
+            act = slice(None) if batches.min() > j else np.flatnonzero(batches > j)
+            counts = np.minimum(self.sizes[act] - j * width, width).astype(np.float64)
+            cells = np.arange(counts.size * width).reshape(-1, width)
+            valid = (cells % width < counts[:, None]).astype(np.float64)
+            self.steps.append((act, slice(j * width, (j + 1) * width), counts, valid, cells * data.num_classes))
 
 
-def _batch_loss_and_grad(models, x, y, step: _Step, num_classes):
+def _step(rows, x, labelled, counts, valid):
     """Mean softmax cross-entropy and its gradient for k models at once.
 
-    ``models`` is (k, d), ``x`` (k, B, F) and ``y`` (k, B); batch i is the
-    first ``step.counts[i]`` rows, and padding fills the rest.  Full batches
-    run as one stacked product, the same BLAS call per slice as one batch.
-    A short batch's two products and loss sum run in its own (count, F)
-    shape: over padding, BLAS edge kernels, gemv paths and pairwise sums
-    round differently.  The bias gradient adds rows in order, so padding
-    set to zero leaves its stacked sum exact.
+    ``rows`` is (k, C, F+1), ``x`` (k, W, F+1) and ``labelled`` the (k, W)
+    flat indices of the labels' log-probabilities; batch i is its first
+    ``counts[i]`` rows, marked by ``valid[i]``, and zero rows pad the rest.
+    Both products are one stacked matmul, the same BLAS call per slice as
+    one padded batch.  A zero row's logits are finite and its products
+    exact zeros, so only the loss reads the mask.
     """
-    k, width, features = x.shape
-    weights, bias = _unpack(models, num_classes, features)
-    logits = x @ weights.transpose(0, 2, 1)
-    for i, n in step.short:
-        np.matmul(x[i, :n], weights[i].T, out=logits[i, :n])
-    logits += bias[:, None, :]
+    logits = x @ rows.transpose(0, 2, 1)
     shift = logits[..., 0].copy()  # the class max by slices: max(axis=2) reduces each C-wide row alone
-    for c in range(1, num_classes):
+    for c in range(1, rows.shape[1]):
         np.maximum(shift, logits[..., c], out=shift)
     logits -= shift[..., None]
     # one reduction: a sum of class slices adds in another order from 8 classes on
     log_probs = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
-    labelled = step.cells * num_classes + y  # flat indices of the labels' log-probabilities
     picked = log_probs.reshape(-1)[labelled]
-    losses = -(picked.sum(axis=1) / width)  # np.mean's sum and division, without its per-call cost
-    for i, n in step.short:
-        losses[i] = -(picked[i, :n].sum() / n)
+    picked *= valid
+    losses = -(picked.sum(axis=1) / counts)  # np.mean's sum and division, without its per-call cost
     probs = np.exp(log_probs)
     probs.reshape(-1)[labelled] -= 1.0  # a fresh ufunc result is C-contiguous, so reshape gives a view
-    probs /= step.counts
-    if step.short:  # assigned, not multiplied by a mask: padding reads pool row 0, whose logits may not be finite
-        probs[step.pad] = 0.0
-    grad_w, grad_b = probs.transpose(0, 2, 1) @ x, probs.sum(axis=1)
-    for i, n in step.short:
-        np.matmul(probs[i, :n].T, x[i, :n], out=grad_w[i])
-    return losses, np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)
+    probs /= counts[:, None, None]
+    return losses, probs.transpose(0, 2, 1) @ x
 
 
 def loss_and_grad(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int):
-    """Mean softmax cross-entropy and its gradient w.r.t. the flat model."""
-    step = _Step(0, len(x), np.array([len(x)]), np.ones(1))
-    losses, grads = _batch_loss_and_grad(model[None], x[None], y[None], step, num_classes)
-    return float(losses[0]), grads[0]
+    """Mean softmax cross-entropy and its gradient w.r.t. the flat model:
+    one full batch through the training step."""
+    batch = np.ones((1, len(x), x.shape[1] + 1))
+    batch[0, :, :-1] = x
+    labelled = np.arange(len(x)) * num_classes + y
+    losses, grads = _step(_rows(model[None], num_classes), batch, labelled[None], np.array([len(x)], float), 1.0)
+    return float(losses[0]), _flat(grads)[0]
 
 
-def train_clients(models: np.ndarray, pool: Dataset, plan: TrainingPlan, gens):
+def train_clients(models: np.ndarray, plan: TrainingPlan, gens):
     """Run the local epochs of all clients in lockstep; return (models, mean batch losses).
 
-    ``pool`` holds the shards in client order, ``plan.sizes[i]`` rows for
-    client i, which trains ``models[i]`` drawing its permutations for all
-    epochs from ``gens[i]`` in one ``permuted`` call.  Step j of an epoch
-    trains every client that has a j-th minibatch in one (k, B, F) pass,
-    and each client ends as it would training alone.
+    Client i trains ``models[i]``, as class rows from entry to exit, on its
+    ``plan.sizes[i]`` rows, drawing its permutations for all epochs
+    from ``gens[i]`` in one ``permuted`` call.  Step j of an epoch trains
+    every client that has a j-th minibatch in one (k, W, F+1) pass, and
+    each client ends as it would training alone on batches padded the same way.
     """
     cfg = plan.cfg
-    # pool row of each batch slot; padding slots read row 0, and no result uses them
-    slots = np.zeros((cfg.local_epochs, plan.sizes.size, plan.slot_width), dtype=np.int64)
+    # row of each batch slot; padding slots read the zero row, the last
+    slots = np.full((cfg.local_epochs, plan.sizes.size, plan.slot_width), len(plan.labels) - 1)
     for cid, gen in enumerate(gens):
-        gen.permuted(plan.pool_rows[cid], axis=1, out=slots[:, cid, : plan.sizes[cid]])
-    models = np.array(models, dtype=np.float64)
+        gen.permuted(plan.client_rows[cid], axis=1, out=slots[:, cid, : plan.sizes[cid]])
+    rows = _rows(np.asarray(models, dtype=np.float64), plan.num_classes)
     losses = np.zeros((plan.sizes.size, cfg.local_epochs, len(plan.steps)))
     for epoch in range(cfg.local_epochs):
-        for j, step in enumerate(plan.steps):  # act is a slice, and own a view, when every client is active
-            batch, own = slots[epoch, step.act, step.cols], models[step.act]
-            losses[step.act, epoch, j], grad = _batch_loss_and_grad(
-                own, np.take(pool.features, batch, axis=0), pool.labels[batch], step, pool.num_classes
+        for j, (act, cols, counts, valid, cells) in enumerate(plan.steps):
+            batch, own = slots[epoch, act, cols], rows[act]  # act is a slice, and own a view, when all are active
+            losses[act, epoch, j], grad = _step(
+                own, np.take(plan.features, batch, axis=0), plan.labels[batch] + cells, counts, valid
             )
-            models[step.act] -= cfg.learning_rate * (grad + cfg.weight_decay * own)
+            rows[act] -= cfg.learning_rate * (grad + cfg.weight_decay * own)
     means = np.empty(plan.sizes.size)  # a client's row is contiguous: np.mean's pairwise sum and division
-    for rows, n in plan.means:
-        means[rows] = losses[rows, :, :n].reshape(-1, cfg.local_epochs * n).mean(axis=1)
-    return models, means
+    for clients, n in plan.means:
+        means[clients] = losses[clients, :, :n].reshape(-1, cfg.local_epochs * n).mean(axis=1)
+    return _flat(rows), means
 
 
 def predict(model: np.ndarray, x: np.ndarray, num_classes: int) -> np.ndarray:
-    weights, bias = _unpack(model, num_classes, x.shape[1])
+    weights = model[: num_classes * x.shape[1]].reshape(num_classes, x.shape[1])
     logits = x @ weights.T
-    logits += bias
+    logits += model[num_classes * x.shape[1]:]
     return logits.argmax(axis=1)
 
 
@@ -409,7 +407,7 @@ class AttackConfig:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}")
         if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be a finite value >= 0, got {self.lam}")
+            raise ValueError(f"lambda must be a finite value >= 0, got {self.lam}")  # the JSON key, not the field name
         check_offset(self.b)
         check_plateau(self.epsilon, self.interval)
         if self.info_mode not in ("all", "selfish_only"):
@@ -540,10 +538,10 @@ class Engine:
         self.rng = Rng(cfg.seed)
         self.train_set, self.test_set = self._build_datasets()
         owner = partition_non_iid(self.train_set, roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION))
-        self.plan = TrainingPlan(np.bincount(owner, minlength=roles.total), cfg.trainer)
-        if not self.plan.sizes.all():
-            raise EmptyDataset(f"client {self.plan.sizes.argmin()} has an empty shard: the partition gave it no examples")
-        self.pool = self.train_set.subset(np.argsort(owner, kind="stable"))  # the shards in client order
+        sizes = np.bincount(owner, minlength=roles.total)
+        if not sizes.all():
+            raise EmptyDataset(f"client {sizes.argmin()} has an empty shard: the partition gave it no examples")
+        self.plan = TrainingPlan(self.train_set, owner, cfg.trainer)
         self.models = np.zeros((roles.total, model_dim(self.train_set.num_classes, self.train_set.num_features)))
         # one generator per client, re-keyed by Rng.reset to each (tag, round, client)
         # stream: a round's training draws all end before its crafting draws start
@@ -576,8 +574,8 @@ class Engine:
 
         # --- step I: local training -------------------------------------
         gens = self.rng.reset(self.gens, STREAM_TRAIN, t)
-        pre_agg, losses = train_clients(self.models, self.pool, self.plan, gens)
-        ceiling = DIVERGENCE_LOSS_FACTOR * np.log(self.pool.num_classes)
+        pre_agg, losses = train_clients(self.models, self.plan, gens)
+        ceiling = DIVERGENCE_LOSS_FACTOR * np.log(self.plan.num_classes)
         sound = np.isfinite(pre_agg).all(axis=1) & (losses <= ceiling)  # False for a NaN loss too
         if not sound.all():
             cid = int(np.argmin(sound))

@@ -178,34 +178,43 @@ def admitted_by_clustering(mat: np.ndarray) -> list[int]:
     return list(range(count))
 
 
-def loss_and_grad_of(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int):
-    """Mean softmax cross-entropy and its gradient for one model and one batch."""
-    weights = model[: num_classes * x.shape[1]].reshape(num_classes, x.shape[1])
-    bias = model[num_classes * x.shape[1]:]
-    logits = x @ weights.T + bias                      # (B, C)
+def loss_and_grad_of(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int, width: int | None = None):
+    """Mean softmax cross-entropy and its gradient for one model and one
+    batch, in the trainer's arithmetic: the batch padded with zero rows to
+    ``width`` (its own length by default), each row ``[x | 1]`` against
+    each class's ``[w | b]``, and the padding masked out of the loss only."""
+    batch, features = x.shape
+    width = batch if width is None else width
+    padded = np.zeros((width, features + 1))
+    padded[:batch, :features] = x
+    padded[:batch, features] = 1.0
+    labels = np.zeros(width, dtype=np.int64)
+    labels[:batch] = y
+    rows = np.concatenate(
+        [model[: num_classes * features].reshape(num_classes, features), model[num_classes * features:, None]], axis=1
+    )
+    logits = padded @ rows.T                           # (W, C)
     logits = logits - logits.max(axis=1, keepdims=True)
     log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    batch = x.shape[0]
-    loss = -float(log_probs[np.arange(batch), y].mean())
+    loss = -float((log_probs[np.arange(width), labels] * (np.arange(width) < batch)).sum() / batch)
     probs = np.exp(log_probs)
-    probs[np.arange(batch), y] -= 1.0
+    probs[np.arange(width), labels] -= 1.0
     probs /= batch
-    grad_w = probs.T @ x
-    grad_b = probs.sum(axis=0)
-    return loss, np.concatenate([grad_w.ravel(), grad_b])
+    grad = probs.T @ padded                            # (C, F + 1)
+    return loss, np.concatenate([grad[:, :features].ravel(), grad[:, features]])
 
 
-def local_update_of(model: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int, cfg, gen):
-    """One client's local epochs, one minibatch after another: the per-client
-    loop the lockstep trainer must reproduce bit for bit.  Returns (model,
-    mean batch loss)."""
+def local_update_of(model: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int, cfg, gen, width):
+    """One client's local epochs, one minibatch after another, each padded
+    to the run's ``width``: the per-client loop the lockstep trainer must
+    reproduce bit for bit.  Returns (model, mean batch loss)."""
     model = np.asarray(model, dtype=np.float64).copy()
     losses = []
     for _ in range(cfg.local_epochs):
         order = gen.permutation(len(labels))
         for start in range(0, len(labels), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, grad = loss_and_grad_of(model, features[batch], labels[batch], num_classes)
+            loss, grad = loss_and_grad_of(model, features[batch], labels[batch], num_classes, width)
             losses.append(loss)
             model -= cfg.learning_rate * (grad + cfg.weight_decay * model)
     return model, float(np.mean(losses))
@@ -316,11 +325,12 @@ def reference_run(cfg):
     owner = partition_non_iid(train, total, cfg.partition, rng.stream(STREAM_PARTITION))
     shards = [(train.features[owner == c], train.labels[owner == c]) for c in range(total)]
     classes = train.num_classes
+    width = min(cfg.trainer.batch_size, max(len(labels) for _, labels in shards))  # every batch pads to it
     models = np.zeros((total, classes * train.num_features + classes))
     records, selfish_losses = [], []
     for t in range(1, cfg.rounds + 1):
         trained = [
-            local_update_of(models[c], *shards[c], classes, cfg.trainer, rng.stream(STREAM_TRAIN, t, c))
+            local_update_of(models[c], *shards[c], classes, cfg.trainer, rng.stream(STREAM_TRAIN, t, c), width)
             for c in range(total)
         ]
         pre = np.array([model for model, _ in trained])

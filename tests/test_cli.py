@@ -557,8 +557,8 @@ def test_run_rejects_synthetic_data_faults_as_config_errors(tmp_path, capsys, sy
     ("attack", {"interval": 0}, "interval must be >= 1, got 0"),
     ("attack", {"b": 0}, "b must be a finite value > 0, got 0"),
     ("attack", {"b": float("inf")}, "b must be a finite value > 0, got inf"),
-    ("attack", {"lambda": -1}, "lam must be a finite value >= 0, got -1"),
-    ("attack", {"lambda": float("nan")}, "lam must be a finite value >= 0, got nan"),
+    ("attack", {"lambda": -1}, "lambda must be a finite value >= 0, got -1"),
+    ("attack", {"lambda": float("nan")}, "lambda must be a finite value >= 0, got nan"),
     ("trainer", {"learning_rate": float("nan")}, "learning_rate must be a finite value >= 0, got nan"),
     ("trainer", {"learning_rate": float("inf")}, "learning_rate must be a finite value >= 0, got inf"),
     ("trainer", {"weight_decay": float("nan")}, "weight_decay must be a finite value >= 0, got nan"),

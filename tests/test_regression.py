@@ -78,6 +78,14 @@ MATRICES = {
     # values of interior targets: at the default lambda 1 every target is a
     # bound and every crafted share is parked
     "13+3": ([("trimmed_mean", "selfish", "all")], RoleConfig(n=13, m=3), 0.5),
+    # 11+3 at lambda 0, where many median and trimmed-mean targets are
+    # interior and trimmed mean's split m (no crafted share parked) occurs, at
+    # lambda 1, where the linear objective's endpoint rule runs, and at lambda
+    # 2, the only cells where the concave objective's far-endpoint rule runs
+    # (fedavg at lambda 0 and trimmed mean at lambda 1 are 11+3 cells)
+    **{f"11+3-lam{lam:g}": ([(rule, "selfish", "all") for rule in ("fedavg", "median", "trimmed_mean")
+                             if (rule, lam) not in (("fedavg", 0.0), ("trimmed_mean", 1.0))], RoleConfig(n=11, m=3), lam)
+       for lam in (0.0, 1.0, 2.0)},
 }
 MATRIX_CELLS = [(matrix, "-".join(cell)) for matrix, (cells, _, _) in MATRICES.items() for cell in cells]
 # rule -> (its reachable interval and its aggregate of the benign values sorted
@@ -88,17 +96,9 @@ OPTIMUM_TERMS = {
     "trimmed_mean": (trimmed_mean_bounds, trimmed_mean_of),
 }
 # the selfish cells whose rule has a closed-form crafting: (rule, roles, lambda)
-OPTIMUM_CELLS = [pytest.param(rule, roles, lam, id=f"{rule}-{roles.n}+{roles.m}")
-                 for cells, roles, lam in MATRICES.values() for rule, attack, info_mode in cells
+OPTIMUM_CELLS = [pytest.param(rule, roles, lam, id=f"{rule}-{matrix}")
+                 for matrix, (cells, roles, lam) in MATRICES.items() for rule, attack, info_mode in cells
                  if rule in OPTIMUM_TERMS and (attack, info_mode) == ("selfish", "all")]
-# and off the matrix, with no digests: 11+3 at lambda 0, where many median and
-# trimmed-mean targets are interior, at lambda 1, where the linear objective's
-# endpoint rule runs, and at lambda 2, the only cells where the concave
-# objective's far-endpoint rule runs (fedavg at lambda 0 and trimmed mean at
-# lambda 1 are their matrix cells)
-OPTIMUM_CELLS += [pytest.param(rule, RoleConfig(n=11, m=3), lam, id=f"{rule}-11+3-lam{lam:g}")
-                  for lam in (0.0, 1.0, 2.0) for rule in OPTIMUM_TERMS
-                  if (rule, lam) not in (("fedavg", 0.0), ("trimmed_mean", 1.0))]
 # where the solver puts a target, by the branch of the objective
 SOLVER_REGIMES = ("lower bound", "upper bound", "interior", "lambda = 1 endpoint", "lambda > 1 far endpoint")
 # rule -> every regime of its crafting, which the optimum cells must each reach:

@@ -210,7 +210,7 @@ def test_local_update_zero_learning_rate_is_identity():
     data = blobs(2, 4, 30, 2.0, Rng(5).stream(0))
     model = np.ones(model_dim(2, 4))
     cfg = TrainerConfig(learning_rate=0.0, local_epochs=2, batch_size=64, weight_decay=0.0)
-    updated, mean_loss = train_clients(model[None], data, TrainingPlan([data.size], cfg), [Rng(5).stream(1)])
+    updated, mean_loss = train_clients(model[None], TrainingPlan(data, np.zeros(data.size, int), cfg), [Rng(5).stream(1)])
     assert np.array_equal(updated[0], model)
     initial_loss, _ = loss_and_grad(model, data.features, data.labels, 2)
     assert np.isclose(mean_loss[0], initial_loss)
@@ -220,7 +220,7 @@ def test_local_update_decreases_loss_on_separable_data():
     data = blobs(2, 4, 100, 5.0, Rng(6).stream(0))
     model = np.zeros(model_dim(2, 4))
     cfg = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=200, weight_decay=0.0)
-    updated, _ = train_clients(model[None], data, TrainingPlan([data.size], cfg), [Rng(6).stream(1)])
+    updated, _ = train_clients(model[None], TrainingPlan(data, np.zeros(data.size, int), cfg), [Rng(6).stream(1)])
     before, _ = loss_and_grad(model, data.features, data.labels, 2)
     after, _ = loss_and_grad(updated[0], data.features, data.labels, 2)
     assert after < before
@@ -231,8 +231,8 @@ def test_local_update_applies_weight_decay():
     model = np.full(model_dim(2, 4), 10.0)
     no_decay = TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=64, weight_decay=0.0)
     decay = TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=64, weight_decay=0.1)
-    plain, _ = train_clients(model[None], data, TrainingPlan([data.size], no_decay), [Rng(7).stream(1)])
-    decayed, _ = train_clients(model[None], data, TrainingPlan([data.size], decay), [Rng(7).stream(1)])
+    plain, _ = train_clients(model[None], TrainingPlan(data, np.zeros(data.size, int), no_decay), [Rng(7).stream(1)])
+    decayed, _ = train_clients(model[None], TrainingPlan(data, np.zeros(data.size, int), decay), [Rng(7).stream(1)])
     assert np.linalg.norm(decayed) < np.linalg.norm(plain)
 
 
@@ -246,9 +246,9 @@ def test_local_update_applies_weight_decay():
     seed=st.integers(0, 2**32 - 1),
 )
 @example(sizes=[70, 45, 33, 32], batch_size=32, epochs=2, classes=4, features=50, seed=0)  # last batches 6, 13, 1, 32
-@example(sizes=[64, 64, 31], batch_size=7, epochs=1, classes=7, features=1, seed=24)  # gemv backward at F = 1
+@example(sizes=[64, 64, 31], batch_size=7, epochs=1, classes=7, features=1, seed=24)  # one feature: [x | 1] is 2 wide
 @example(sizes=[99, 101], batch_size=32, epochs=1, classes=4, features=5, seed=3)  # step 4: every client short (3, 5)
-@example(sizes=[33, 64], batch_size=32, epochs=2, classes=4, features=6, seed=5)  # 1-row short batch: gemv forward
+@example(sizes=[33, 64], batch_size=32, epochs=2, classes=4, features=6, seed=5)  # a 1-row short batch, padded to 32
 @example(  # the desk shape: 20 shards of 66-101 rows, three of four steps with every client active
     sizes=[84, 66, 71, 73, 99, 88, 86, 75, 78, 91, 75, 84, 74, 72, 76, 101, 77, 75, 78, 77],
     batch_size=32, epochs=3, classes=4, features=20, seed=1,
@@ -262,14 +262,12 @@ def test_lockstep_trainer_matches_per_client_loop(sizes, batch_size, epochs, cla
     ]
     models = gen.normal(size=(len(sizes), model_dim(classes, features)))
     pool = Dataset(np.concatenate([s.features for s in shards]), np.concatenate([s.labels for s in shards]), classes)
-    plan = TrainingPlan(sizes, cfg)
+    plan, width = TrainingPlan(pool, np.repeat(np.arange(len(sizes)), sizes), cfg), min(batch_size, max(sizes))
     for t in (1, 2):  # one plan serves every round, each with fresh generators
-        trained, losses = train_clients(
-            models, pool, plan, [np.random.default_rng([seed, t, cid]) for cid in range(len(sizes))]
-        )
+        trained, losses = train_clients(models, plan, [np.random.default_rng([seed, t, cid]) for cid in range(len(sizes))])
         for cid, shard in enumerate(shards):
             model, loss = local_update_of(
-                models[cid], shard.features, shard.labels, classes, cfg, np.random.default_rng([seed, t, cid])
+                models[cid], shard.features, shard.labels, classes, cfg, np.random.default_rng([seed, t, cid]), width
             )
             assert trained[cid].tobytes() == model.tobytes()
             assert losses[cid].tobytes() == np.float64(loss).tobytes()
@@ -287,20 +285,22 @@ def test_one_permuted_draw_equals_successive_permutations(n):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_padding_never_reaches_a_result():
-    # padding slots read pool row 0, client 0's first row, whose logits overflow
+    # client 0's first row overflows; padding slots read the all-zero row, never a client's
     gen = np.random.default_rng(11)
-    sizes, classes, features = [40, 37], 4, 5
+    sizes, classes, features = [40, 37, 45], 4, 5  # every client has a short last batch
     x = gen.normal(size=(sum(sizes), features))
     x[0] = 1.7e308
     y = gen.integers(0, classes, size=sum(sizes))
     cfg = TrainerConfig(learning_rate=0.3, local_epochs=1, batch_size=32, weight_decay=0.01)
-    models = np.abs(gen.normal(size=(2, model_dim(classes, features))))  # positive weights: every padding logit is inf
-    gens = [np.random.default_rng([11, cid]) for cid in range(2)]
-    trained, losses = train_clients(models, Dataset(x, y, classes), TrainingPlan(sizes, cfg), gens)
-    model, loss = local_update_of(models[1], x[40:], y[40:], classes, cfg, np.random.default_rng([11, 1]))
-    assert np.isfinite(model).all()
-    assert trained[1].tobytes() == model.tobytes()
-    assert losses[1].tobytes() == np.float64(loss).tobytes()
+    models = np.abs(gen.normal(size=(3, model_dim(classes, features))))  # positive weights: row 0's logits are inf
+    gens = [np.random.default_rng([11, cid]) for cid in range(3)]
+    trained, losses = train_clients(models, TrainingPlan(Dataset(x, y, classes), np.repeat([0, 1, 2], sizes), cfg), gens)
+    assert not np.isfinite(trained[0]).all()
+    for cid, rows in ((1, slice(40, 77)), (2, slice(77, 122))):
+        model, loss = local_update_of(models[cid], x[rows], y[rows], classes, cfg, np.random.default_rng([11, cid]), 32)
+        assert np.isfinite(model).all()
+        assert trained[cid].tobytes() == model.tobytes()
+        assert losses[cid].tobytes() == np.float64(loss).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
