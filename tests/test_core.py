@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsim.core import STREAM_ATTACK, STREAM_TRAIN, RoleConfig, Rng
+from dflsim.core import STREAM_ATTACK, STREAM_DATA, STREAM_PARTITION, STREAM_TEST, STREAM_TRAIN, RoleConfig, Rng
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,40 @@ def test_rng_rejects_negative_path():
         Rng(1).stream(-1)
 
 
+# the raw 64-bit Philox outputs of fresh streams: key (seed, 0), counter (0, client, round, tag)
+@pytest.mark.parametrize("seed, path, raw", [
+    (0, (STREAM_TRAIN, 1, 0), [5454858145300733856, 15677872626478766277]),
+    (2**64 - 1, (10,), [16631299096278499205, 4414599123899508890]),
+    (5, (STREAM_ATTACK, 300, 13), [516626732435411829, 8713089170509614960]),
+])
+def test_stream_first_draws_are_pinned(seed, path, raw):
+    assert Rng(seed).stream(*path).bit_generator.random_raw(2).tolist() == raw
+
+
+def test_stream_state_holds_the_seed_as_key_and_the_path_as_counter():
+    state = Rng(5).stream(STREAM_ATTACK, 300, 13).bit_generator.state["state"]
+    assert state["key"].tolist() == [5, 0]
+    assert state["counter"].tolist() == [0, 13, 300, STREAM_ATTACK]
+    assert Rng(5).stream(STREAM_TEST).bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, STREAM_TEST]
+
+
+def test_every_path_of_a_run_and_of_verify_has_distinct_first_draws():
+    rng = Rng(0)
+    paths = [(STREAM_DATA,), (STREAM_PARTITION,), (STREAM_TEST,), *((tag,) for tag in range(10, 15))]
+    paths += [(tag, t, c) for tag in (STREAM_TRAIN, STREAM_ATTACK) for t in range(301) for c in range(20)]
+    firsts = {tuple(rng.stream(*path).bit_generator.random_raw(2).tolist()) for path in paths}
+    assert len(firsts) == len(paths) == 12048
+
+
+PATH_ERROR = r"^stream path must have at most 3 parts, each in \[0, 2\*\*64\), got "
+
+
+@pytest.mark.parametrize("path, shown", [((1, 2, 3, 4), "(1, 2, 3, 4)"), ((2**64,), "(18446744073709551616,)")])
+def test_stream_rejects_a_path_beyond_the_counter(path, shown):
+    with pytest.raises(ValueError, match=PATH_ERROR + re.escape(shown) + "$"):
+        Rng(1).stream(*path)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
 def test_rng_rejects_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
@@ -104,7 +140,7 @@ def test_reset_generators_equal_fresh_streams(seed, round_):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    prefix=st.lists(st.integers(0, 2**96), max_size=3),
+    prefix=st.lists(st.integers(0, 2**64 - 1), max_size=2),
     count=st.integers(1, 30),
 )
 def test_reset_matches_stream_for_any_seed_and_path(seed, prefix, count):
@@ -126,3 +162,9 @@ def test_reset_after_a_partial_draw_equals_a_fresh_stream():
 def test_reset_rejects_negative_path():
     with pytest.raises(ValueError):
         Rng(1).reset(philox_generators(2), 2, -1)
+
+
+@pytest.mark.parametrize("prefix, shown", [((1, 2, 3), "(1, 2, 3, 0)"), ((2, 2**64), "(2, 18446744073709551616, 0)")])
+def test_reset_rejects_a_path_beyond_the_counter(prefix, shown):
+    with pytest.raises(ValueError, match=PATH_ERROR + re.escape(shown) + "$"):
+        Rng(1).reset(philox_generators(2), *prefix)

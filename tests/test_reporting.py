@@ -29,7 +29,9 @@ def tiny_config(**overrides):
         attack=AttackConfig(kind="selfish", lam=0.5),
         trainer=TrainerConfig(learning_rate=0.1, local_epochs=1, batch_size=32),
         partition=PartitionConfig(rho=0.5, groups=2),
-        data=SyntheticDataConfig(classes=2, features=3, per_class=40, separation=3.0, test_per_class=20),
+        # overlapping classes and 200 test examples, so accuracy does not saturate and
+        # configs that train differently score differently (the sweep tests compare cells)
+        data=SyntheticDataConfig(classes=2, features=3, per_class=40, separation=0.5, test_per_class=100),
         rounds=2,
         seed=5,
     )
