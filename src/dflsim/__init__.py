@@ -34,7 +34,6 @@ from .simulation import (
     PartitionConfig,
     SyntheticDataConfig,
     TrainerConfig,
-    correct_count,
     generate_synthetic,
     group_accuracy,
     load_csv,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -333,27 +333,27 @@ def train_clients(models: np.ndarray, plan: TrainingPlan, gens):
     return _flat(rows), means
 
 
-def predict(model: np.ndarray, x: np.ndarray, num_classes: int) -> np.ndarray:
-    weights = model[: num_classes * x.shape[1]].reshape(num_classes, x.shape[1])
-    logits = x @ weights.T
-    logits += model[num_classes * x.shape[1]:]
-    return logits.argmax(axis=1)
-
-
-def correct_count(model: np.ndarray, data: Dataset) -> int:
-    if data.size == 0:
-        raise ValueError("cannot evaluate on an empty set")
-    return int(np.count_nonzero(predict(model, data.features, data.num_classes) == data.labels))
-
-
 def group_accuracy(models, data: Dataset) -> float:
     """Mean accuracy of a group on a shared test set: total correct over
     total predictions, so identical models give identical group means
-    regardless of group size."""
-    models = list(models)
-    if not models:
+    regardless of group size.  The (U, d) models are scored in one
+    class-major pass, (U, C, n) logits from ``data.features.T`` (C-ordered
+    for the engine's column-major test set): an example counts when its
+    label's class reaches the class maximum and no earlier class does, a
+    NaN counting as the maximum, which is ``np.argmax``'s rule."""
+    models = np.asarray(models, dtype=np.float64)
+    if not len(models):
         raise ValueError("cannot average accuracy over an empty group")
-    return sum(correct_count(model, data) for model in models) / (len(models) * data.size)
+    if data.size == 0:
+        raise ValueError("cannot evaluate on an empty set")
+    classes, size, cut = data.num_classes, data.size, data.num_classes * data.num_features
+    logits = models[:, :cut].reshape(len(models), classes, data.num_features) @ data.features.T
+    logits += models[:, cut:, None]
+    hit = logits == logits.max(axis=1, keepdims=True)
+    hit |= np.isnan(logits)
+    labelled = hit[:, data.labels, np.arange(size)]
+    earlier = (hit & (np.arange(classes)[:, None] < data.labels)).any(axis=1)
+    return int(np.count_nonzero(labelled & ~earlier)) / (len(models) * size)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +536,8 @@ class Engine:
         self.cfg = cfg
         self.roles = roles = cfg.roles
         self.rng = Rng(cfg.seed)
-        self.train_set, self.test_set = self._build_datasets()
+        self.train_set, test = self._build_datasets()
+        self.test_set = replace(test, features=np.asfortranarray(test.features))  # group_accuracy reads a C-ordered .T
         owner = partition_non_iid(self.train_set, roles.total, cfg.partition, self.rng.stream(STREAM_PARTITION))
         sizes = np.bincount(owner, minlength=roles.total)
         if not sizes.all():

@@ -308,6 +308,16 @@ def aggregate_of(rule, shares, own) -> np.ndarray:
     return flame_of(shares)
 
 
+def correct_count_of(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int) -> int:
+    """How many rows of ``x`` one flat model labels ``y``: a plain argmax
+    over the classes of the class-major logits ``W @ x.T + b``.  Under
+    OpenBLAS's Nehalem kernels the row-major ``x @ W.T`` rounds some logits
+    differently from the engine's class-major product, and can flip a
+    near-tie."""
+    weights = model[: num_classes * x.shape[1]].reshape(num_classes, x.shape[1])
+    return int(np.sum(np.argmax(weights @ x.T + model[num_classes * x.shape[1]:, None], axis=0) == y))
+
+
 def reference_run(cfg):
     """One experiment on synthetic data, the plain way: every client trains
     alone, every receiver builds its own list of shares and aggregates it
@@ -366,11 +376,7 @@ def reference_run(cfg):
             aggregates.append(aggregate_of(rule, np.array(shares), pre[i]))
         models = np.array(aggregates)
 
-        correct = []
-        for model in models:
-            weights = model[: classes * train.num_features].reshape(classes, train.num_features)
-            predicted = np.argmax(test.features @ weights.T + model[classes * train.num_features:], axis=1)
-            correct.append(int(np.sum(predicted == test.labels)))
+        correct = [correct_count_of(model, test.features, test.labels, classes) for model in models]
         mtans, mtas = sum(correct[:n]) / (n * test.size), sum(correct[n:]) / (m * test.size)
         records.append(ExperimentRecord(t, mtas, mtans, mtas - mtans, selfish_losses[-1], crafted is not None))
     return records, models

@@ -24,20 +24,18 @@ from dflsim.simulation import (
     SyntheticDataConfig,
     TrainerConfig,
     TrainingPlan,
-    correct_count,
     generate_synthetic,
     group_accuracy,
     load_csv,
     loss_and_grad,
     model_dim,
     partition_non_iid,
-    predict,
     read_plan,
     run_experiment,
     train_clients,
 )
 
-from oracles import finite_difference_gradient, local_update_of, loss_and_grad_of
+from oracles import correct_count_of, finite_difference_gradient, local_update_of, loss_and_grad_of
 
 
 def small_config(**overrides):
@@ -110,8 +108,8 @@ def test_generate_synthetic_separation_controls_difficulty():
             model -= 0.5 * grad
         return model
 
-    assert correct_count(fit(easy), easy) / easy.size > 0.99
-    assert correct_count(fit(hard), hard) / hard.size < 0.45  # no signal at zero separation
+    assert group_accuracy([fit(easy)], easy) > 0.99
+    assert group_accuracy([fit(hard)], hard) < 0.45  # no signal at zero separation
 
 
 def test_load_csv_roundtrip(tmp_path):
@@ -319,7 +317,7 @@ def test_class_slice_max_matches_a_row_max_on_special_values():
 def test_accuracy_empty_test_set():
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
     with pytest.raises(ValueError, match=r"^cannot evaluate on an empty set$"):
-        correct_count(np.zeros(model_dim(2, 4)), empty)
+        group_accuracy([np.zeros(model_dim(2, 4))], empty)
 
 
 def test_group_accuracy_of_an_empty_group_raises():
@@ -328,14 +326,55 @@ def test_group_accuracy_of_an_empty_group_raises():
         group_accuracy([], data)
 
 
-def test_predict_and_correct_count_match_the_plain_argmax():
+def assert_counts_match_the_plain_argmax(models, data):
+    """Each model alone, and the group in one pass, score what a plain
+    argmax of the logits gives, for the features in either order (the
+    engine keeps its test set column-major)."""
+    counts = [correct_count_of(model, data.features, data.labels, data.num_classes) for model in models]
+    for features in (np.ascontiguousarray(data.features), np.asfortranarray(data.features)):
+        ordered = Dataset(features, data.labels, data.num_classes)
+        for model, count in zip(models, counts):
+            assert group_accuracy([model], ordered) == count / data.size, (model, count)
+        assert group_accuracy(models, ordered) == sum(counts) / (len(models) * data.size)
+
+
+def test_group_accuracy_matches_the_plain_argmax():
     data = blobs(4, 5, 60, 2.0, Rng(1).stream(0))
-    models = [np.zeros(model_dim(4, 5)), *Rng(2).stream(0).normal(size=(20, model_dim(4, 5)))]  # zeros: all ties
-    for model in models:
-        weights, bias = model[:20].reshape(4, 5), model[20:]
-        expected = np.argmax(data.features @ weights.T + bias, axis=1)
-        assert np.array_equal(predict(model, data.features, 4), expected)
-        assert correct_count(model, data) == int(np.sum(expected == data.labels))
+    models = np.zeros((21, model_dim(4, 5)))  # model 0 stays zero: all ties
+    models[1:] = Rng(2).stream(0).normal(size=(20, model_dim(4, 5)))
+    assert_counts_match_the_plain_argmax(models, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    classes=st.integers(2, 10),
+    features=st.integers(1, 30),
+    group=st.integers(1, 16),
+    size=st.sampled_from([1, 2, 3]) | st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_major_count_matches_the_plain_argmax(classes, features, group, size, seed):
+    # quarters in [-1, 1]: every sum of products is exact in any order, so the
+    # count alone is checked, on many ties; model 0 is all zeros, all ties
+    gen = np.random.default_rng(seed)
+    data = Dataset(gen.integers(-4, 5, size=(size, features)) / 4, gen.integers(0, classes, size=size), classes)
+    models = gen.integers(-4, 5, size=(group, model_dim(classes, features))) / 4
+    models[0] = 0.0
+    assert_counts_match_the_plain_argmax(models, data)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_class_major_count_matches_the_plain_argmax_on_special_values():
+    # with x = 1 and a zero bias each 4-tuple is one row of logits: the first
+    # maximum wins, and a NaN counts as the maximum
+    specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324]
+    models = np.array([[*weights, 0.0, 0.0, 0.0, 0.0] for weights in itertools.product(specials, repeat=4)])
+    for label in range(4):
+        data = Dataset(np.ones((1, 1)), np.array([label]), 4)
+        counts = [correct_count_of(model, data.features, data.labels, 4) for model in models]
+        for model, count in zip(models, counts):
+            assert group_accuracy([model], data) == count, (model, label)
+        assert group_accuracy(models, data) == sum(counts) / len(models)
 
 
 def test_group_accuracy_split():
@@ -638,17 +677,18 @@ def test_receivers_sharing_an_aggregate_share_its_evaluation(monkeypatch, kind, 
     eng = Engine(small_config(roles=RoleConfig(n=7, m=2), attack=AttackConfig(kind=kind)))
     if started:
         start_the_attack(monkeypatch)
-    seen = []
+    seen = []  # the rows each group_accuracy call scores
 
-    def counting_correct_count(model, data):
-        seen.append(model)
-        return correct_count(model, data)
+    def counting_group_accuracy(models, data):
+        seen.append(len(models))
+        return group_accuracy(models, data)
 
-    monkeypatch.setattr(simulation, "correct_count", counting_correct_count)
+    monkeypatch.setattr(simulation, "group_accuracy", counting_group_accuracy)
     for _ in range(2):
         seen.clear()
         eng.run_round()
-        assert len(seen) == evaluations
+        assert sum(seen) == evaluations
+        assert len(seen) == 2  # one call per group
         # one evaluation per client gives the same record
         assert eng.records[-1].mtas == group_accuracy(eng.models[eng.roles.n:], eng.test_set)
         assert eng.records[-1].mtans == group_accuracy(eng.models[: eng.roles.n], eng.test_set)
