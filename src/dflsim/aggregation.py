@@ -107,15 +107,14 @@ def agg_krum(models, assumed_attackers: int) -> np.ndarray:
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products along the last axis, broadcasting the leading ones, each
-    by the BLAS dot of ``np.dot`` (a matrix product rounds differently)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    by einsum's sum of products, as are the cosine paths' Gram matrices:
+    never a BLAS dot, whose rounding can depend on where operands sit."""
+    return np.einsum("...k,...k->...", a, b)
 
 
 def _cosines(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
-    """Cosine similarities from :func:`_row_dots` dots and ``sqrt`` of
-    :func:`_row_dots` norms, 0 where either norm is 0.  Equal bit for bit to
-    ``np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))`` per pair at
-    equal operand alignment (OpenBLAS's Prescott kernels round by it)."""
+    """Cosine similarities from einsum dots and ``sqrt`` of :func:`_row_dots`
+    norms, 0 where either norm is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = dots / (norms_a * norms_b)
     return np.where((norms_a != 0.0) & (norms_b != 0.0), cos, 0.0)
@@ -132,21 +131,22 @@ def agg_fltrust(models, reference: np.ndarray) -> np.ndarray:
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape != mat.shape[1:]:
         raise ValueError(f"reference has dimension {reference.shape}, models have {mat.shape[1:]}")
-    ref_norm = float(np.linalg.norm(reference))
+    ref_norm = float(np.sqrt(_row_dots(reference, reference)))
     if ref_norm == 0.0:
         raise ValueError("reference model has zero norm")
-    cos = _cosines(_row_dots(mat, reference), np.sqrt(_row_dots(mat, mat)), ref_norm)
+    norms = np.sqrt(_row_dots(mat, mat))
+    cos = _cosines(_row_dots(mat, reference), norms, ref_norm)
     trusts = np.where(cos > 0.0, cos, 0.0)  # max(0, cos), NaN included
     total = trusts.sum()
     if total == 0.0:
         return reference.copy()
-    norms = np.linalg.norm(mat, axis=1)  # not the cosines' norms: these round differently, and records pin them
     scaled = np.where(norms[:, None] > 0.0, mat * (ref_norm / np.where(norms == 0.0, 1.0, norms))[:, None], mat)
     return (trusts[:, None] * scaled).sum(axis=0) / total
 
 
-def _admitted_by_clustering(mat: np.ndarray) -> list[int]:
-    """Indices admitted by single-linkage clustering on pairwise cosine distance.
+def _admitted_by_clustering(mat: np.ndarray, norms: np.ndarray) -> list[int]:
+    """Indices admitted by single-linkage clustering on pairwise cosine
+    distance, from one Gram matrix and the rows' :func:`_row_dots` ``norms``.
 
     One union-find pass merges pairs in increasing distance order, a whole
     group of equal distances at a time, up to the first group after which a
@@ -156,8 +156,7 @@ def _admitted_by_clustering(mat: np.ndarray) -> list[int]:
     if count < 3:
         return list(range(count))
     i, j = np.triu_indices(count, 1)
-    norms = np.sqrt(_row_dots(mat, mat))
-    dist = 1.0 - _cosines(_row_dots(mat[i], mat[j]), norms[i], norms[j])
+    dist = 1.0 - _cosines(np.einsum("ik,jk->ij", mat, mat)[i, j], norms[i], norms[j])
     order = np.argsort(dist)
     dist = dist[order]
     group_ends = np.append(dist[1:] != dist[:-1], True)
@@ -192,9 +191,9 @@ def agg_flame(models) -> np.ndarray:
     additive noise of the original defense is omitted.
     """
     mat = _stack(models)
-    admitted = _admitted_by_clustering(mat)
-    kept = mat[admitted]
-    norms = np.linalg.norm(kept, axis=1)
+    norms = np.sqrt(_row_dots(mat, mat))
+    admitted = _admitted_by_clustering(mat, norms)
+    kept, norms = mat[admitted], norms[admitted]
     clip_to = float(agg_median(norms[:, None])[0])  # np.median's value; its NaN check imports numpy.ma
     scale = np.ones_like(norms)
     mask = norms > clip_to

@@ -392,7 +392,7 @@ def _craft_flame_all(receivers, benign, m, lam, b) -> np.ndarray:
     if abs(denom) < FLAME_DENOM_EPS:
         raise ValueError(f"crafting denominator {denom} too close to zero")
     norms = np.sqrt(_row_dots(receivers, receivers))[:, None], np.sqrt(_row_dots(benign, benign))
-    dists = 1.0 - _cosines(_row_dots(receivers[:, None, :], benign), *norms)
+    dists = 1.0 - _cosines(np.einsum("ik,jk->ij", receivers, benign), *norms)
     selected = np.argsort(dists, axis=1, kind="stable")[:, :take]
     crafted = (benign[selected].sum(axis=1) + FLAME_ALPHA * receivers - FLAME_BETA * benign.sum(axis=0)) / denom
     return np.repeat(crafted[:, None, :], m, axis=1)

@@ -603,7 +603,6 @@ class Engine:
                 shares = pre_agg[senders]
                 if rule.kind == "fltrust":  # each member anchors at its own model
                     shares = np.broadcast_to(shares, (members.size, *shares.shape))
-            # pre_agg[members] is a copy, not a view: under Prescott kernels fltrust's dots round by alignment
             self.models[members] = out = aggregate(rule, shares, receiver_pre_agg=pre_agg[members])
             # one aggregate the members share is evaluated once: c / size is rows * c / (rows * size)
             accuracies.append(group_accuracy(out if out.ndim == 2 else [out], self.test_set))

@@ -92,24 +92,37 @@ def finite_difference_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray
     return grad
 
 
+def dot_of(a: np.ndarray, b: np.ndarray) -> float:
+    """One dot product by einsum's sum of products, as the engine takes
+    every dot on its cosine and norm paths.  Equal to the engine's dots of
+    (k >= 2, d) rows for d <= 8192 only: einsum sums a lone (d,) operand in
+    8192-long buffer chunks, the rows of a 2-D one in one pass."""
+    return float(np.einsum("k,k->", a, b))
+
+
+def norm_of(a: np.ndarray) -> float:
+    """The square root of :func:`dot_of` ``a`` with itself."""
+    return float(np.sqrt(dot_of(a, a)))
+
+
 def cosine_of(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, 0 when either vector has zero norm."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = norm_of(a)
+    nb = norm_of(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return dot_of(a, b) / (na * nb)
 
 
 def fltrust_of(models: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """FLTrust with one cosine call per model: the trust loop that
     ``agg_fltrust`` must reproduce bit for bit."""
-    ref_norm = float(np.linalg.norm(reference))
+    ref_norm = norm_of(reference)
     trusts = np.array([max(0.0, cosine_of(row, reference)) for row in models])
     total = trusts.sum()
     if total == 0.0:
         return reference.copy()
-    norms = np.linalg.norm(models, axis=1)
+    norms = np.array([norm_of(row) for row in models])
     scaled = np.where(norms[:, None] > 0.0, models * (ref_norm / np.where(norms == 0.0, 1.0, norms))[:, None], models)
     return (trusts[:, None] * scaled).sum(axis=0) / total
 
@@ -224,7 +237,7 @@ def flame_of(mat: np.ndarray) -> np.ndarray:
     """FLAME without noise: the brute-force admitted rows, each clipped to
     ``np.median`` of their norms, averaged."""
     kept = mat[admitted_by_clustering(mat)]
-    norms = np.linalg.norm(kept, axis=1)
+    norms = np.array([norm_of(row) for row in kept])
     clip_to = float(np.median(norms))
     scale = np.ones_like(norms)
     mask = norms > clip_to

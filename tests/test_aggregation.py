@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from dflsim.aggregation import (
     RULE_KINDS,
     AggregationRule,
     _admitted_by_clustering,
+    _row_dots,
     agg_fedavg,
     agg_flame,
     agg_fltrust,
@@ -15,6 +18,7 @@ from dflsim.aggregation import (
     agg_trimmed_mean,
     aggregate,
 )
+from dflsim.attack import craft_shared_model
 
 from oracles import admitted_by_clustering, flame_of, fltrust_of, median_rows_of, trimmed_mean_rows_of
 
@@ -226,11 +230,11 @@ def clustering_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(clustering_inputs())
-# norms taken another way than np.linalg.norm of each row differ in the last
-# bit here, and the admitted set with them
+# under SkylakeX kernels, norms from BLAS dots instead of einsum self-dots
+# differ in the last bit here, and the admitted set with them
 @example(np.array([[0.4, -0.7], [0.4, 0.7], [-0.6, 0.3], [-1.0, -0.5]]))
 def test_flame_clustering_matches_oracle(mat):
-    assert _admitted_by_clustering(mat) == admitted_by_clustering(mat)
+    assert _admitted_by_clustering(mat, np.sqrt(_row_dots(mat, mat))) == admitted_by_clustering(mat)
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,6 +246,52 @@ def test_flame_clustering_matches_oracle(mat):
 @example(np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [3.0, 3.0], [-1.0, 0.0]]))  # 4 admitted, tied middle pair
 def test_flame_clips_to_the_np_median_of_the_admitted_norms(mat):
     assert agg_flame(mat).tobytes() == flame_of(mat).tobytes()
+
+
+def test_flame_peaks_below_four_copies_of_its_input():
+    """The pairwise cosines come from one (k, k) Gram matrix: gathering both
+    rows of each of the 4950 pairs here would take ~160 MB."""
+    mat = np.random.default_rng(7).normal(size=(100, 2000))
+    tracemalloc.start()
+    try:
+        agg_flame(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * mat.nbytes
+
+
+# ---------------------------------------------------------------------------
+# operand alignment
+# ---------------------------------------------------------------------------
+
+def shifted(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` in a buffer that starts 8 bytes into its allocation."""
+    out = np.empty(a.size + 1)[1:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+# rule -> its output for (k, d) models and two (2, d) receivers
+COSINE_RULES = {
+    "fltrust": lambda models, receivers: agg_fltrust(models, receivers[0]),
+    "flame": lambda models, receivers: agg_flame(models),
+    "craft_flame": lambda models, receivers: craft_shared_model(AggregationRule("flame"), receivers, models, 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("rule", COSINE_RULES)
+def test_cosine_rules_do_not_depend_on_operand_alignment(rule):
+    """Every dot on the cosine and norm paths is an einsum sum, so operands
+    8 bytes off give the same bytes; under OpenBLAS's Prescott kernels a BLAS
+    dot rounds by its operands' alignment."""
+    run, gen = COSINE_RULES[rule], np.random.default_rng(20)
+    differ = 0
+    for _ in range(200):
+        k, d = int(gen.integers(3, 12)), int(gen.integers(2, 120))
+        models, receivers = gen.normal(size=(k, d)), gen.normal(size=(2, d))
+        differ += run(models, receivers).tobytes() != run(shifted(models), shifted(receivers)).tobytes()
+    assert differ == 0, f"{differ} of 200 cases differ"
 
 
 # ---------------------------------------------------------------------------

@@ -614,8 +614,8 @@ def flame_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(flame_instances())
-# benign norms, then receiver norms, taken by np.linalg.norm(axis=1) change
-# the selected shares here
+# under SkylakeX kernels, cosines from BLAS dots instead of einsum sums select
+# other shares here: through the benign norms and dots, then the receiver norms
 @example((
     np.array([[-0.1, -0.2, 0.4]]),
     np.array([[0.8, -0.8, 0.8], [-0.2, -0.6, -0.1], [0.6, 1.0, -0.1], [0.3, -0.3, 0.3],
