@@ -206,10 +206,11 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
     """Crafted values that drive the trimmed mean (m per side) of ``q`` plus
     them to ``target``.
 
-    ``q`` must be sorted descending.  Depending on which side of the benign
-    trimmed mean the target lies, some crafted values park strictly outside
-    the benign range to shift which benign values get trimmed, and the rest
-    take a common value that lands the surviving mean exactly on the target.
+    ``q`` must be sorted descending.  Split j = 0..m parks m - j crafted
+    values outside the benign range (below it when the target is at or below
+    the benign trimmed mean, above it otherwise) and gives the other j a
+    common filler value that lands the surviving mean on the target; the
+    first feasible split wins.
     """
     bounds = trimmed_mean_bounds(q, m)
     check_offset(b)
@@ -219,34 +220,18 @@ def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0
         raise ValueError(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
     if not bounds.contains(target):
         raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
-    benign_trimmed = float(q[m:n - m].mean())
-    crafted = np.empty(m, dtype=np.float64)
-
-    # on either side, the last split (no value parked) is feasible in exact
-    # arithmetic: take it without a threshold that rounding can put past target
-    if target <= benign_trimmed:
-        # park values below the benign minimum so low benign entries survive
-        # the trim; the largest feasible r keeps the filler value ordered
-        for r in range(n, n - m, -1):
-            threshold = ((n - r) * q[m - 1] + q[m:r].sum()) / (n - m)
-            if target <= threshold:
-                break
-        else:
-            r = n - m
-        crafted[: m - n + r] = q[-1] - b
-        if r < n:
-            crafted[m - n + r:] = ((n - m) * target - q[m:r].sum()) / (n - r)
-    else:
-        # symmetric case above the benign trimmed mean
-        for r in range(-1, m - 1):
-            threshold = ((r + 1) * q[n - m] + q[r + 1:n - m].sum()) / (n - m)
-            if target >= threshold:
-                break
-        else:
-            r = m - 1
-        crafted[: m - r - 1] = q[0] + b
-        if r >= 0:
-            crafted[m - r - 1:] = ((n - m) * target - q[r + 1:n - m].sum()) / (r + 1)
+    low = target <= float(q[m:n - m].mean())
+    pivot = q[m - 1] if low else q[n - m]
+    for j in range(m + 1):
+        kept = (q[m:n - j] if low else q[j:n - m]).sum()
+        threshold = (j * pivot + kept) / (n - m)
+        # split m parks nothing and is feasible in exact arithmetic: take it
+        # without a threshold that rounding can put past the target
+        if j == m or (target <= threshold if low else target >= threshold):
+            break
+    crafted = np.full(m, q[-1] - b if low else q[0] + b)
+    if j:
+        crafted[m - j:] = ((n - m) * target - kept) / j
     return crafted
 
 
@@ -342,7 +327,7 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     """:func:`trimmed_mean_bounds` and :func:`craft_trimmed_mean` for every
     receiver and coordinate at once.
 
-    The split search of the scalar code becomes a table of m + 1 thresholds
+    The scalar loop over splits j = 0..m becomes a table of m + 1 thresholds
     per coordinate and side, computed once per call; each cell takes the
     first feasible split.  Split j parks m - j crafted values outside the
     benign range and gives the other j a common filler value.

@@ -294,16 +294,6 @@ def _step(rows, x, labelled, counts, valid):
     return losses, probs.transpose(0, 2, 1) @ x
 
 
-def loss_and_grad(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int):
-    """Mean softmax cross-entropy and its gradient w.r.t. the flat model:
-    one full batch through the training step."""
-    batch = np.ones((1, len(x), x.shape[1] + 1))
-    batch[0, :, :-1] = x
-    labelled = np.arange(len(x)) * num_classes + y
-    losses, grads = _step(_rows(model[None], num_classes), batch, labelled[None], np.array([len(x)], float), 1.0)
-    return float(losses[0]), _flat(grads)[0]
-
-
 def train_clients(models: np.ndarray, plan: TrainingPlan, gens):
     """Run the local epochs of all clients in lockstep; return (models, mean batch losses).
 

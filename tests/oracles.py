@@ -3,13 +3,15 @@
 Everything here checks results by brute force or numerics only — none of it
 shares code with the library's closed-form implementations.  The exceptions
 are :func:`scalar_crafting`, which composes the library's per-coordinate
-crafting functions, and :func:`reference_run`, which shares the config
-types, the seeded streams, the datasets, the partition, the scalar crafting
-and ``agg_krum`` with the library, and nothing of its round engine.
+crafting functions, :func:`trainer_loss_and_grad`, the trainer's own step
+that the gradient checks judge, and :func:`reference_run`, which shares the
+config types, the seeded streams, the datasets, the partition, the scalar
+crafting and ``agg_krum`` with the library, and nothing of its round engine.
 """
 
 import numpy as np
 
+from dflsim import simulation
 from dflsim.aggregation import AggregationRule, agg_fedavg, agg_krum, agg_median, agg_trimmed_mean
 from dflsim.attack import (
     FLAME_ALPHA,
@@ -94,9 +96,10 @@ def finite_difference_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray
 
 def dot_of(a: np.ndarray, b: np.ndarray) -> float:
     """One dot product by einsum's sum of products, as the engine takes
-    every dot on its cosine and norm paths.  Equal to the engine's dots of
-    (k >= 2, d) rows for d <= 8192 only: einsum sums a lone (d,) operand in
-    8192-long buffer chunks, the rows of a 2-D one in one pass."""
+    every dot on its cosine and norm paths.  Equal to the engine's dots for
+    d <= 8192 only: past einsum's 8192-element buffer, a (d,) or a (1, d)
+    operand is summed in chunks, while (k >= 2, d) rows and a Gram product
+    are summed in one pass."""
     return float(np.einsum("k,k->", a, b))
 
 
@@ -189,6 +192,18 @@ def admitted_by_clustering(mat: np.ndarray) -> list[int]:
     # unreachable: once all edges are merged there is a single cluster of
     # size count >= need; kept as a defensive fallback
     return list(range(count))
+
+
+def trainer_loss_and_grad(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int):
+    """The trainer's own training step (``simulation._step``, not an oracle)
+    on one model and one full batch: the loss and the flat gradient."""
+    batch = np.ones((1, len(x), x.shape[1] + 1))
+    batch[0, :, :-1] = x
+    labelled = np.arange(len(x)) * num_classes + y
+    losses, grads = simulation._step(
+        simulation._rows(model[None], num_classes), batch, labelled[None], np.array([len(x)], float), 1.0
+    )
+    return float(losses[0]), simulation._flat(grads)[0]
 
 
 def loss_and_grad_of(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_classes: int, width: int | None = None):

@@ -20,7 +20,6 @@ from dflsim.simulation import (
     AttackConfig,
     Engine,
     ExperimentConfig,
-    loss_and_grad,
     model_dim,
     run_experiment,
 )
@@ -32,7 +31,7 @@ from dflsim.verify import (
     check_solver_against_grid,
     check_trimmed_mean_identity,
 )
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, trainer_loss_and_grad
 
 IDENTITY_TRIALS = 10_000
 
@@ -215,8 +214,8 @@ def test_criterion_11_gradient_check():
         model = gen.normal(0.0, 1.0, size=model_dim(classes, features))
         x = gen.normal(0.0, 2.0, size=(size, features))
         y = gen.integers(0, classes, size=size)
-        _, grad = loss_and_grad(model, x, y, classes)
-        fd = finite_difference_gradient(lambda mdl: loss_and_grad(mdl, x, y, classes)[0], model)
+        _, grad = trainer_loss_and_grad(model, x, y, classes)
+        fd = finite_difference_gradient(lambda mdl: trainer_loss_and_grad(mdl, x, y, classes)[0], model)
         rel = float(np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(fd)))))
         worst = max(worst, rel)
     ok = worst <= 1e-5

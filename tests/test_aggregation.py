@@ -18,9 +18,16 @@ from dflsim.aggregation import (
     agg_trimmed_mean,
     aggregate,
 )
-from dflsim.attack import craft_shared_model
+from dflsim.attack import FLAME_ALPHA, FLAME_BETA, craft_shared_model
 
-from oracles import admitted_by_clustering, flame_of, fltrust_of, median_rows_of, trimmed_mean_rows_of
+from oracles import (
+    admitted_by_clustering,
+    craft_flame_of,
+    flame_of,
+    fltrust_of,
+    median_rows_of,
+    trimmed_mean_rows_of,
+)
 
 
 def vecs(*rows):
@@ -292,6 +299,27 @@ def test_cosine_rules_do_not_depend_on_operand_alignment(rule):
         models, receivers = gen.normal(size=(k, d)), gen.normal(size=(2, d))
         differ += run(models, receivers).tobytes() != run(shifted(models), shifted(receivers)).tobytes()
     assert differ == 0, f"{differ} of 200 cases differ"
+
+
+# rule -> (its output, its per-pair oracle's) for (k, d) models and two (2, d) receivers
+COSINE_ORACLES = {
+    "fltrust": (COSINE_RULES["fltrust"], lambda models, receivers: fltrust_of(models, receivers[0])),
+    "flame": (COSINE_RULES["flame"], lambda models, receivers: flame_of(models)),
+    "craft_flame": (COSINE_RULES["craft_flame"], lambda models, receivers: np.stack(
+        [craft_flame_of(w, list(models), 1, FLAME_ALPHA, FLAME_BETA) for w in receivers])),
+}
+
+
+@pytest.mark.parametrize("d", [7850, 8192])
+@pytest.mark.parametrize("rule", COSINE_ORACLES)
+def test_cosine_rules_match_their_oracles_up_to_einsums_buffer_length(rule, d):
+    """The oracles' 1-D dots equal the engine's row and Gram dots up to
+    einsum's 8192-element buffer, which covers the paper's MNIST model
+    (d = 7850); past it einsum sums a 1-D or single-row operand in chunks."""
+    run, oracle = COSINE_ORACLES[rule]
+    gen = np.random.default_rng(d)
+    models, receivers = gen.normal(size=(7, d)), gen.normal(size=(2, d))
+    assert run(models, receivers).tobytes() == oracle(models, receivers).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,6 +334,58 @@ def test_craft_trimmed_takes_unparked_split_past_rounded_threshold(benign, m, ta
     assert np.isclose(trimmed_mean_of(np.concatenate([q, crafted]), m), target, rtol=0.0, atol=1e-12)
     batched = craft_shared_model(AggregationRule("trimmed_mean"), [[target]], np.array(benign)[:, None], m, 0.0)
     assert np.array_equal(batched[0, :, 0], crafted)
+
+
+# (distinct benign values in quarters, m) with n - m a power of two, so every
+# sum and threshold is exact.  The middle values sit high, so split m is
+# reachable below the benign trimmed mean; no set of values reaches it on
+# both sides, so the high side runs on the mirrored values and target.
+SPLIT_CASES = [
+    ([3.0, 2.25, 2.0, 1.0, 0.5, 0.0], 2),
+    ([9.0, 7.5, 7.25, 7.0, 6.75, 6.5, 6.25, 6.0, 2.0, 1.0], 2),
+    ([12.0, 11.0, 10.0, 9.0, 8.75, 8.5, 8.25, 8.0, 2.0, 1.5, 1.0, 0.0], 4),
+]
+
+
+def dyadic_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The coarsest k / 2**e strictly between ``lo`` < ``hi``."""
+    e = 0
+    while (k := math.floor(lo * 2**e) + 1) >= hi * 2**e:
+        e += 1
+    return Fraction(k, 2**e)
+
+
+def low_split_targets(benign, m: int) -> list[Fraction]:
+    """Per split j = 0..m, a target below the benign trimmed mean that the
+    first feasible split j reaches: the lower bound for j = 0, else strictly
+    between the thresholds (j * q[m - 1] + sum(q[m:n - j])) / (n - m) of
+    splits j - 1 and j, with a dyadic filler value so the crafting is exact."""
+    q, n = [Fraction(v) for v in benign], len(benign)
+    pivot, benign_trimmed = q[m - 1], sum(q[m:n - m]) / (n - 2 * m)
+    thresholds = [(j * pivot + sum(q[m:n - j])) / (n - m) for j in range(m + 1)]
+    targets = [thresholds[0]]
+    for j in range(1, m + 1):
+        kept = sum(q[m:n - j])
+        # (kept + j * filler) / (n - m) passes threshold j - 1 for a filler above
+        # the first bound, stays below threshold j for one below the pivot, and
+        # below the benign trimmed mean for one below the last bound
+        filler = dyadic_between(((j - 1) * pivot + q[n - j]) / j, min(pivot, ((n - m) * benign_trimmed - kept) / j))
+        targets.append((kept + j * filler) / (n - m))
+        assert thresholds[j - 1] < targets[j] < min(thresholds[j], benign_trimmed)
+    return targets
+
+
+@pytest.mark.parametrize("benign, m", SPLIT_CASES)
+def test_trimmed_mean_crafting_takes_every_split_on_both_sides(benign, m):
+    low = np.array(benign)
+    for j, exact in enumerate(low_split_targets(benign, m)):
+        assert float(exact) == exact
+        for q, target in ((low, float(exact)), (-low[::-1], -float(exact))):
+            crafted = craft_trimmed_mean(q, target, m)
+            assert np.count_nonzero((crafted < q[-1]) | (crafted > q[0])) == m - j, (q, target)
+            batched = craft_shared_model(AggregationRule("trimmed_mean"), [[target]], q[:, None], m, 0.0)
+            assert batched[0, :, 0].tobytes() == crafted.tobytes()
+            assert trimmed_mean_of(np.concatenate([q, crafted]), m) == target
 
 
 def test_craft_trimmed_needs_enough_benign():

@@ -27,7 +27,6 @@ from dflsim.simulation import (
     generate_synthetic,
     group_accuracy,
     load_csv,
-    loss_and_grad,
     model_dim,
     partition_non_iid,
     read_plan,
@@ -35,7 +34,13 @@ from dflsim.simulation import (
     train_clients,
 )
 
-from oracles import correct_count_of, finite_difference_gradient, local_update_of, loss_and_grad_of
+from oracles import (
+    correct_count_of,
+    finite_difference_gradient,
+    local_update_of,
+    loss_and_grad_of,
+    trainer_loss_and_grad,
+)
 
 
 def small_config(**overrides):
@@ -104,7 +109,7 @@ def test_generate_synthetic_separation_controls_difficulty():
     def fit(data, steps=300):
         model = np.zeros(model_dim(data.num_classes, data.num_features))
         for _ in range(steps):
-            _, grad = loss_and_grad(model, data.features, data.labels, data.num_classes)
+            _, grad = loss_and_grad_of(model, data.features, data.labels, data.num_classes)
             model -= 0.5 * grad
         return model
 
@@ -198,8 +203,8 @@ def test_gradient_matches_finite_differences():
         model = gen.normal(size=model_dim(classes, features))
         x = gen.normal(size=(batch, features))
         y = gen.integers(0, classes, size=batch)
-        _, analytic = loss_and_grad(model, x, y, classes)
-        numeric = finite_difference_gradient(lambda v: loss_and_grad(v, x, y, classes)[0], model)
+        _, analytic = trainer_loss_and_grad(model, x, y, classes)
+        numeric = finite_difference_gradient(lambda v: trainer_loss_and_grad(v, x, y, classes)[0], model)
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
         assert np.linalg.norm(analytic - numeric) / denom < 1e-6
 
@@ -210,7 +215,7 @@ def test_local_update_zero_learning_rate_is_identity():
     cfg = TrainerConfig(learning_rate=0.0, local_epochs=2, batch_size=64, weight_decay=0.0)
     updated, mean_loss = train_clients(model[None], TrainingPlan(data, np.zeros(data.size, int), cfg), [Rng(5).stream(1)])
     assert np.array_equal(updated[0], model)
-    initial_loss, _ = loss_and_grad(model, data.features, data.labels, 2)
+    initial_loss, _ = loss_and_grad_of(model, data.features, data.labels, 2)
     assert np.isclose(mean_loss[0], initial_loss)
 
 
@@ -219,8 +224,8 @@ def test_local_update_decreases_loss_on_separable_data():
     model = np.zeros(model_dim(2, 4))
     cfg = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=200, weight_decay=0.0)
     updated, _ = train_clients(model[None], TrainingPlan(data, np.zeros(data.size, int), cfg), [Rng(6).stream(1)])
-    before, _ = loss_and_grad(model, data.features, data.labels, 2)
-    after, _ = loss_and_grad(updated[0], data.features, data.labels, 2)
+    before, _ = loss_and_grad_of(model, data.features, data.labels, 2)
+    after, _ = loss_and_grad_of(updated[0], data.features, data.labels, 2)
     assert after < before
 
 
@@ -308,7 +313,7 @@ def test_class_slice_max_matches_a_row_max_on_special_values():
     x, y = np.ones((1, 1)), np.array([2])
     for weights in itertools.product(specials, repeat=4):
         model = np.array([*weights, 0.0, 0.0, 0.0, 0.0])
-        loss, grad = loss_and_grad(model, x, y, 4)
+        loss, grad = trainer_loss_and_grad(model, x, y, 4)
         want_loss, want_grad = loss_and_grad_of(model, x, y, 4)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), weights
         assert grad.tobytes() == want_grad.tobytes(), weights
@@ -382,7 +387,7 @@ def test_group_accuracy_split():
     data = blobs(2, 3, 50, 8.0, Rng(0).stream(0))
     good = np.zeros(model_dim(2, 3))
     for _ in range(200):
-        _, grad = loss_and_grad(good, data.features, data.labels, 2)
+        _, grad = loss_and_grad_of(good, data.features, data.labels, 2)
         good -= 0.5 * grad
     bad = -good
     models = [good, good, good, bad]  # the selfish client holds the bad model

@@ -1,13 +1,15 @@
 """The self-check suites must pass on the real crafting code and fail with a
 recorded counterexample when handed a deliberately broken variant."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dflsim.verify
-from dflsim.attack import CoordinateBounds
+from dflsim.attack import CoordinateBounds, craft_fedavg, craft_median, craft_trimmed_mean, solve_optimal_coordinate
 from dflsim.core import Rng
 from dflsim.verify import (
     GRID_BLOCK,
@@ -90,6 +92,32 @@ def test_broken_solver_is_caught_by_grid(monkeypatch):
         assert res.first_failure["solved"] != res.first_failure["grid_best"]
         results.append((res.failures, res.first_failure))
     assert results[0] == results[1]
+
+
+def test_suites_make_the_calls_perfbench_times(monkeypatch):
+    """``perfbench`` times each trial of ``dflsim verify`` from one call to
+    the next of a function the suite makes once a trial (its
+    ``VERIFY_SUITES``), and traces the scalar functions the suites look up
+    in ``dflsim.verify`` at call time (its ``VERIFY_GLOBALS``)."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    looked_up = ("solve_optimal_coordinate", "fedavg_bounds", "median_bounds", "trimmed_mean_bounds")
+    for name in looked_up:
+        monkeypatch.setattr(dflsim.verify, name, counted(name, getattr(dflsim.verify, name)))
+    for check, craft in ((check_fedavg_identity, craft_fedavg), (check_median_identity, craft_median),
+                         (check_trimmed_mean_identity, craft_trimmed_mean)):
+        assert check(30, seed=2, craft=counted("craft", craft)).trials == calls.pop("craft") == 30
+    res = check_solver_against_grid(5, grid_points=101, seed=2, solver=counted("solver", solve_optimal_coordinate))
+    assert res.trials == calls.pop("solver") == 4 * 5
+    before = calls["median_bounds"]
+    assert check_bounds_tightness(7, trials_per_instance=10, seed=2).trials == calls["median_bounds"] - before == 7
+    assert all(calls[name] >= 1 for name in looked_up), calls
 
 
 def test_suite_result_flags_failures():
