@@ -327,10 +327,12 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     """:func:`trimmed_mean_bounds` and :func:`craft_trimmed_mean` for every
     receiver and coordinate at once.
 
-    The scalar loop over splits j = 0..m becomes a table of m + 1 thresholds
-    per coordinate and side, computed once per call; each cell takes the
-    first feasible split.  Split j parks m - j crafted values outside the
-    benign range and gives the other j a common filler value.
+    The scalar loop over splits j = 0..m, run over arrays: split j parks
+    m - j crafted values outside the benign range and gives the other j a
+    common filler value.  Each split's kept sums and thresholds are computed
+    per coordinate and side, every cell still open takes the first feasible
+    split, split m is taken without a threshold, and the loop stops once no
+    cell is open (after split 0 at lambda 1, where every target is a bound).
     """
     n = benign.shape[0]
     if n < 2 * m + 1:
@@ -338,26 +340,25 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     q = -np.sort(-benign, axis=0)
     lower, upper = _trimmed_mean_interval(q, m)
     target = _targets(receivers, q, agg_trimmed_mean(benign, m), lower, upper, lam)
-    splits = np.arange(m + 1)[:, None]
-    # below the benign trimmed mean: split j keeps q[m:n-j], pivots on q[m-1]
-    low_sums = np.stack([_column_sums(q, m, n - j) for j in range(m + 1)])
-    low_thresholds = (splits * q[m - 1] + low_sums) / (n - m)
-    # above it: split j keeps q[j:n-m], pivots on q[n-m]
-    high_sums = np.stack([_column_sums(q, j, n - m) for j in range(m + 1)])
-    high_thresholds = (splits * q[n - m] + high_sums) / (n - m)
-
-    go_low = target <= _column_sums(q, m, n - m) / (n - 2 * m)
-    feasible = np.where(
-        go_low[:, None, :],
-        target[:, None, :] <= low_thresholds,
-        target[:, None, :] >= high_thresholds,
-    )
-    feasible[:, m] = True  # feasible in exact arithmetic, see craft_trimmed_mean
-    split = feasible.argmax(axis=1)
-
-    sums = np.where(go_low, np.take_along_axis(low_sums, split, axis=0), np.take_along_axis(high_sums, split, axis=0))
+    rows = np.ascontiguousarray(q.T)  # each column sum a contiguous row-slice sum: _column_sums' 1-D order
+    low = target <= rows[:, m:n - m].sum(axis=1) / (n - 2 * m)
+    signed = np.where(low, target, -target)  # above it, target >= threshold is -target <= -threshold
+    split, open_, low_sums, high_sums = np.zeros(target.shape, dtype=np.int64), np.ones(target.shape, bool), [], []
+    for j in range(m + 1):
+        # below the benign trimmed mean split j keeps q[m:n-j], pivots on q[m-1]; above it q[j:n-m] and q[n-m]
+        low_sums.append(rows[:, m:n - j].sum(axis=1))
+        high_sums.append(rows[:, j:n - m].sum(axis=1))
+        take = open_ if j == m else open_ & (
+            signed <= np.where(low, (j * q[m - 1] + low_sums[j]) / (n - m), -(j * q[n - m] + high_sums[j]) / (n - m))
+        )
+        np.copyto(split, j, where=take)
+        open_ &= ~take
+        if not open_.any():
+            break
+    column = np.arange(target.shape[1])
+    sums = np.where(low, np.array(low_sums)[split, column], np.array(high_sums)[split, column])
     filler = ((n - m) * target - sums) / np.maximum(split, 1)
-    park = np.where(go_low, q[-1] - b, q[0] + b)
+    park = np.where(low, q[-1] - b, q[0] + b)
     parked = np.arange(m)[None, :, None] < (m - split)[:, None, :]
     return np.where(parked, park[:, None, :], filler[:, None, :])
 

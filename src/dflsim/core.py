@@ -105,10 +105,12 @@ class Rng:
 
     def reset(self, gens: list[np.random.Generator], *prefix: int) -> list[np.random.Generator]:
         """Re-key each Philox ``gens[i]`` to the fresh state of ``stream(*prefix, i)``; return ``gens``."""
-        key = [self.seed, 0]
+        counter = _counter((*prefix, 0))  # the path is checked here, with or without generators
+        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": [self.seed, 0]},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         for i, gen in enumerate(gens):
-            gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _counter((*prefix, i)), "key": key},
-                                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            counter[3 - len(prefix)] = i  # the client's word; the setter copies the state
+            gen.bit_generator.state = state
         return gens
 
 

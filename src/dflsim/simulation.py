@@ -245,8 +245,9 @@ class TrainingPlan:
     draw to permute, the clients grouped by batch count for the loss means,
     and the ``steps`` of an epoch.  Step j holds the active clients (a basic
     slice if all are), its slot columns, the (k,) batch row counts, their
-    (k, W) loss mask and the (k, W) flat offsets of each slot's class
-    log-probabilities, W the run's batch width."""
+    (k, W) loss mask, the (k, W) flat offsets of each slot's class
+    log-probabilities and the counts as a (k, W, C) divisor of the class
+    probabilities, W the run's batch width."""
 
     def __init__(self, data: Dataset, owner: np.ndarray, cfg: TrainerConfig):
         self.cfg, self.sizes, self.num_classes = cfg, np.bincount(owner), data.num_classes
@@ -265,15 +266,17 @@ class TrainingPlan:
             counts = np.minimum(self.sizes[act] - j * width, width).astype(np.float64)
             cells = np.arange(counts.size * width).reshape(-1, width)
             valid = (cells % width < counts[:, None]).astype(np.float64)
-            self.steps.append((act, slice(j * width, (j + 1) * width), counts, valid, cells * data.num_classes))
+            divisor = np.repeat(counts, width * data.num_classes).reshape(-1, width, data.num_classes)
+            self.steps.append((act, slice(j * width, (j + 1) * width), counts, valid, cells * data.num_classes, divisor))
 
 
-def _step(rows, x, labelled, counts, valid):
+def _step(rows, x, labelled, counts, valid, divisor):
     """Mean softmax cross-entropy and its gradient for k models at once.
 
     ``rows`` is (k, C, F+1), ``x`` (k, W, F+1) and ``labelled`` the (k, W)
     flat indices of the labels' log-probabilities; batch i is its first
     ``counts[i]`` rows, marked by ``valid[i]``, and zero rows pad the rest.
+    ``divisor`` holds the counts broadcast to (k, W, C).
     Both products are one stacked matmul, the same BLAS call per slice as
     one padded batch.  A zero row's logits are finite and its products
     exact zeros, so only the loss reads the mask.
@@ -283,14 +286,20 @@ def _step(rows, x, labelled, counts, valid):
     for c in range(1, rows.shape[1]):
         np.maximum(shift, logits[..., c], out=shift)
     logits -= shift[..., None]
-    # one reduction: a sum of class slices adds in another order from 8 classes on
-    log_probs = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
+    exps = np.exp(logits)
+    if rows.shape[1] < 8:  # numpy's pairwise sum adds under 8 terms left to right, as these slices do
+        total = exps[..., 0] + exps[..., 1]
+        for c in range(2, rows.shape[1]):
+            total += exps[..., c]
+    else:  # and from 8 on in 8 interleaved partial sums
+        total = exps.sum(axis=2)
+    log_probs = logits - np.log(total)[..., None]
     picked = log_probs.reshape(-1)[labelled]
     picked *= valid
     losses = -(picked.sum(axis=1) / counts)  # np.mean's sum and division, without its per-call cost
-    probs = np.exp(log_probs)
+    probs = np.exp(log_probs, out=exps)  # exps is dead: its buffer takes the probabilities
     probs.reshape(-1)[labelled] -= 1.0  # a fresh ufunc result is C-contiguous, so reshape gives a view
-    probs /= counts[:, None, None]
+    probs /= divisor  # a same-shape divide: a broadcast over the class axis costs ~4x as much
     return losses, probs.transpose(0, 2, 1) @ x
 
 
@@ -311,15 +320,15 @@ def train_clients(models: np.ndarray, plan: TrainingPlan, gens):
     rows = _rows(np.asarray(models, dtype=np.float64), plan.num_classes)
     losses = np.zeros((plan.sizes.size, cfg.local_epochs, len(plan.steps)))
     for epoch in range(cfg.local_epochs):
-        for j, (act, cols, counts, valid, cells) in enumerate(plan.steps):
+        for j, (act, cols, counts, valid, cells, divisor) in enumerate(plan.steps):
             batch, own = slots[epoch, act, cols], rows[act]  # act is a slice, and own a view, when all are active
             losses[act, epoch, j], grad = _step(
-                own, np.take(plan.features, batch, axis=0), plan.labels[batch] + cells, counts, valid
+                own, np.take(plan.features, batch, axis=0), plan.labels[batch] + cells, counts, valid, divisor
             )
             rows[act] -= cfg.learning_rate * (grad + cfg.weight_decay * own)
     means = np.empty(plan.sizes.size)  # a client's row is contiguous: np.mean's pairwise sum and division
     for clients, n in plan.means:
-        means[clients] = losses[clients, :, :n].reshape(-1, cfg.local_epochs * n).mean(axis=1)
+        means[clients] = losses[clients, :, :n].reshape(-1, cfg.local_epochs * n).sum(axis=1) / (cfg.local_epochs * n)
     return _flat(rows), means
 
 

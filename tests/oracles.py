@@ -200,8 +200,10 @@ def trainer_loss_and_grad(model: np.ndarray, x: np.ndarray, y: np.ndarray, num_c
     batch = np.ones((1, len(x), x.shape[1] + 1))
     batch[0, :, :-1] = x
     labelled = np.arange(len(x)) * num_classes + y
+    counts = np.array([len(x)], float)
     losses, grads = simulation._step(
-        simulation._rows(model[None], num_classes), batch, labelled[None], np.array([len(x)], float), 1.0
+        simulation._rows(model[None], num_classes), batch, labelled[None], counts, 1.0,
+        np.full((1, len(x), num_classes), counts[0]),
     )
     return float(losses[0]), simulation._flat(grads)[0]
 

@@ -375,10 +375,24 @@ def low_split_targets(benign, m: int) -> list[Fraction]:
     return targets
 
 
+def split_m_past_its_rounded_threshold(n: int, m: int) -> list:
+    """At most one (descending column, target) whose target, the column's
+    benign trimmed mean, reaches split m only because split m is taken
+    without a threshold: rounding puts that threshold below the target.
+    The column's pivot and middle values are all v; for some (n, m), such
+    as any with n - 2m = 2, no v rounds so."""
+    for v in np.arange(1, 100) / 100:
+        q = np.array([v + 1] * (m - 1) + [v] * (n - 2 * m + 1) + [v - 1] * m)
+        target = float(q[m:n - m].mean())
+        if (m * q[m - 1] + q[m:n - m].sum()) / (n - m) < target:
+            return [(q, target)]
+    return []
+
+
 @pytest.mark.parametrize("benign, m", SPLIT_CASES)
 def test_trimmed_mean_crafting_takes_every_split_on_both_sides(benign, m):
-    low = np.array(benign)
-    for j, exact in enumerate(low_split_targets(benign, m)):
+    low, targets = np.array(benign), low_split_targets(benign, m)
+    for j, exact in enumerate(targets):
         assert float(exact) == exact
         for q, target in ((low, float(exact)), (-low[::-1], -float(exact))):
             crafted = craft_trimmed_mean(q, target, m)
@@ -386,6 +400,16 @@ def test_trimmed_mean_crafting_takes_every_split_on_both_sides(benign, m):
             batched = craft_shared_model(AggregationRule("trimmed_mean"), [[target]], q[:, None], m, 0.0)
             assert batched[0, :, 0].tobytes() == crafted.tobytes()
             assert trimmed_mean_of(np.concatenate([q, crafted]), m) == target
+    # one call needs every split at once: receiver r's target in low column c (mirrored column c)
+    # is split (c + r) % (m + 1)'s (negated), so the cells of one column close at every split
+    columns = [(q, [sign * float(targets[(c + r) % (m + 1)]) for r in range(m + 1)])
+               for q, sign in ((low, 1.0), (-low[::-1], -1.0)) for c in range(m + 1)]
+    columns += [(q, [target] * (m + 1)) for q, target in split_m_past_its_rounded_threshold(len(benign), m)]
+    receivers = np.array([cell for _, cell in columns]).T
+    batched = craft_shared_model(AggregationRule("trimmed_mean"), receivers, np.array([q for q, _ in columns]).T, m, 0.0)
+    for k, (q, cells) in enumerate(columns):
+        for r, target in enumerate(cells):
+            assert batched[r, :, k].tobytes() == craft_trimmed_mean(q, target, m).tobytes(), (r, k)
 
 
 def test_craft_trimmed_needs_enough_benign():

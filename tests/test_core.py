@@ -166,5 +166,6 @@ def test_reset_rejects_negative_path():
 
 @pytest.mark.parametrize("prefix, shown", [((1, 2, 3), "(1, 2, 3, 0)"), ((2, 2**64), "(2, 18446744073709551616, 0)")])
 def test_reset_rejects_a_path_beyond_the_counter(prefix, shown):
-    with pytest.raises(ValueError, match=PATH_ERROR + re.escape(shown) + "$"):
-        Rng(1).reset(philox_generators(2), *prefix)
+    for count in (2, 0):  # no generators too: the counter is built before any is re-keyed
+        with pytest.raises(ValueError, match=PATH_ERROR + re.escape(shown) + "$"):
+            Rng(1).reset(philox_generators(count), *prefix)

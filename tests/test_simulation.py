@@ -257,6 +257,8 @@ def test_local_update_applies_weight_decay():
     batch_size=32, epochs=3, classes=4, features=20, seed=1,
 )
 @example(sizes=[1, 1, 1, 31, 1, 40], batch_size=1, epochs=1, classes=9, features=5, seed=0)  # a sliced normalizer fails
+@example(sizes=[40, 33], batch_size=16, epochs=1, classes=8, features=3, seed=2)  # the fewest classes summed by numpy
+@example(sizes=[40, 33], batch_size=16, epochs=1, classes=12, features=3, seed=2)  # beyond the drawn class counts
 def test_lockstep_trainer_matches_per_client_loop(sizes, batch_size, epochs, classes, features, seed):
     gen = np.random.default_rng(seed)
     cfg = TrainerConfig(learning_rate=0.3, local_epochs=epochs, batch_size=batch_size, weight_decay=0.01)
@@ -317,6 +319,21 @@ def test_class_slice_max_matches_a_row_max_on_special_values():
         want_loss, want_grad = loss_and_grad_of(model, x, y, 4)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes(), weights
         assert grad.tobytes() == want_grad.tobytes(), weights
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("classes", range(2, 8))
+def test_class_slice_sum_adds_in_numpys_order_below_eight_classes(classes):
+    # below 8 classes the step adds its class exps slice by slice, left to right, where
+    # numpy's pairwise sum adds fewer than 8 terms in the same order; 1e308 pairs overflow
+    gen = np.random.default_rng(classes)
+    shape = (4000, 8, classes)
+    exps = np.exp(gen.normal(scale=10.0, size=shape))
+    exps = np.where(gen.random(shape) < 0.3, gen.choice([0.0, 5e-324, 1e308, np.inf, np.nan], size=shape), exps)
+    total = exps[..., 0] + exps[..., 1]
+    for c in range(2, classes):
+        total += exps[..., c]
+    assert total.tobytes() == exps.sum(axis=2).tobytes()
 
 
 def test_accuracy_empty_test_set():
