@@ -12,6 +12,7 @@ deterministic tie-breaks (lowest sender index wins).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,6 +145,14 @@ def agg_fltrust(models, reference: np.ndarray) -> np.ndarray:
     return (trusts[:, None] * scaled).sum(axis=0) / total
 
 
+@lru_cache
+def _pairs(count: int) -> np.ndarray:
+    """The (2, count(count-1)/2) read-only ``np.triu_indices(count, 1)``, built once per count."""
+    pairs = np.array(np.triu_indices(count, 1))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def _admitted_by_clustering(mat: np.ndarray, norms: np.ndarray) -> list[int]:
     """Indices admitted by single-linkage clustering on pairwise cosine
     distance, from one Gram matrix and the rows' :func:`_row_dots` ``norms``.
@@ -155,11 +164,10 @@ def _admitted_by_clustering(mat: np.ndarray, norms: np.ndarray) -> list[int]:
     count = mat.shape[0]
     if count < 3:
         return list(range(count))
-    i, j = np.triu_indices(count, 1)
-    dist = 1.0 - _cosines(np.einsum("ik,jk->ij", mat, mat)[i, j], norms[i], norms[j])
+    pairs = _pairs(count)
+    dist = 1.0 - _cosines(np.einsum("ik,jk->ij", mat, mat), norms[:, None], norms)[pairs[0], pairs[1]]
     order = np.argsort(dist)
     dist = dist[order]
-    group_ends = np.append(dist[1:] != dist[:-1], True)
     parent, size = list(range(count)), [1] * count
 
     def find(x: int) -> int:
@@ -169,7 +177,7 @@ def _admitted_by_clustering(mat: np.ndarray, norms: np.ndarray) -> list[int]:
         return x
 
     winner = None
-    for a, b, group_end in zip(i[order].tolist(), j[order].tolist(), group_ends.tolist()):
+    for a, b, group_end in zip(*pairs[:, order].tolist(), (dist[1:] != dist[:-1]).tolist() + [True]):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
@@ -194,7 +202,9 @@ def agg_flame(models) -> np.ndarray:
     norms = np.sqrt(_row_dots(mat, mat))
     admitted = _admitted_by_clustering(mat, norms)
     kept, norms = mat[admitted], norms[admitted]
-    clip_to = float(agg_median(norms[:, None])[0])  # np.median's value; its NaN check imports numpy.ma
+    ranked, mid = np.sort(norms), norms.size // 2  # a NaN sorts last
+    middle = ranked[mid] if norms.size % 2 else (ranked[mid - 1] + ranked[mid]) / 2
+    clip_to = float(ranked[-1] if np.isnan(ranked[-1]) else middle)  # np.median's value and NaN rule, without numpy.ma
     scale = np.ones_like(norms)
     mask = norms > clip_to
     scale[mask] = clip_to / norms[mask]  # 0 where the median norm is 0

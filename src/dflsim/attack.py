@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import AggregationRule, _cosines, _row_dots, agg_fedavg, agg_median, agg_trimmed_mean
+from .aggregation import AggregationRule, _cosines, _row_dots, agg_fedavg
 
 # treat lam this close to 1 as exactly 1 (the objective degenerates to linear)
 LAMBDA_ONE_TOLERANCE = 1e-9
@@ -110,13 +110,6 @@ def fedavg_bounds(q: Sequence[float]) -> CoordinateBounds:
     return CoordinateBounds(float(q.min()), float(q.max()))
 
 
-def _column_sums(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Sums of ``rows[start:stop]`` per column (the one sum of a 1-D ``rows``),
-    each added in the order of a 1-D sum: a reduction along a contiguous last
-    axis (one along axis 0 adds in another order and changes the last bits)."""
-    return np.ascontiguousarray(rows[start:stop].T).sum(axis=-1)
-
-
 def _median_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) ends of the interval the median of ``q`` plus ``m``
     crafted values can reach, per column of ``q``, of shape (n,) or (n, d)
@@ -129,16 +122,6 @@ def _median_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (q[(n + m - 1) // 2] + q[(n + m) // 2]), 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
 
 
-def _trimmed_mean_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) ends of the interval the trimmed mean (m per side) of
-    ``q`` plus ``m`` crafted values can reach, shaped and sorted as in
-    :func:`_median_interval`: the means of the bottom and top n - m values."""
-    n = q.shape[0]
-    if n <= m:
-        raise ValueError(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
-    return _column_sums(q, m, n) / (n - m), _column_sums(q, 0, n - m) / (n - m)
-
-
 def median_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
     """Interval the median of ``q`` (sorted descending) plus ``m`` crafted values can reach."""
     q = _check_descending(q)
@@ -147,10 +130,14 @@ def median_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
 
 
 def trimmed_mean_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
-    """Interval the trimmed mean (m per side) of ``q`` (sorted descending) plus ``m`` crafted values can reach."""
+    """Interval the trimmed mean (m per side) of ``q`` (sorted descending) plus
+    ``m`` crafted values can reach: the means of the bottom and top n - m values."""
     q = _check_descending(q)
     _check_m(m)
-    return CoordinateBounds(*map(float, _trimmed_mean_interval(q, m)))
+    n = q.size
+    if n <= m:
+        raise ValueError(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
+    return CoordinateBounds(float(q[m:].sum() / (n - m)), float(q[: n - m].sum() / (n - m)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +299,9 @@ def _craft_median_all(receivers, benign, m, lam, b) -> np.ndarray:
     n = benign.shape[0]
     q = -np.sort(-benign, axis=0)
     lower, upper = _median_interval(q, m)
-    target = _targets(receivers, q, agg_median(benign), lower, upper, lam)
+    # agg_median(benign) bit for bit: the ascending sort's middle rows are q's, a + b is b + a, and
+    # numpy's sums start from +0.0, so the signs of zeros, which the two sorts may order apart, drop out
+    target = _targets(receivers, q, q[(n - 1) // 2: n // 2 + 1].mean(axis=0), lower, upper, lam)
     upper_pivot = q[(n - m) // 2]
     lower_pivot = q[(n + m - 1) // 2]
     above = target > upper_pivot
@@ -338,9 +327,11 @@ def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
     if n < 2 * m + 1:
         raise ValueError(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
     q = -np.sort(-benign, axis=0)
-    lower, upper = _trimmed_mean_interval(q, m)
-    target = _targets(receivers, q, agg_trimmed_mean(benign, m), lower, upper, lam)
-    rows = np.ascontiguousarray(q.T)  # each column sum a contiguous row-slice sum: _column_sums' 1-D order
+    rows = np.ascontiguousarray(q.T)  # each column sum a contiguous row-slice sum, in a 1-D sum's order
+    lower, upper = rows[:, m:].sum(axis=1) / (n - m), rows[:, : n - m].sum(axis=1) / (n - m)  # trimmed_mean_bounds
+    # agg_trimmed_mean(benign, m) bit for bit: the ascending sort's kept rows are q's, reversed into the
+    # same row-by-row sum, which starts from +0.0 like the median's
+    target = _targets(receivers, q, np.ascontiguousarray(q[m:n - m][::-1]).mean(axis=0), lower, upper, lam)
     low = target <= rows[:, m:n - m].sum(axis=1) / (n - 2 * m)
     signed = np.where(low, target, -target)  # above it, target >= threshold is -target <= -threshold
     split, open_, low_sums, high_sums = np.zeros(target.shape, dtype=np.int64), np.ones(target.shape, bool), [], []

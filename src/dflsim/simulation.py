@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -224,12 +225,10 @@ def model_dim(num_classes: int, num_features: int) -> int:
 
 
 def _rows(models: np.ndarray, num_classes: int) -> np.ndarray:
-    """The (N, C, F+1) class rows ``[w_c | b_c]`` of flat (N, d) models."""
-    n, features = len(models), models.shape[1] // num_classes - 1
-    rows = np.empty((n, num_classes, features + 1))
-    rows[..., :-1] = models[:, : num_classes * features].reshape(n, num_classes, features)
-    rows[..., -1] = models[:, num_classes * features:]
-    return rows
+    """The (N, C, F+1) class rows ``[w_c | b_c]`` of flat (N, d) models, a fresh C-ordered array."""
+    cut = models.shape[1] - num_classes  # the C biases come last
+    weights = models[:, :cut].reshape(len(models), num_classes, cut // num_classes)
+    return np.concatenate([weights, models[:, cut:, None]], axis=2)
 
 
 def _flat(rows: np.ndarray) -> np.ndarray:
@@ -245,9 +244,9 @@ class TrainingPlan:
     draw to permute, the clients grouped by batch count for the loss means,
     and the ``steps`` of an epoch.  Step j holds the active clients (a basic
     slice if all are), its slot columns, the (k,) batch row counts, their
-    (k, W) loss mask, the (k, W) flat offsets of each slot's class
-    log-probabilities and the counts as a (k, W, C) divisor of the class
-    probabilities, W the run's batch width."""
+    (k, W) loss mask (None if every batch is full), the (k, W) flat
+    offsets of each slot's class log-probabilities and the counts as a
+    (k, W, C) divisor of the class probabilities, W the run's batch width."""
 
     def __init__(self, data: Dataset, owner: np.ndarray, cfg: TrainerConfig):
         self.cfg, self.sizes, self.num_classes = cfg, np.bincount(owner), data.num_classes
@@ -259,13 +258,13 @@ class TrainingPlan:
         order, ends = np.argsort(owner, kind="stable"), np.cumsum(self.sizes)  # each client's rows, in client order
         self.slot_width = batches.max() * width
         self.client_rows = [np.broadcast_to(order[e - n:e], (cfg.local_epochs, n)) for e, n in zip(ends, self.sizes)]
-        self.means = [(batches == n, n) for n in set(batches.tolist())]  # np.unique's first call adds ~1 MB of peak RSS
+        self.means = [(np.flatnonzero(batches == n), n) for n in set(batches.tolist())]  # np.unique adds ~1 MB of RSS
         self.steps = []
         for j in range(batches.max()):
             act = slice(None) if batches.min() > j else np.flatnonzero(batches > j)
             counts = np.minimum(self.sizes[act] - j * width, width).astype(np.float64)
             cells = np.arange(counts.size * width).reshape(-1, width)
-            valid = (cells % width < counts[:, None]).astype(np.float64)
+            valid = None if (counts == width).all() else (cells % width < counts[:, None]).astype(np.float64)
             divisor = np.repeat(counts, width * data.num_classes).reshape(-1, width, data.num_classes)
             self.steps.append((act, slice(j * width, (j + 1) * width), counts, valid, cells * data.num_classes, divisor))
 
@@ -275,15 +274,16 @@ def _step(rows, x, labelled, counts, valid, divisor):
 
     ``rows`` is (k, C, F+1), ``x`` (k, W, F+1) and ``labelled`` the (k, W)
     flat indices of the labels' log-probabilities; batch i is its first
-    ``counts[i]`` rows, marked by ``valid[i]``, and zero rows pad the rest.
-    ``divisor`` holds the counts broadcast to (k, W, C).
+    ``counts[i]`` rows, marked by ``valid[i]`` (``valid`` None when every
+    batch is full), and zero rows pad the rest.  ``divisor`` holds the
+    counts broadcast to (k, W, C).
     Both products are one stacked matmul, the same BLAS call per slice as
     one padded batch.  A zero row's logits are finite and its products
     exact zeros, so only the loss reads the mask.
     """
     logits = x @ rows.transpose(0, 2, 1)
-    shift = logits[..., 0].copy()  # the class max by slices: max(axis=2) reduces each C-wide row alone
-    for c in range(1, rows.shape[1]):
+    shift = np.maximum(logits[..., 0], logits[..., 1])  # the class max by slices (C >= 2): max(axis=2) is per row
+    for c in range(2, rows.shape[1]):
         np.maximum(shift, logits[..., c], out=shift)
     logits -= shift[..., None]
     exps = np.exp(logits)
@@ -295,7 +295,8 @@ def _step(rows, x, labelled, counts, valid, divisor):
         total = exps.sum(axis=2)
     log_probs = logits - np.log(total)[..., None]
     picked = log_probs.reshape(-1)[labelled]
-    picked *= valid
+    if valid is not None:
+        picked *= valid
     losses = -(picked.sum(axis=1) / counts)  # np.mean's sum and division, without its per-call cost
     probs = np.exp(log_probs, out=exps)  # exps is dead: its buffer takes the probabilities
     probs.reshape(-1)[labelled] -= 1.0  # a fresh ufunc result is C-contiguous, so reshape gives a view
@@ -317,42 +318,54 @@ def train_clients(models: np.ndarray, plan: TrainingPlan, gens):
     slots = np.full((cfg.local_epochs, plan.sizes.size, plan.slot_width), len(plan.labels) - 1)
     for cid, gen in enumerate(gens):
         gen.permuted(plan.client_rows[cid], axis=1, out=slots[:, cid, : plan.sizes[cid]])
-    rows = _rows(np.asarray(models, dtype=np.float64), plan.num_classes)
+    rows, labels = _rows(np.asarray(models, dtype=np.float64), plan.num_classes), plan.labels[slots]
     losses = np.zeros((plan.sizes.size, cfg.local_epochs, len(plan.steps)))
     for epoch in range(cfg.local_epochs):
         for j, (act, cols, counts, valid, cells, divisor) in enumerate(plan.steps):
             batch, own = slots[epoch, act, cols], rows[act]  # act is a slice, and own a view, when all are active
             losses[act, epoch, j], grad = _step(
-                own, np.take(plan.features, batch, axis=0), plan.labels[batch] + cells, counts, valid, divisor
+                own, plan.features.take(batch, axis=0), labels[epoch, act, cols] + cells, counts, valid, divisor
             )
-            rows[act] -= cfg.learning_rate * (grad + cfg.weight_decay * own)
+            grad += cfg.weight_decay * own  # in grad's own buffer: the same sum and product, one temporary fewer
+            own -= np.multiply(grad, cfg.learning_rate, out=grad)
+            if not isinstance(act, slice):  # own is a gathered copy
+                rows[act] = own
     means = np.empty(plan.sizes.size)  # a client's row is contiguous: np.mean's pairwise sum and division
     for clients, n in plan.means:
         means[clients] = losses[clients, :, :n].reshape(-1, cfg.local_epochs * n).sum(axis=1) / (cfg.local_epochs * n)
     return _flat(rows), means
 
 
-def group_accuracy(models, data: Dataset) -> float:
+def group_accuracy(models, data: Dataset, sizes=None) -> float | list[float]:
     """Mean accuracy of a group on a shared test set: total correct over
     total predictions, so identical models give identical group means
     regardless of group size.  The (U, d) models are scored in one
     class-major pass, (U, C, n) logits from ``data.features.T`` (C-ordered
     for the engine's column-major test set): an example counts when its
     label's class reaches the class maximum and no earlier class does, a
-    NaN counting as the maximum, which is ``np.argmax``'s rule."""
+    NaN counting as the maximum, which is ``np.argmax``'s rule.  With
+    ``sizes`` the rows are consecutive groups of those sizes, all scored in
+    the one pass, and the result is the list of their accuracies."""
     models = np.asarray(models, dtype=np.float64)
-    if not len(models):
+    groups = [len(models)] if sizes is None else list(sizes)
+    if not all(groups):
         raise ValueError("cannot average accuracy over an empty group")
+    if sum(groups) != len(models):
+        raise ValueError(f"group sizes {groups} do not add up to the {len(models)} models")
     if data.size == 0:
         raise ValueError("cannot evaluate on an empty set")
     classes, size, cut = data.num_classes, data.size, data.num_classes * data.num_features
     logits = models[:, :cut].reshape(len(models), classes, data.num_features) @ data.features.T
     logits += models[:, cut:, None]
-    hit = logits == logits.max(axis=1, keepdims=True)
-    hit |= np.isnan(logits)
-    labelled = hit[:, data.labels, np.arange(size)]
-    earlier = (hit & (np.arange(classes)[:, None] < data.labels)).any(axis=1)
-    return int(np.count_nonzero(labelled & ~earlier)) / (len(models) * size)
+    top = logits.max(axis=1, keepdims=True)
+    hit = logits == top
+    if np.isnan(top).any():  # max propagates NaN: only a NaN maximum's column holds a NaN logit
+        hit |= np.isnan(logits)
+    labelled = hit.reshape(len(models), -1).take(data.labels * size + np.arange(size), axis=1)  # hit[:, y, i]
+    correct = labelled & ~(hit & (np.arange(classes)[:, None] < data.labels)).any(axis=1)
+    ends = accumulate(groups)  # group g scores correct[end - rows:end]
+    accuracies = [int(np.count_nonzero(correct[end - rows:end])) / (rows * size) for rows, end in zip(groups, ends)]
+    return accuracies if sizes is not None else accuracies[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +555,7 @@ class Engine:
         if not sizes.all():
             raise EmptyDataset(f"client {sizes.argmin()} has an empty shard: the partition gave it no examples")
         self.plan = TrainingPlan(self.train_set, owner, cfg.trainer)
+        self.ceiling = DIVERGENCE_LOSS_FACTOR * np.log(self.plan.num_classes)
         self.models = np.zeros((roles.total, model_dim(self.train_set.num_classes, self.train_set.num_features)))
         # one generator per client, re-keyed by Rng.reset to each (tag, round, client)
         # stream: a round's training draws all end before its crafting draws start
@@ -575,21 +589,20 @@ class Engine:
         # --- step I: local training -------------------------------------
         gens = self.rng.reset(self.gens, STREAM_TRAIN, t)
         pre_agg, losses = train_clients(self.models, self.plan, gens)
-        ceiling = DIVERGENCE_LOSS_FACTOR * np.log(self.plan.num_classes)
-        sound = np.isfinite(pre_agg).all(axis=1) & (losses <= ceiling)  # False for a NaN loss too
+        sound = np.isfinite(pre_agg).all(axis=1) & (losses <= self.ceiling)  # False for a NaN loss too
         if not sound.all():
             cid = int(np.argmin(sound))
             raise NumericalDivergence(
                 f"round {t}: local training of client {cid} diverged "
-                f"(loss {losses[cid]}, ceiling {ceiling:.4g}: a loss above it, or a non-finite loss or model)"
+                f"(loss {losses[cid]}, ceiling {self.ceiling:.4g}: a loss above it, or a non-finite loss or model)"
             )
-        mean_selfish_loss = float(np.mean(losses[roles.n:]))
+        mean_selfish_loss = float(losses[roles.n:].sum() / roles.m)  # np.mean's sum and division
 
         # --- step II: crafting ---------------------------------------------
         crafted = self.crafter(self, t, pre_agg, mean_selfish_loss) if self.crafter is not None else None
 
-        # --- step III: aggregation, one call per group --------------------
-        accuracies = []  # of the non-selfish group, then the selfish one
+        # --- step III: aggregation, one call per group, one evaluation -------
+        scored = []  # each group's distinct aggregates: its members' (R, d) stack or their one shared (d,) model
         for members, senders, rule in self.groups:
             if senders is None:  # each member keeps its own model: a (R, 1, d) stack
                 shares = pre_agg[members][:, None]
@@ -599,13 +612,13 @@ class Engine:
                 shares[:] = pre_agg[senders]
                 shares[:, roles.n:] = crafted  # the members are receivers 0 .. n-1, crafted's rows
             else:
-                shares = pre_agg[senders]
+                shares = pre_agg if senders.size == len(pre_agg) else pre_agg[senders]  # every client, in order
                 if rule.kind == "fltrust":  # each member anchors at its own model
                     shares = np.broadcast_to(shares, (members.size, *shares.shape))
             self.models[members] = out = aggregate(rule, shares, receiver_pre_agg=pre_agg[members])
-            # one aggregate the members share is evaluated once: c / size is rows * c / (rows * size)
-            accuracies.append(group_accuracy(out if out.ndim == 2 else [out], self.test_set))
-        mtans, mtas = accuracies
+            scored.append(out.reshape(-1, out.shape[-1]))
+        # both groups in one pass, a shared aggregate once: c / size is rows * c / (rows * size)
+        mtans, mtas = group_accuracy(np.concatenate(scored), self.test_set, sizes=[len(out) for out in scored])
         self.records.append(
             ExperimentRecord(
                 round=t,

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dflsim import aggregation
 from dflsim.aggregation import (
     RULE_KINDS,
     AggregationRule,
     _admitted_by_clustering,
+    _pairs,
     _row_dots,
     agg_fedavg,
     agg_flame,
@@ -253,6 +255,30 @@ def test_flame_clustering_matches_oracle(mat):
 @example(np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [3.0, 3.0], [-1.0, 0.0]]))  # 4 admitted, tied middle pair
 def test_flame_clips_to_the_np_median_of_the_admitted_norms(mat):
     assert agg_flame(mat).tobytes() == flame_of(mat).tobytes()
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0], [np.nan, 1.0]]),  # odd count, the NaN norm last
+        np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 4.0], [np.nan, 1.0]]),  # even count
+    ],
+)
+def test_flame_clip_keeps_np_medians_nan_rule(monkeypatch, mat):
+    # a NaN among the admitted norms makes np.median, and so the clip, NaN: no row is clipped,
+    # where the middle norm would clip the [4, 4] row.  The brute-force clustering oracle never
+    # ends on NaN distances, so here the clustering admits every row
+    monkeypatch.setattr(aggregation, "_admitted_by_clustering", lambda mat, norms: list(range(len(mat))))
+    assert np.isnan(np.median(np.sqrt(_row_dots(mat, mat))))
+    assert agg_flame(mat).tobytes() == mat.mean(axis=0).tobytes()
+
+
+def test_flame_pair_indices_are_built_once_and_read_only():
+    pairs = _pairs(7)
+    assert _pairs(7) is pairs
+    assert np.array_equal(pairs, np.triu_indices(7, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        pairs[0, 0] = 1
 
 
 def test_flame_peaks_below_four_copies_of_its_input():

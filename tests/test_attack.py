@@ -649,6 +649,21 @@ def test_craft_shared_model_matches_scalar_crafting(instance):
         assert np.array_equal(crafted[r], scalar_crafting(kind, receiver, list(benign), m, lam))
 
 
+@pytest.mark.parametrize("kind", ["median", "trimmed_mean"])
+def test_craft_shared_model_keeps_the_scalar_craftings_signed_zeros(kind):
+    # np.sort and the descending -np.sort(-x) can order +0.0 and -0.0 differently, and the
+    # crafting takes its benign aggregate from the descending sort: numpy's sums start from
+    # +0.0, so it still has agg_median's and agg_trimmed_mean's bytes, signs of zero included
+    benign = np.array(
+        [[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, 1.0], [5.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -1.0], [0.0, 2.0, -1.0, -0.0]]
+    )
+    receivers = np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, 1.0, 0.0, 0.0], [-0.0, 0.0, -0.0, 0.5]])
+    for lam in LAMBDAS:
+        crafted = craft_shared_model(AggregationRule(kind), receivers, benign, 2, lam)
+        for r, receiver in enumerate(receivers):
+            assert crafted[r].tobytes() == scalar_crafting(kind, receiver, list(benign), 2, lam).tobytes(), (r, lam)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(crafting_instances(), st.sampled_from((np.nan, np.inf, -np.inf)), st.data())

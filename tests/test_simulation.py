@@ -251,6 +251,7 @@ def test_local_update_applies_weight_decay():
 @example(sizes=[70, 45, 33, 32], batch_size=32, epochs=2, classes=4, features=50, seed=0)  # last batches 6, 13, 1, 32
 @example(sizes=[64, 64, 31], batch_size=7, epochs=1, classes=7, features=1, seed=24)  # one feature: [x | 1] is 2 wide
 @example(sizes=[99, 101], batch_size=32, epochs=1, classes=4, features=5, seed=3)  # step 4: every client short (3, 5)
+@example(sizes=[64, 96], batch_size=32, epochs=2, classes=4, features=5, seed=3)  # every batch full: no loss mask
 @example(sizes=[33, 64], batch_size=32, epochs=2, classes=4, features=6, seed=5)  # a 1-row short batch, padded to 32
 @example(  # the desk shape: 20 shards of 66-101 rows, three of four steps with every client active
     sizes=[84, 66, 71, 73, 99, 88, 86, 75, 78, 91, 75, 84, 74, 72, 76, 101, 77, 75, 78, 77],
@@ -397,6 +398,31 @@ def test_class_major_count_matches_the_plain_argmax_on_special_values():
         for model, count in zip(models, counts):
             assert group_accuracy([model], data) == count, (model, label)
         assert group_accuracy(models, data) == sum(counts) / len(models)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_pass_over_two_groups_matches_the_plain_argmax_of_each():
+    # the special-value models as two groups of unequal size, NaN logits in one only, then
+    # trained-like models on blobs: each group's accuracy is its own count over its own rows
+    specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324]
+    models = np.array([[*weights, 0.0, 0.0, 0.0, 0.0] for weights in itertools.product(specials, repeat=4)])
+    nan = np.isnan(models).any(axis=1)
+    cases = [(Dataset(np.ones((1, 1)), np.array([label]), 4), models[~nan], models[nan]) for label in range(4)]
+    data = blobs(4, 5, 60, 2.0, Rng(1).stream(0))
+    trained = Rng(2).stream(0).normal(size=(9, model_dim(4, 5)))
+    cases.append((Dataset(np.asfortranarray(data.features), data.labels, 4), trained[:2], trained[2:]))
+    for data, clean, faulty in cases:
+        for groups in ([clean, faulty], [faulty, clean], [clean]):
+            sizes = [len(group) for group in groups]
+            want = [
+                sum(correct_count_of(model, data.features, data.labels, 4) for model in group) / (len(group) * data.size)
+                for group in groups
+            ]
+            assert group_accuracy(np.concatenate(groups), data, sizes=sizes) == want, sizes
+    with pytest.raises(ValueError, match=r"^cannot average accuracy over an empty group$"):
+        group_accuracy(trained, data, sizes=[len(trained), 0])
+    with pytest.raises(ValueError, match=r"^group sizes \[2, 3\] do not add up to the 9 models$"):
+        group_accuracy(trained, data, sizes=[2, 3])
 
 
 def test_group_accuracy_split():
@@ -699,18 +725,18 @@ def test_receivers_sharing_an_aggregate_share_its_evaluation(monkeypatch, kind, 
     eng = Engine(small_config(roles=RoleConfig(n=7, m=2), attack=AttackConfig(kind=kind)))
     if started:
         start_the_attack(monkeypatch)
-    seen = []  # the rows each group_accuracy call scores
+    seen = []  # the rows and group sizes of each group_accuracy call
 
-    def counting_group_accuracy(models, data):
-        seen.append(len(models))
-        return group_accuracy(models, data)
+    def counting_group_accuracy(models, data, sizes=None):
+        seen.append((len(models), sizes))
+        return group_accuracy(models, data, sizes=sizes)
 
     monkeypatch.setattr(simulation, "group_accuracy", counting_group_accuracy)
     for _ in range(2):
         seen.clear()
         eng.run_round()
-        assert sum(seen) == evaluations
-        assert len(seen) == 2  # one call per group
+        # one call a round scores both groups' distinct aggregates: the non-selfish group's, then the coalition's one
+        assert seen == [(evaluations, [evaluations - 1, 1])]
         # one evaluation per client gives the same record
         assert eng.records[-1].mtas == group_accuracy(eng.models[eng.roles.n:], eng.test_set)
         assert eng.records[-1].mtans == group_accuracy(eng.models[: eng.roles.n], eng.test_set)
