@@ -11,18 +11,7 @@ from .aggregation import (
     agg_trimmed_mean,
     aggregate,
 )
-from .attack import (
-    CoordinateBounds,
-    attack_start_round,
-    craft_fedavg,
-    craft_median,
-    craft_shared_model,
-    craft_trimmed_mean,
-    fedavg_bounds,
-    median_bounds,
-    solve_optimal_coordinate,
-    trimmed_mean_bounds,
-)
+from .attack import attack_start_round, craft_shared_model
 from .core import RoleConfig, Rng
 from .reporting import ExperimentRecord, read_records, run_sweep, write_records
 from .simulation import (
@@ -39,6 +28,16 @@ from .simulation import (
     load_csv,
     partition_non_iid,
     run_experiment,
+)
+from .verify import (
+    CoordinateBounds,
+    craft_fedavg,
+    craft_median,
+    craft_trimmed_mean,
+    fedavg_bounds,
+    median_bounds,
+    solve_optimal_coordinate,
+    trimmed_mean_bounds,
 )
 
 __version__ = "0.1.0"

@@ -160,13 +160,14 @@ def _admitted_by_clustering(mat: np.ndarray, norms: np.ndarray) -> list[int]:
     One union-find pass merges pairs in increasing distance order, a whole
     group of equal distances at a time, up to the first group after which a
     cluster has floor(count/2) + 1 members: a strict majority, so the only one.
+    A NaN distance sorts last, in pair order, and is a group of its own.
     """
     count = mat.shape[0]
     if count < 3:
         return list(range(count))
     pairs = _pairs(count)
     dist = 1.0 - _cosines(np.einsum("ik,jk->ij", mat, mat), norms[:, None], norms)[pairs[0], pairs[1]]
-    order = np.argsort(dist)
+    order = np.argsort(dist, kind="stable")
     dist = dist[order]
     parent, size = list(range(count)), [1] * count
 

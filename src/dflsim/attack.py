@@ -11,12 +11,13 @@ where ``w`` is the receiver's own pre-aggregation coordinate, ``w_benign``
 the benign-only aggregate, and the feasible interval is exactly the set of
 aggregates the selfish coalition can reach.  Closed-form crafting routines
 make the receiver's aggregation rule hit that optimum exactly for FedAvg,
-coordinate-wise median and trimmed mean.
+coordinate-wise median and trimmed mean.  This module holds what a run
+executes: that crafting for all receivers and coordinates at once, and the
+attack start.  ``dflsim.verify`` holds the per-coordinate reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,51 +33,8 @@ FLAME_BETA = 0.01
 FLAME_DENOM_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class CoordinateBounds:
-    """Closed interval of aggregates reachable on one coordinate."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ValueError(f"bounds must be finite, got [{self.lower}, {self.upper}]")
-        if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
-
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
-    def clamp(self, x: float) -> float:
-        return min(max(x, self.lower), self.upper)
-
-
 # ---------------------------------------------------------------------------
-# per-coordinate optimum
-# ---------------------------------------------------------------------------
-
-def solve_optimal_coordinate(w: float, w_benign: float, bounds: CoordinateBounds, lam: float) -> float:
-    """Minimize ``(x-w)^2 - lam*(x-w_benign)^2`` over ``bounds``.
-
-    For ``lam < 1`` the objective is strictly convex with stationary point
-    ``p = (w - lam*w_benign) / (1 - lam)``, so the answer is ``p`` clamped.
-    For ``lam == 1`` it is linear and an endpoint wins (lower on ties).
-    For ``lam > 1`` it is concave, so the endpoint farther from ``p`` wins
-    (lower on ties).
-    """
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if abs(lam - 1.0) <= LAMBDA_ONE_TOLERANCE:
-        return bounds.upper if w > w_benign else bounds.lower
-    if lam < 1.0:
-        return bounds.clamp((w - lam * w_benign) / (1.0 - lam))
-    p = w_benign + (w_benign - w) / (lam - 1.0)  # lam * w_benign would overflow for a huge lam
-    return bounds.upper if abs(p - bounds.upper) > abs(p - bounds.lower) else bounds.lower
-
-
-# ---------------------------------------------------------------------------
-# reachable intervals
+# checks and the median's reachable interval, shared with dflsim.verify
 # ---------------------------------------------------------------------------
 
 def _check_m(m: int) -> None:
@@ -89,27 +47,6 @@ def check_offset(b: float) -> None:
         raise ValueError(f"b must be a finite value > 0, got {b}")
 
 
-def _check_descending(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0:
-        raise ValueError("benign coordinates must be a non-empty 1-D sequence")
-    if not np.isfinite(q).all():
-        raise ValueError("benign coordinates must be finite")
-    if (q[1:] > q[:-1]).any():
-        raise ValueError("benign coordinates must be sorted in descending order")
-    return q
-
-
-def fedavg_bounds(q: Sequence[float]) -> CoordinateBounds:
-    """Mean of benign plus m crafted values can land anywhere in [min, max]
-    of the benign values (and, with unbounded shares, beyond; the attack
-    restricts itself to the benign range)."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.size == 0:
-        raise ValueError("need at least one benign value")
-    return CoordinateBounds(float(q.min()), float(q.max()))
-
-
 def _median_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) ends of the interval the median of ``q`` plus ``m``
     crafted values can reach, per column of ``q``, of shape (n,) or (n, d)
@@ -120,106 +57,6 @@ def _median_interval(q: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     if n < m + 1:
         raise ValueError(f"median bounds need n >= m + 1, got n={n}, m={m}")
     return 0.5 * (q[(n + m - 1) // 2] + q[(n + m) // 2]), 0.5 * (q[(n - m - 1) // 2] + q[(n - m) // 2])
-
-
-def median_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
-    """Interval the median of ``q`` (sorted descending) plus ``m`` crafted values can reach."""
-    q = _check_descending(q)
-    _check_m(m)
-    return CoordinateBounds(*map(float, _median_interval(q, m)))
-
-
-def trimmed_mean_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
-    """Interval the trimmed mean (m per side) of ``q`` (sorted descending) plus
-    ``m`` crafted values can reach: the means of the bottom and top n - m values."""
-    q = _check_descending(q)
-    _check_m(m)
-    n = q.size
-    if n <= m:
-        raise ValueError(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
-    return CoordinateBounds(float(q[m:].sum() / (n - m)), float(q[: n - m].sum() / (n - m)))
-
-
-# ---------------------------------------------------------------------------
-# crafting for one coordinate
-# ---------------------------------------------------------------------------
-
-def craft_fedavg(q: Sequence[float], target: float, m: int) -> np.ndarray:
-    """Crafted values whose mean together with ``q`` equals ``target``.
-
-    One value absorbs the correction, the other m - 1 sit at the target.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    n = q.size
-    _check_m(m)
-    bounds = fedavg_bounds(q)
-    if not bounds.contains(target):
-        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
-    crafted = np.full(m, target, dtype=np.float64)
-    crafted[0] = (n + 1) * target - q.sum()
-    return crafted
-
-
-def craft_median(q: Sequence[float], target: float, m: int, b: float = 1.0) -> np.ndarray:
-    """Crafted values that drive the median of ``q`` plus them to ``target``.
-
-    ``q`` must be sorted descending.  When the target sits strictly above
-    q[(n-m)//2] (possible only for even totals) one value is reflected so
-    the two middle entries average to the target while the rest park above
-    the benign maximum; symmetrically below; otherwise all crafted values
-    equal the target.
-    """
-    bounds = median_bounds(q, m)
-    check_offset(b)
-    q = np.asarray(q, dtype=np.float64)
-    n = q.size
-    if not bounds.contains(target):
-        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
-    upper_pivot = q[(n - m) // 2]
-    lower_pivot = q[(n + m - 1) // 2]
-    crafted = np.empty(m, dtype=np.float64)
-    if target > upper_pivot:
-        crafted[0] = 2.0 * target - upper_pivot
-        crafted[1:] = q[0] + b
-    elif target < lower_pivot:
-        crafted[0] = 2.0 * target - lower_pivot
-        crafted[1:] = q[-1] - b
-    else:
-        crafted[:] = target
-    return crafted
-
-
-def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0) -> np.ndarray:
-    """Crafted values that drive the trimmed mean (m per side) of ``q`` plus
-    them to ``target``.
-
-    ``q`` must be sorted descending.  Split j = 0..m parks m - j crafted
-    values outside the benign range (below it when the target is at or below
-    the benign trimmed mean, above it otherwise) and gives the other j a
-    common filler value that lands the surviving mean on the target; the
-    first feasible split wins.
-    """
-    bounds = trimmed_mean_bounds(q, m)
-    check_offset(b)
-    q = np.asarray(q, dtype=np.float64)
-    n = q.size
-    if n < 2 * m + 1:
-        raise ValueError(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
-    if not bounds.contains(target):
-        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
-    low = target <= float(q[m:n - m].mean())
-    pivot = q[m - 1] if low else q[n - m]
-    for j in range(m + 1):
-        kept = (q[m:n - j] if low else q[j:n - m]).sum()
-        threshold = (j * pivot + kept) / (n - m)
-        # split m parks nothing and is feasible in exact arithmetic: take it
-        # without a threshold that rounding can put past the target
-        if j == m or (target <= threshold if low else target >= threshold):
-            break
-    crafted = np.full(m, q[-1] - b if low else q[0] + b)
-    if j:
-        crafted[m - j:] = ((n - m) * target - kept) / j
-    return crafted
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +92,15 @@ def attack_start_round(losses: Sequence[float], epsilon: float, interval: int) -
 # ---------------------------------------------------------------------------
 
 def _solve_optimal(w: np.ndarray, w_benign: np.ndarray, lower: np.ndarray, upper: np.ndarray, lam: float) -> np.ndarray:
-    """:func:`solve_optimal_coordinate` over arrays: receiver coordinates
-    ``w`` of shape (R, d) against per-coordinate aggregates and bounds (d,)."""
+    """``dflsim.verify.solve_optimal_coordinate`` over arrays: receiver
+    coordinates ``w`` (R, d) against per-coordinate aggregates and bounds (d,)."""
     if abs(lam - 1.0) <= LAMBDA_ONE_TOLERANCE:
         return np.where(w > w_benign, upper, lower)
     if lam < 1.0:
         p = (w - lam * w_benign) / (1.0 - lam)
         above_lower = np.where(lower > p, lower, p)
         return np.where(upper < above_lower, upper, above_lower)
-    p = w_benign + (w_benign - w) / (lam - 1.0)  # as in solve_optimal_coordinate
+    p = w_benign + (w_benign - w) / (lam - 1.0)  # as in the reference solver
     return np.where(np.abs(p - upper) > np.abs(p - lower), upper, lower)
 
 
@@ -283,7 +120,7 @@ def _targets(receivers, benign, benign_agg, lower, upper, lam) -> np.ndarray:
 
 
 def _craft_fedavg_all(receivers, benign, m, lam, b) -> np.ndarray:
-    """:func:`craft_fedavg` for every receiver and coordinate at once."""
+    """``dflsim.verify.craft_fedavg`` for every receiver and coordinate at once."""
     n = benign.shape[0]
     columns = np.ascontiguousarray(benign.T)
     lower, upper = columns.min(axis=1), columns.max(axis=1)
@@ -294,8 +131,8 @@ def _craft_fedavg_all(receivers, benign, m, lam, b) -> np.ndarray:
 
 
 def _craft_median_all(receivers, benign, m, lam, b) -> np.ndarray:
-    """:func:`median_bounds` and :func:`craft_median` for every receiver and
-    coordinate at once."""
+    """``median_bounds`` and ``craft_median`` of ``dflsim.verify`` for every
+    receiver and coordinate at once."""
     n = benign.shape[0]
     q = -np.sort(-benign, axis=0)
     lower, upper = _median_interval(q, m)
@@ -313,10 +150,10 @@ def _craft_median_all(receivers, benign, m, lam, b) -> np.ndarray:
 
 
 def _craft_trimmed_mean_all(receivers, benign, m, lam, b) -> np.ndarray:
-    """:func:`trimmed_mean_bounds` and :func:`craft_trimmed_mean` for every
-    receiver and coordinate at once.
+    """``trimmed_mean_bounds`` and ``craft_trimmed_mean`` of
+    ``dflsim.verify`` for every receiver and coordinate at once.
 
-    The scalar loop over splits j = 0..m, run over arrays: split j parks
+    The reference's loop over splits j = 0..m, run over arrays: split j parks
     m - j crafted values outside the benign range and gives the other j a
     common filler value.  Each split's kept sums and thresholds are computed
     per coordinate and side, every cell still open takes the first feasible
@@ -391,12 +228,12 @@ def craft_shared_model(
     n + k sends to receiver r.  The bounds, the benign aggregate and the
     sorted benign values do not depend on the receiver, so each rule
     crafts all receivers in one array computation that reproduces the
-    per-coordinate functions above bit for bit.  Rules without a tailored
+    per-coordinate reference in ``dflsim.verify`` bit for bit.  Rules without a tailored
     construction (krum, fltrust) receive the FedAvg-based crafting.
     """
     _check_m(m)
     check_offset(b)
-    if lam < 0.0:
+    if not lam >= 0.0:  # NaN fails too
         raise ValueError(f"lam must be >= 0, got {lam}")
     receivers = np.asarray(receivers, dtype=np.float64)
     benign = np.asarray(benign_shares, dtype=np.float64)

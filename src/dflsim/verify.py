@@ -1,29 +1,23 @@
-"""Randomized self-checks of the crafting library.
+"""The per-coordinate reference crafting and its randomized self-checks.
 
-Each suite draws random attack instances, runs the closed-form crafting,
-and checks the claimed exact identity against a direct numpy aggregation
-of benign plus crafted values — an independent route that shares no code
-with the crafting itself.  The crafting functions are injectable so a
-deliberately broken variant can demonstrate that the suites catch bugs.
+The reference crafts one coordinate at a time; the batched crafting a run
+executes (``dflsim.attack``) reproduces it bit for bit.  Each suite draws
+random attack instances, runs the reference crafting, and checks the
+claimed exact identity against a direct numpy aggregation of benign plus
+crafted values — an independent route that shares no code with the
+crafting itself.  The crafting functions are injectable so a deliberately
+broken variant can demonstrate that the suites catch bugs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .attack import (
-    CoordinateBounds,
-    craft_fedavg,
-    craft_median,
-    craft_trimmed_mean,
-    fedavg_bounds,
-    median_bounds,
-    solve_optimal_coordinate,
-    trimmed_mean_bounds,
-)
+from .attack import LAMBDA_ONE_TOLERANCE, _check_m, _median_interval, check_offset
 from .core import Rng
 
 LAMBDA_CHOICES = (0.0, 0.5, 1.0, 2.0)
@@ -36,6 +30,166 @@ ABS_TOL = 1e-12
 GRID_BLOCK = 32_768
 # placements of the tightness suite aggregated at a time, for the same reason
 TIGHTNESS_BLOCK = 1_000
+
+
+# ---------------------------------------------------------------------------
+# per-coordinate reference crafting
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CoordinateBounds:
+    """Closed interval of aggregates reachable on one coordinate."""
+
+    lower: float
+    upper: float
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
+            raise ValueError(f"bounds must be finite, got [{self.lower}, {self.upper}]")
+        if self.lower > self.upper:
+            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
+
+    def contains(self, x: float) -> bool:
+        return self.lower <= x <= self.upper
+
+    def clamp(self, x: float) -> float:
+        return min(max(x, self.lower), self.upper)
+
+
+def solve_optimal_coordinate(w: float, w_benign: float, bounds: CoordinateBounds, lam: float) -> float:
+    """Minimize ``(x-w)^2 - lam*(x-w_benign)^2`` over ``bounds``.
+
+    For ``lam < 1`` the objective is strictly convex with stationary point
+    ``p = (w - lam*w_benign) / (1 - lam)``, so the answer is ``p`` clamped.
+    For ``lam == 1`` it is linear and an endpoint wins (lower on ties).
+    For ``lam > 1`` it is concave, so the endpoint farther from ``p`` wins
+    (lower on ties).
+    """
+    if not lam >= 0.0:  # NaN fails too
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    if abs(lam - 1.0) <= LAMBDA_ONE_TOLERANCE:
+        return bounds.upper if w > w_benign else bounds.lower
+    if lam < 1.0:
+        return bounds.clamp((w - lam * w_benign) / (1.0 - lam))
+    p = w_benign + (w_benign - w) / (lam - 1.0)  # lam * w_benign would overflow for a huge lam
+    return bounds.upper if abs(p - bounds.upper) > abs(p - bounds.lower) else bounds.lower
+
+
+def _check_descending(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("benign coordinates must be a non-empty 1-D sequence")
+    if not np.isfinite(q).all():
+        raise ValueError("benign coordinates must be finite")
+    if (q[1:] > q[:-1]).any():
+        raise ValueError("benign coordinates must be sorted in descending order")
+    return q
+
+
+def fedavg_bounds(q: Sequence[float]) -> CoordinateBounds:
+    """Mean of benign plus m crafted values can land anywhere in [min, max]
+    of the benign values (and, with unbounded shares, beyond; the attack
+    restricts itself to the benign range)."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.size == 0:
+        raise ValueError("need at least one benign value")
+    return CoordinateBounds(float(q.min()), float(q.max()))
+
+
+def median_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
+    """Interval the median of ``q`` (sorted descending) plus ``m`` crafted values can reach."""
+    q = _check_descending(q)
+    _check_m(m)
+    return CoordinateBounds(*map(float, _median_interval(q, m)))
+
+
+def trimmed_mean_bounds(q: Sequence[float], m: int) -> CoordinateBounds:
+    """Interval the trimmed mean (m per side) of ``q`` (sorted descending) plus
+    ``m`` crafted values can reach: the means of the bottom and top n - m values."""
+    q = _check_descending(q)
+    _check_m(m)
+    n = q.size
+    if n <= m:
+        raise ValueError(f"trimmed-mean bounds need n > m, got n={n}, m={m}")
+    return CoordinateBounds(float(q[m:].sum() / (n - m)), float(q[: n - m].sum() / (n - m)))
+
+
+def craft_fedavg(q: Sequence[float], target: float, m: int) -> np.ndarray:
+    """Crafted values whose mean together with ``q`` equals ``target``.
+
+    One value absorbs the correction, the other m - 1 sit at the target.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    n = q.size
+    _check_m(m)
+    bounds = fedavg_bounds(q)
+    if not bounds.contains(target):
+        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
+    crafted = np.full(m, target, dtype=np.float64)
+    crafted[0] = (n + 1) * target - q.sum()
+    return crafted
+
+
+def craft_median(q: Sequence[float], target: float, m: int, b: float = 1.0) -> np.ndarray:
+    """Crafted values that drive the median of ``q`` plus them to ``target``.
+
+    ``q`` must be sorted descending.  When the target sits strictly above
+    q[(n-m)//2] (possible only for even totals) one value is reflected so
+    the two middle entries average to the target while the rest park above
+    the benign maximum; symmetrically below; otherwise all crafted values
+    equal the target.
+    """
+    bounds = median_bounds(q, m)
+    check_offset(b)
+    q = np.asarray(q, dtype=np.float64)
+    n = q.size
+    if not bounds.contains(target):
+        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
+    upper_pivot = q[(n - m) // 2]
+    lower_pivot = q[(n + m - 1) // 2]
+    crafted = np.empty(m, dtype=np.float64)
+    if target > upper_pivot:
+        crafted[0] = 2.0 * target - upper_pivot
+        crafted[1:] = q[0] + b
+    elif target < lower_pivot:
+        crafted[0] = 2.0 * target - lower_pivot
+        crafted[1:] = q[-1] - b
+    else:
+        crafted[:] = target
+    return crafted
+
+
+def craft_trimmed_mean(q: Sequence[float], target: float, m: int, b: float = 1.0) -> np.ndarray:
+    """Crafted values that drive the trimmed mean (m per side) of ``q`` plus
+    them to ``target``.
+
+    ``q`` must be sorted descending.  Split j = 0..m parks m - j crafted
+    values outside the benign range (below it when the target is at or below
+    the benign trimmed mean, above it otherwise) and gives the other j a
+    common filler value that lands the surviving mean on the target; the
+    first feasible split wins.
+    """
+    bounds = trimmed_mean_bounds(q, m)
+    check_offset(b)
+    q = np.asarray(q, dtype=np.float64)
+    n = q.size
+    if n < 2 * m + 1:
+        raise ValueError(f"crafting needs n >= 2m + 1, got n={n}, m={m}")
+    if not bounds.contains(target):
+        raise ValueError(f"target {target} outside [{bounds.lower}, {bounds.upper}]")
+    low = target <= float(q[m:n - m].mean())
+    pivot = q[m - 1] if low else q[n - m]
+    for j in range(m + 1):
+        kept = (q[m:n - j] if low else q[j:n - m]).sum()
+        threshold = (j * pivot + kept) / (n - m)
+        # split m parks nothing and is feasible in exact arithmetic: take it
+        # without a threshold that rounding can put past the target
+        if j == m or (target <= threshold if low else target >= threshold):
+            break
+    crafted = np.full(m, q[-1] - b if low else q[0] + b)
+    if j:
+        crafted[m - j:] = ((n - m) * target - kept) / j
+    return crafted
 
 
 @dataclass

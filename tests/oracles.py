@@ -2,20 +2,24 @@
 
 Everything here checks results by brute force or numerics only — none of it
 shares code with the library's closed-form implementations.  The exceptions
-are :func:`scalar_crafting`, which composes the library's per-coordinate
-crafting functions, :func:`trainer_loss_and_grad`, the trainer's own step
-that the gradient checks judge, and :func:`reference_run`, which shares the
-config types, the seeded streams, the datasets, the partition, the scalar
-crafting and ``agg_krum`` with the library, and nothing of its round engine.
+are :func:`scalar_crafting`, which composes ``dflsim.verify``'s per-coordinate
+reference crafting functions, :func:`trainer_loss_and_grad`, the trainer's
+own step that the gradient checks judge, and :func:`reference_run`, which
+shares the config types, the seeded streams, the datasets, the partition,
+the scalar crafting and ``agg_krum`` with the library, and nothing of its
+round engine.
 """
 
 import numpy as np
 
 from dflsim import simulation
 from dflsim.aggregation import AggregationRule, agg_fedavg, agg_krum, agg_median, agg_trimmed_mean
-from dflsim.attack import (
-    FLAME_ALPHA,
-    FLAME_BETA,
+from dflsim.attack import FLAME_ALPHA, FLAME_BETA
+from dflsim.baselines import GAUSSIAN_SIGMA, TRIM_ATTACK_DELTA_HI, TRIM_ATTACK_DELTA_LO
+from dflsim.core import STREAM_ATTACK, STREAM_DATA, STREAM_PARTITION, STREAM_TEST, STREAM_TRAIN, Rng
+from dflsim.reporting import ExperimentRecord
+from dflsim.simulation import generate_synthetic, partition_non_iid
+from dflsim.verify import (
     craft_fedavg,
     craft_median,
     craft_trimmed_mean,
@@ -24,10 +28,6 @@ from dflsim.attack import (
     solve_optimal_coordinate,
     trimmed_mean_bounds,
 )
-from dflsim.baselines import GAUSSIAN_SIGMA, TRIM_ATTACK_DELTA_HI, TRIM_ATTACK_DELTA_LO
-from dflsim.core import STREAM_ATTACK, STREAM_DATA, STREAM_PARTITION, STREAM_TEST, STREAM_TRAIN, Rng
-from dflsim.reporting import ExperimentRecord
-from dflsim.simulation import generate_synthetic, partition_non_iid
 
 
 def median_of(values) -> float:
@@ -145,11 +145,11 @@ def craft_flame_of(receiver: np.ndarray, benign: list, m: int, alpha: float, bet
 def admitted_by_clustering(mat: np.ndarray) -> list[int]:
     """Indices admitted by FLAME's single-linkage clustering, by brute force.
 
-    Sorts every pair by (cosine distance, i, j), merges one group of equal
-    distances at a time and rescans all clusters after each group, stopping
-    at the first group after which some cluster has floor(count/2) + 1
-    members.  Ties between equally large clusters go to the one containing
-    the smallest index.
+    Sorts every pair by (cosine distance, i, j), NaN distances last, merges
+    one group of equal distances at a time (each NaN a group of its own) and
+    rescans all clusters after each group, stopping at the first group after
+    which some cluster has floor(count/2) + 1 members.  Ties between equally
+    large clusters go to the one containing the smallest index.
     """
     count = mat.shape[0]
     need = count // 2 + 1
@@ -160,7 +160,7 @@ def admitted_by_clustering(mat: np.ndarray) -> list[int]:
     for i in range(count):
         for j in range(i + 1, count):
             edges.append((1.0 - cosine_of(mat[i], mat[j]), i, j))
-    edges.sort()
+    edges.sort(key=lambda e: (np.isnan(e[0]), 0.0 if np.isnan(e[0]) else e[0], e[1], e[2]))
 
     parent = list(range(count))
 
@@ -179,7 +179,8 @@ def admitted_by_clustering(mat: np.ndarray) -> list[int]:
     pos = 0
     while pos < len(edges):
         threshold = edges[pos][0]
-        while pos < len(edges) and edges[pos][0] == threshold:
+        first = pos
+        while pos < len(edges) and (pos == first or edges[pos][0] == threshold):  # NaN != NaN
             _, i, j = edges[pos]
             ri, rj = find(i), find(j)
             if ri != rj:

@@ -222,14 +222,18 @@ def test_flame_identical_models_pass_through():
 
 
 @st.composite
-def clustering_inputs(draw):
-    """(k, d) models with values rounded to 0.1, so that distances tie, some
-    rows duplicated and some all zero (cosine 0 to every other row)."""
+def clustering_inputs(draw, non_finite=(np.nan, np.inf, -np.inf)):
+    """(k, d) models with values rounded to 0.1, so that distances tie, up to
+    three entries drawn from ``non_finite`` (NaN distances, each a group of
+    its own), some rows duplicated and some all zero (cosine 0 to every
+    other row)."""
     k = draw(st.integers(1, 25))
     d = draw(st.integers(1, 6))
     values = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=k * d, max_size=k * d)
     mat = np.round(np.array(draw(values)), 1).reshape(k, d)
     rows = st.integers(0, k - 1)
+    for row, col, value in draw(st.lists(st.tuples(rows, st.integers(0, d - 1), st.sampled_from(non_finite)), max_size=3)):
+        mat[row, col] = value
     for target, source in draw(st.lists(st.tuples(rows, rows), max_size=k)):
         mat[target] = mat[source]
     for row in draw(st.lists(rows, max_size=3)):
@@ -242,12 +246,16 @@ def clustering_inputs(draw):
 # under SkylakeX kernels, norms from BLAS dots instead of einsum self-dots
 # differ in the last bit here, and the admitted set with them
 @example(np.array([[0.4, -0.7], [0.4, 0.7], [-0.6, 0.3], [-1.0, -0.5]]))
+@example(np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, np.nan], [1.0, 1.0], [np.nan, np.nan]]))  # 3 NaN rows
+# every distance NaN: the first five pairs, in pair order, admit rows 0-5, where
+# numpy's default (SIMD) sort can put these 45 NaNs out of index order
+@example(np.full((10, 2), np.nan))
 def test_flame_clustering_matches_oracle(mat):
     assert _admitted_by_clustering(mat, np.sqrt(_row_dots(mat, mat))) == admitted_by_clustering(mat)
 
 
 @settings(max_examples=300, deadline=None)
-@given(clustering_inputs())
+@given(clustering_inputs(non_finite=(np.nan,)))  # an infinite norm makes the clip's inf / inf a RuntimeWarning
 @example(np.zeros((5, 3)))                                                     # every norm 0
 @example(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]))  # 5 admitted, median norm 0
 @example(np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0], [-1.0, 0.3], [0.2, -1.0]]))  # 3 admitted, tied median norm
@@ -266,8 +274,8 @@ def test_flame_clips_to_the_np_median_of_the_admitted_norms(mat):
 )
 def test_flame_clip_keeps_np_medians_nan_rule(monkeypatch, mat):
     # a NaN among the admitted norms makes np.median, and so the clip, NaN: no row is clipped,
-    # where the middle norm would clip the [4, 4] row.  The brute-force clustering oracle never
-    # ends on NaN distances, so here the clustering admits every row
+    # where the middle norm would clip the [4, 4] row.  The clustering would leave the NaN row
+    # out, so here it admits every row
     monkeypatch.setattr(aggregation, "_admitted_by_clustering", lambda mat, norms: list(range(len(mat))))
     assert np.isnan(np.median(np.sqrt(_row_dots(mat, mat))))
     assert agg_flame(mat).tobytes() == mat.mean(axis=0).tobytes()

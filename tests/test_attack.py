@@ -8,22 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dflsim.aggregation import AggregationRule
-from dflsim.attack import (
-    FLAME_ALPHA,
-    FLAME_BETA,
+from dflsim.attack import FLAME_ALPHA, FLAME_BETA, _solve_optimal, attack_start_round, craft_shared_model
+from dflsim.simulation import AttackConfig, ExperimentConfig, read_plan
+from dflsim.verify import (
     CoordinateBounds,
-    _solve_optimal,
-    attack_start_round,
     craft_fedavg,
     craft_median,
-    craft_shared_model,
     craft_trimmed_mean,
     fedavg_bounds,
     median_bounds,
     solve_optimal_coordinate,
     trimmed_mean_bounds,
 )
-from dflsim.simulation import AttackConfig, ExperimentConfig, read_plan
 
 from oracles import (
     attack_start_of,
@@ -100,6 +96,8 @@ def test_solver_concave_far_endpoint_holds_at_a_huge_lam():
 def test_solver_rejects_negative_lam():
     with pytest.raises(ValueError):
         solve_optimal_coordinate(0.0, 0.0, CoordinateBounds(0.0, 1.0), -0.5)
+    with pytest.raises(ValueError, match=r"^lam must be >= 0, got nan$"):
+        solve_optimal_coordinate(0.3, 0.1, CoordinateBounds(-1.0, 1.0), float("nan"))
 
 
 def test_solver_matches_grid_oracle():
@@ -736,6 +734,8 @@ def test_craft_shared_model_rejects_bad_parameters(kind):
         craft_shared_model(rule, receivers, benign, m=0, lam=0.5)
     with pytest.raises(ValueError):
         craft_shared_model(rule, receivers, benign, m=2, lam=-0.5)
+    with pytest.raises(ValueError, match=r"^lam must be >= 0, got nan$"):
+        craft_shared_model(rule, receivers, benign, m=2, lam=float("nan"))
     m_too_large, message = {
         "median": (7, r"^median bounds need n >= m \+ 1, got n=7, m=7$"),
         "trimmed_mean": (4, r"^crafting needs n >= 2m \+ 1, got n=7, m=4$"),

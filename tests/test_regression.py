@@ -41,15 +41,15 @@ from openblas_core import core_name
 from oracles import median_of, trimmed_mean_of
 
 from dflsim.aggregation import AggregationRule
-from dflsim.attack import (
-    LAMBDA_ONE_TOLERANCE, fedavg_bounds, median_bounds, solve_optimal_coordinate, trimmed_mean_bounds,
-)
+from dflsim.attack import LAMBDA_ONE_TOLERANCE
 from dflsim.core import RoleConfig
 from dflsim.reporting import read_records, write_records
 from dflsim.simulation import (
     AttackConfig, Engine, ExperimentConfig, PartitionConfig, SyntheticDataConfig, TrainerConfig,
 )
-from dflsim.verify import ABS_TOL, REL_TOL
+from dflsim.verify import (
+    ABS_TOL, REL_TOL, fedavg_bounds, median_bounds, solve_optimal_coordinate, trimmed_mean_bounds,
+)
 
 DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests.json")
 

@@ -494,7 +494,7 @@ def test_selfish_attack_steers_receiver_to_per_coordinate_optimum(monkeypatch):
     benign_agg = np.median(benign, axis=0)
     receiver = 0  # the first non-selfish client
     post = eng.models[receiver]
-    from dflsim.attack import median_bounds, solve_optimal_coordinate
+    from dflsim.verify import median_bounds, solve_optimal_coordinate
 
     for k in range(post.size):
         q = np.sort(benign[:, k])[::-1]

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dflsim.attack
 import dflsim.verify
-from dflsim.attack import CoordinateBounds, craft_fedavg, craft_median, craft_trimmed_mean, solve_optimal_coordinate
 from dflsim.core import Rng
 from dflsim.verify import (
     GRID_BLOCK,
     LAMBDA_CHOICES,
+    CoordinateBounds,
     SuiteResult,
     _draw_instance,
     _fill_grid,
@@ -24,7 +25,11 @@ from dflsim.verify import (
     check_median_identity,
     check_solver_against_grid,
     check_trimmed_mean_identity,
+    craft_fedavg,
+    craft_median,
+    craft_trimmed_mean,
     run_all,
+    solve_optimal_coordinate,
 )
 
 from oracles import grid_argmin, tightness_aggregates_of
@@ -118,6 +123,19 @@ def test_suites_make_the_calls_perfbench_times(monkeypatch):
     before = calls["median_bounds"]
     assert check_bounds_tightness(7, trials_per_instance=10, seed=2).trials == calls["median_bounds"] - before == 7
     assert all(calls[name] >= 1 for name in looked_up), calls
+
+
+REFERENCE = ("CoordinateBounds", "solve_optimal_coordinate", "_check_descending", "fedavg_bounds", "median_bounds",
+             "trimmed_mean_bounds", "craft_fedavg", "craft_median", "craft_trimmed_mean")
+
+
+def test_the_reference_crafting_lives_only_in_verify():
+    """The run module holds no copy of the per-coordinate reference, and each
+    exported name is the ``dflsim.verify`` object that perfbench patches."""
+    assert [name for name in REFERENCE if hasattr(dflsim.attack, name)] == []
+    for name in REFERENCE:
+        if not name.startswith("_"):
+            assert getattr(dflsim, name) is getattr(dflsim.verify, name), name
 
 
 def test_suite_result_flags_failures():
